@@ -1,8 +1,10 @@
 """matroidkit: exact structure analysis for desk-scale matroids.
 
-Bit-packed basis families with a full rank-table backend; connectivity
-calculus, special 3-separator detection, minor search, detachable-pair
-search, and an executable registry of structural properties.
+Matroids are held as full 2^n rank tables over bit-packed subsets; minors
+and duals are gathered from their parent's table and basis families are
+derived from it.  On top: connectivity calculus, special 3-separator
+detection, minor search, detachable-pair search, and an executable registry
+of structural properties.
 """
 
 from .core import (AxiomViolation, CardinalityMismatch, EmptyFamily,

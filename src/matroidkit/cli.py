@@ -412,7 +412,9 @@ def main(argv=None) -> int:
         return {"analyze": cmd_analyze, "detachable": cmd_detachable,
                 "separators": cmd_separators, "verify": cmd_verify,
                 "construct": cmd_construct}[args.cmd](args)
-    except MatroidError as exc:
+    except (MatroidError, ValueError, OSError) as exc:
+        # bad numbers, unknown labels, oversize grounds and unreadable files
+        # are input errors too, never tracebacks
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,16 @@
-"""Bit-packed matroids represented by their basis families.
+"""Bit-packed matroids represented by their rank tables.
 
 Ground sets are index ranges 0..n-1 with n <= 24; every subset is a Python
-int bitmask.  All structural queries reduce to rank lookups against a full
-2^n subset table that is built lazily with numpy and cached per matroid,
-so scans over all subsets stay cheap and exact.
+int bitmask.  The representation is the full 2^n rank table, a numpy array
+indexed by subset mask.  A matroid given by a basis family builds its table
+lazily; minors and duals are gathered from the parent's table, and their
+basis families are derived from the table on first use.  Every structural
+query is a rank lookup, so scans over all subsets stay cheap and exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -88,11 +91,14 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+@functools.cache
 def _popcount_table(n: int) -> np.ndarray:
+    """Read-only |X| for every mask X < 2^n, shared per n."""
     pc = np.zeros(1 << n, dtype=np.int8)
     for i in range(n):
         s = 1 << i
         pc[s:2 * s] = pc[:s] + 1
+    pc.flags.writeable = False
     return pc
 
 
@@ -122,12 +128,25 @@ def rank_table(n: int, bases) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class Matroid:
-    """Immutable matroid given by ground-set size, labels and basis masks.
+def _check_family(n: int, bases) -> None:
+    """Reject a sorted, non-empty family that has a member outside the
+    ground set 0..n-1 or members of different sizes."""
+    if bases[-1] >> n:
+        raise ValueError(f"basis {bases[-1]:#x} not inside the ground set")
+    sizes = set(map(int.bit_count, bases))
+    if len(sizes) > 1:
+        raise CardinalityMismatch(
+            f"bases of sizes {min(sizes)} and {max(sizes)} in one family")
 
-    Use `validate` to build one from an untrusted family; the constructor
-    itself only normalises.  Derived data (rank table, dual, circuits) is
-    cached on first use; treat instances as read-only values.
+
+class Matroid:
+    """Immutable matroid on n labelled elements, held as its rank table.
+
+    The constructor takes a basis family and checks only that it is
+    equicardinal and inside the ground set; use `validate` to check the
+    basis axioms as well.  Minors and duals are built from the parent's
+    table.  Derived data (rank table, bases, dual, circuits) is cached on
+    first use; treat instances as read-only values.
     """
 
     def __init__(self, n: int, bases, labels=None):
@@ -136,22 +155,43 @@ class Matroid:
         bases = tuple(sorted(set(bases)))
         if not bases:
             raise EmptyFamily("no bases given")
-        self.n = n
-        self.full = (1 << n) - 1
-        self.bases = bases
-        self.rank = popcount(bases[0])
+        _check_family(n, bases)
         if labels is None:
             labels = tuple(_ALPHABET[:n])
         else:
             labels = tuple(labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be unique, one per element")
+        self._setup(n, popcount(bases[0]), labels, bases, None)
+
+    @classmethod
+    def _from_table(cls, tab: np.ndarray, labels) -> "Matroid":
+        """Matroid whose rank table is `tab`, taken on trust."""
+        m = cls.__new__(cls)
+        m._setup(len(labels), int(tab[-1]), tuple(labels), None, tab)
+        return m
+
+    def _setup(self, n, rank, labels, bases, tab):
+        self.n = n
+        self.full = (1 << n) - 1
+        self.rank = rank
         self.labels = labels
-        self._tab = None
+        self._bases = bases
+        self._tab = tab
         self._tab_list = None
         self._dual = None
         self._circuits = None
         self._is3conn = None
+
+    @property
+    def bases(self) -> tuple[int, ...]:
+        """Basis masks, ascending."""
+        if self._bases is None:
+            pc = _popcount_table(self.n)
+            r = self.rank
+            self._bases = tuple(
+                np.flatnonzero((self._tab == r) & (pc == r)).tolist())
+        return self._bases
 
     # -- identity ----------------------------------------------------------
 
@@ -173,7 +213,11 @@ class Matroid:
 
     def id_of(self, label) -> int:
         if isinstance(label, int):
+            if not 0 <= label < self.n:
+                raise ValueError(f"element id {label} outside 0..{self.n - 1}")
             return label
+        if label not in self.labels:
+            raise ValueError(f"unknown element {label!r}")
         return self.labels.index(label)
 
     def set_of(self, items) -> int:
@@ -236,7 +280,9 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         if self._dual is None:
-            d = Matroid(self.n, (self.full ^ b for b in self.bases), self.labels)
+            # r*(X) = |X| - r(E) + r(E - X)
+            tab = _popcount_table(self.n) - self.rank + self.table()[::-1]
+            d = Matroid._from_table(tab, self.labels)
             d._dual = self
             self._dual = d
         return self._dual
@@ -252,31 +298,30 @@ class Matroid:
         return out
 
     def delete(self, d: int) -> "Matroid":
-        if d == 0:
-            return self
-        keep = self.full ^ d
-        if keep == 0:
-            raise GroundSetExhausted("cannot delete the whole ground set")
-        r2 = max(popcount(b & keep) for b in self.bases)
-        newbases = {self._compress(b & keep, keep)
-                    for b in self.bases if popcount(b & keep) == r2}
-        labels = [self.labels[i] for i in elems(keep)]
-        return Matroid(popcount(keep), newbases, labels)
+        return self.minor(0, d)
 
     def contract(self, c: int) -> "Matroid":
-        if c == 0:
-            return self
-        if c == self.full:
-            raise GroundSetExhausted("cannot contract the whole ground set")
-        return self.dual().delete(c).dual()
+        return self.minor(c, 0)
 
     def minor(self, c: int, d: int) -> "Matroid":
+        """M/C\\D, gathered from this table: r(X) = r(X | C) - r(C)."""
         if c & d:
             raise ValueError("contract and delete sets overlap")
         if (c | d) == self.full:
             raise GroundSetExhausted("no elements left")
-        m = self.contract(c)
-        return m.delete(self._compress(d, self.full ^ c))
+        if not c | d:
+            return self
+        keep = elems(self.full ^ c ^ d)
+        # ex[j] is the parent mask of compressed mask j; masks < 2^24
+        ex = np.zeros(1 << len(keep), dtype=np.int32)
+        for j, i in enumerate(keep):
+            s = 1 << j
+            ex[s:2 * s] = ex[:s] | (1 << i)
+        ex |= c
+        t = self.table()
+        tab = t[ex]
+        tab -= t[c]
+        return Matroid._from_table(tab, [self.labels[i] for i in keep])
 
     def restrict(self, x: int) -> "Matroid":
         return self.delete(self.full ^ x)
@@ -333,27 +378,15 @@ class Matroid:
 def validate(bases, n: int, labels=None) -> Matroid:
     """Check the basis axioms exhaustively and return the matroid.
 
-    Equicardinality is checked directly.  Exchange is checked through the
-    equivalent purity criterion: for every independent set I that cannot be
-    extended inside A = E - (ext(I) - I), the rank of A must equal |I|.
-    This is O(n * 2^n) vectorised, against O(|B|^2) for pairwise exchange.
+    Equicardinality is checked by the constructor.  Exchange is checked
+    through the equivalent purity criterion: for every independent set I
+    that cannot be extended inside A = E - (ext(I) - I), the rank of A must
+    equal |I|.  This is O(n * 2^n) vectorised, against O(|B|^2) for
+    pairwise exchange.  The returned matroid keeps the table built here.
     """
-    bases = sorted(set(bases))
-    if not bases:
-        raise EmptyFamily("empty basis family")
-    if not 1 <= n <= MAX_GROUND:
-        raise ValueError(f"ground set size {n} outside 1..{MAX_GROUND}")
-    full = (1 << n) - 1
-    for b in bases:
-        if b & ~full:
-            raise ValueError(f"basis {b:#x} not inside the ground set")
-    r = popcount(bases[0])
-    for b in bases:
-        if popcount(b) != r:
-            raise CardinalityMismatch(
-                f"bases of sizes {r} and {popcount(b)} in one family")
-
-    tab = rank_table(n, bases)
+    m = Matroid(n, bases, labels)
+    full = m.full
+    tab = m.table()
     pc = _popcount_table(n)
     idx = np.arange(1 << n, dtype=np.int64)
     indep = tab == pc
@@ -366,12 +399,12 @@ def validate(bases, n: int, labels=None) -> Matroid:
     if bad.any():
         i_mask = int(np.nonzero(bad)[0][0])
         a_mask = full ^ int(ext[i_mask])
-        witness = _exchange_witness(bases, i_mask, a_mask)
+        witness = _exchange_witness(m.bases, i_mask, a_mask)
         raise AxiomViolation(
             f"exchange fails: independent set {sorted(elems(i_mask))} is "
             f"maximal in {sorted(elems(a_mask))} but rank there is "
             f"{int(tab[a_mask])}", witness)
-    return Matroid(n, bases, labels)
+    return m
 
 
 def _exchange_witness(bases, i_mask, a_mask):

@@ -191,6 +191,19 @@ class TestCommands:
         assert rc == 2
         assert "error=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "uniform 3 30"],
+        ["construct", "uniform a b"],
+        ["construct", "paralleladd {dir}/F7.mtx zz new"],
+        ["analyze", "{dir}/missing.mtx"],
+    ])
+    def test_bad_input_is_one_error_line(self, argv, construction_files,
+                                         tmp_path, capsys):
+        rc = main([a.format(dir=tmp_path) for a in argv])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error=")
+
     def test_records_format(self, construction_files, capsys):
         rc = main(["separators", str(construction_files["M4.mtx"]),
                    "--format", "records"])

@@ -79,6 +79,21 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate([1], 25)
 
+    def test_constructor_rejects_mixed_sizes(self):
+        with pytest.raises(CardinalityMismatch):
+            Matroid(3, [1, 6])
+
+    def test_constructor_rejects_basis_outside_ground(self):
+        with pytest.raises(ValueError):
+            Matroid(2, [1 << 5])
+
+    def test_id_of_range_checked(self):
+        m = u24()
+        assert m.id_of(3) == 3 and m.id_of("c") == 2
+        for bad in (4, -1, "z"):
+            with pytest.raises(ValueError):
+                m.id_of(bad)
+
 
 class TestRankCalculus:
     def test_rank_matches_oracle_everywhere(self):

@@ -7,9 +7,14 @@ must agree with the production path exactly.
 import itertools
 import random
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from matroidkit.core import (AxiomViolation, Matroid, bit, elems,
                              is_isomorphic, mask_of, popcount, validate)
-from matroidkit.builders import fano, spike, uniform, wheel, whirl
+from matroidkit.builders import (fano, spike, spiked_fano,
+                                 twisted_cube_matroid, uniform, wheel, whirl)
+from matroidkit.corpus import random_sparse_paving
 from matroidkit.minors import has_minor, labellings
 
 
@@ -51,6 +56,33 @@ def brute_exchange_ok(bases, n):
                            for y in elems(b2 & ~b1)):
                     return False
     return True
+
+
+def ref_dual(m):
+    return Matroid(m.n, [m.full ^ b for b in m.bases], m.labels)
+
+
+def ref_delete(m, d):
+    # the largest traces of the bases on E - D, re-packed bit by bit
+    keep = m.full ^ d
+    r = max(popcount(b & keep) for b in m.bases)
+    pos = {e: k for k, e in enumerate(elems(keep))}
+    bases = {mask_of(pos[i] for i in elems(b & keep))
+             for b in m.bases if popcount(b & keep) == r}
+    return Matroid(len(pos), bases, [m.labels[i] for i in pos])
+
+
+def ref_minor(m, c, d):
+    # M/C = (M* \ C)*, then delete D in the contraction's own ids
+    mc = ref_dual(ref_delete(ref_dual(m), c))
+    return ref_delete(mc, mc.set_of(m.label_list(d)))
+
+
+def assert_same(got, want):
+    assert got.labels == want.labels and got.rank == want.rank
+    assert got.bases == want.bases
+    assert got.table().dtype == want.table().dtype
+    assert np.array_equal(got.table(), want.table())
 
 
 def small_matroids():
@@ -165,3 +197,51 @@ class TestDerivedCaches:
         fresh = Matroid(m.n, m.bases, m.labels).circuits()
         assert first == fresh
         assert m.circuits() is first   # cached object, same content
+
+
+class TestMinorGatherOracle:
+    """Minors and duals gathered from the rank table against the same
+    matroids built from basis families."""
+
+    def test_every_minor_of_small_matroids(self):
+        for m in small_matroids():
+            assert_same(m.dual(), ref_dual(m))
+            for roles in itertools.product("kcd", repeat=m.n):
+                if "k" not in roles:
+                    continue
+                c = mask_of(i for i, x in enumerate(roles) if x == "c")
+                d = mask_of(i for i, x in enumerate(roles) if x == "d")
+                assert_same(m.minor(c, d), ref_minor(m, c, d))
+
+    def test_single_and_double_minors_of_references(self):
+        for m in (twisted_cube_matroid(), spiked_fano()):
+            assert_same(m.dual(), ref_dual(m))
+            for k in (1, 2):
+                for ids in itertools.combinations(range(m.n), k):
+                    for roles in itertools.product("cd", repeat=k):
+                        c = mask_of(i for i, x in zip(ids, roles) if x == "c")
+                        d = mask_of(i for i, x in zip(ids, roles) if x == "d")
+                        assert_same(m.minor(c, d), ref_minor(m, c, d))
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_minor_identities_on_sparse_paving(self, data):
+        n = data.draw(st.integers(3, 9))
+        r = data.draw(st.integers(1, n - 1))
+        m = random_sparse_paving(data.draw(st.randoms(use_true_random=False)),
+                                 n, r)
+        roles = data.draw(st.lists(st.sampled_from("kcd"), min_size=n,
+                                   max_size=n).filter(lambda x: "k" in x))
+        c = mask_of(i for i, x in enumerate(roles) if x == "c")
+        d = mask_of(i for i, x in enumerate(roles) if x == "d")
+        minor = m.minor(c, d)
+        assert_same(minor, ref_minor(m, c, d))
+        # (M/C\D)* = M*\C/D
+        assert minor.dual() == m.dual().minor(d, c)
+        # deletion and contraction commute
+        mc, md = m.contract(c), m.delete(d)
+        assert minor == mc.delete(mc.set_of(m.label_list(d)))
+        assert minor == md.contract(md.set_of(m.label_list(c)))
+        again = Matroid(minor.n, minor.bases, minor.labels)
+        assert again == minor and hash(again) == hash(minor)
