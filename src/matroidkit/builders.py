@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import itertools
 
-from .core import (AxiomViolation, Matroid, MatroidError, bit, elems,
-                   mask_of, popcount, validate)
+import numpy as np
+
+from .core import (AxiomViolation, Matroid, MatroidError, _popcount_table,
+                   bit, elems, mask_of, popcount, validate)
+from .structures import is_triad, is_triangle
 
 
 class BadParams(MatroidError):
@@ -267,15 +270,27 @@ def is_modular_flat(m: Matroid, f: int) -> bool:
                for g in _all_flats(m))
 
 
+def _closure_all(tab: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Closure of every mask in `x` under the rank table `tab`."""
+    rx = tab[x]
+    out = x.copy()
+    for i in range(n):
+        out |= np.where(tab[x | (1 << i)] == rx, 1 << i, 0)
+    return out
+
+
 def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
     """Generalized parallel connection along the common restriction named by
     `t_labels` (labels shared by both matroids).
 
     Flats of the result are the sets whose traces are flats on both sides;
     rank comes from the inclusion-exclusion formula on the closure.  The
-    construction is attempted whenever the restrictions agree and the result
-    is validated against the basis axioms, so gluings along a flat that is
-    modular on neither side still succeed when they define a matroid.
+    closure of every candidate set is computed at once on the two rank
+    tables: each round adds the closures of the traces on both sides, until
+    the whole array is a fixed point.  The construction is attempted whenever
+    the restrictions agree and the result is validated against the basis
+    axioms, so gluings along a flat that is modular on neither side still
+    succeed when they define a matroid.
     """
     t_labels = list(t_labels)
     for lab in t_labels:
@@ -286,7 +301,6 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
     r1 = m1.restrict(t1)
     r2 = m2.restrict(t2)
     perm = [r2.labels.index(lab) for lab in r1.labels]
-    remapped = {mask_of(perm.index(i) for i in elems(b)) for b in r2.bases}
     if set(r1.bases) != {mask_of(perm[i] for i in elems(b)) for b in r2.bases}:
         raise RestrictionMismatch("the two restrictions to T differ")
 
@@ -305,39 +319,34 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
         g2[m2.id_of(lab)] = m1.id_of(lab)
 
     lo = (1 << n1) - 1
-    tmask1 = t1
+    tab1, tab2 = m1.table(), m2.table()
 
-    def extract2(x: int) -> int:
-        out = 0
+    def extract2(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
         for i in range(m2.n):
-            if (x >> g2[i]) & 1:
-                out |= 1 << i
+            out |= ((x >> g2[i]) & 1) << i
         return out
 
-    def expand2(x2: int) -> int:
-        out = 0
-        for i in elems(x2):
-            out |= 1 << g2[i]
+    def expand2(x2: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x2)
+        for i in range(m2.n):
+            out |= ((x2 >> i) & 1) << g2[i]
         return out
 
-    def clp(x: int) -> int:
-        cur = x
+    def rank_all(x: np.ndarray) -> np.ndarray:
+        f = x
         while True:
-            nxt = cur | m1.closure(cur & lo) | expand2(m2.closure(extract2(cur)))
-            if nxt == cur:
-                return cur
-            cur = nxt
+            nxt = (f | _closure_all(tab1, f & lo, n1)
+                   | expand2(_closure_all(tab2, extract2(f), m2.n)))
+            if np.array_equal(nxt, f):
+                break
+            f = nxt
+        return (tab1[f & lo].astype(np.int64) + tab2[extract2(f)]
+                - tab1[f & t1])
 
-    t1tab = m1._list()
-    t2tab = m2._list()
-
-    def rank_of(x: int) -> int:
-        f = clp(x)
-        return t1tab[f & lo] + t2tab[extract2(f)] - t1tab[f & tmask1]
-
-    r = rank_of((1 << n) - 1)
-    bases = [mask_of(c) for c in itertools.combinations(range(n), r)
-             if rank_of(mask_of(c)) == r]
+    r = int(rank_all(np.array([(1 << n) - 1]))[0])
+    cand = np.flatnonzero(_popcount_table(n) == r)
+    bases = cand[rank_all(cand) == r].tolist()
     try:
         glued = validate(bases, n, labels)
     except (AxiomViolation, MatroidError) as exc:
@@ -364,16 +373,6 @@ def _reorder(m: Matroid, new_labels) -> Matroid:
 
 def _relabel(m: Matroid, mapping) -> Matroid:
     return Matroid(m.n, m.bases, [mapping.get(lab, lab) for lab in m.labels])
-
-
-def is_triangle(m: Matroid, x: int) -> bool:
-    t = m._list()
-    return (popcount(x) == 3 and t[x] == 2
-            and all(t[x ^ bit(e)] == 2 for e in elems(x)))
-
-
-def is_triad(m: Matroid, x: int) -> bool:
-    return is_triangle(m.dual(), x)
 
 
 def _k4_for_exchange(tri_labels, prime_labels) -> Matroid:

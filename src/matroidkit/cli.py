@@ -17,14 +17,16 @@ import argparse
 import itertools
 import sys
 
-from .core import (Matroid, MatroidError, bit, is_isomorphic, lex_key,
-                   mask_of, popcount, validate)
+import numpy as np
+
+from .core import (Matroid, MatroidError, _popcount_table, bit,
+                   is_isomorphic, lex_key, mask_of, popcount, validate)
 from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
                        parallel_add, parallel_connection, paving, paving8,
                        paving8_ext, principal_extension, relax, series_add,
                        spike, spiked_fano, twisted_cube_matroid, uniform,
                        wheel, whirl, wye_delta)
-from .connectivity import is_3_connected, lambda_
+from .connectivity import _lambda_all, is_3_connected
 from .structures import (SIX_ELEMENT_DETECTORS, detect_spike_like, fans,
                          flans, triads, triangles)
 from .minors import detachable_after_exchange, detachable_pairs
@@ -220,11 +222,10 @@ def cmd_separators(args) -> int:
     _, m = _load(args.file)
     rec = args.format == "records"
     lines = []
-    full = m.full
-    for x in range(1, full):
+    # every exact 3-separating set of at least six elements, ascending
+    seps = (_lambda_all(m) == 2) & (_popcount_table(m.n) >= 6)
+    for x in np.flatnonzero(seps).tolist():
         k = popcount(x)
-        if k < 6 or lambda_(m, x) != 2:
-            continue
         if k == 6:
             for kind, det in SIX_ELEMENT_DETECTORS:
                 hit = det(m, x)

@@ -11,7 +11,6 @@ query is a rank lookup, so scans over all subsets stay cheap and exact.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -73,12 +72,6 @@ def popcount(mask: int) -> int:
 
 def lex_key(mask: int) -> tuple[int, ...]:
     return tuple(elems(mask))
-
-
-def subsets_of(mask: int, k: int):
-    """All k-element submasks of `mask`, ascending in lex order of id tuples."""
-    for combo in itertools.combinations(elems(mask), k):
-        yield mask_of(combo)
 
 
 def submasks(mask: int):

@@ -1,14 +1,22 @@
 """Minor testing, labellings certifying a fixed minor, grounded triangles
 and triads, and detachable-pair search (direct and after a single
-delta-wye or wye-delta exchange)."""
+delta-wye or wye-delta exchange).
+
+The minor search scores candidate labellings in numpy batches over the
+rank table, per contract set, and builds no `Matroid` per candidate; only
+the candidates whose basis count and basis-degree multiset match reach the
+isomorphism test.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (Matroid, MatroidError, bit, elems, is_isomorphic,
-                   mask_of, popcount)
+                   popcount)
 from .connectivity import is_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
@@ -36,16 +44,23 @@ class DetachableResult:
 _minor_memo: dict = {}
 
 
-def _degree_multiset(n: int, bases) -> tuple:
-    deg = [0] * n
-    for b in bases:
-        for i in elems(b):
-            deg[i] += 1
-    return tuple(sorted(deg))
+# bound on the (C, D) pairs scored in one batch
+_BATCH = 1 << 14
 
 
-def _n_profile(n_mat: Matroid):
-    return (len(n_mat.bases), _degree_multiset(n_mat.n, n_mat.bases))
+def _id_rows(combos: list[tuple[int, ...]], k: int) -> np.ndarray:
+    """(len(combos), k) array of k-tuples of element ids."""
+    return np.array(combos, dtype=np.int32).reshape(len(combos), k)
+
+
+def _masks(ids: np.ndarray) -> np.ndarray:
+    """Masks of the id tuples along the last axis of `ids`."""
+    return (1 << ids).sum(-1, dtype=np.int32)
+
+
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """(len(masks), n) 0/1 matrix of the elements of each mask."""
+    return (masks[:, None] >> np.arange(n, dtype=np.int32)) & 1
 
 
 def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
@@ -59,55 +74,72 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
     `survivor_cap` = (region, k) keeps only labellings whose surviving
     ground set meets `region` in at most k elements; `removed_cap` bounds
     how many removed elements may fall in a region.
+
+    The search is batched over M's rank table and builds no `Matroid` per
+    candidate.  Contract sets C are taken in lex order, a block at a time,
+    and every deletion set D of the block is scored at once: r(C) = |C|,
+    the caps and r(E - D) = r(M).  Then, per contract set C, the bases of
+    M/C\\D are the sets B - C for the bases B of M that contain C and miss
+    D; the D whose basis count and basis-degree multiset match N's reach
+    `is_isomorphic`, on the minor gathered from the table.
     """
     gap = m.n - n_mat.n
     kc = m.rank - n_mat.rank
     if gap < 0 or kc < 0 or gap < kc:
         return
-    t = m._list()
-    nb, ndeg = _n_profile(n_mat)
-    rn = n_mat.rank
-    free = [i for i in range(m.n) if not (excluded >> i) & 1]
     req_c = required_contract
     req_d = required_delete
     if req_c & excluded or req_d & excluded or popcount(req_c) > kc \
             or popcount(req_d) > gap - kc:
         return
-    cap_region, cap_k = survivor_cap if survivor_cap else (0, 0)
-    rem_region, rem_k = removed_cap if removed_cap else (0, 0)
-    c_pool = [i for i in free if not (req_c >> i) & 1 and not (req_d >> i) & 1]
-    for c_extra in itertools.combinations(c_pool, kc - popcount(req_c)):
-        c = req_c | mask_of(c_extra)
-        if t[c] != kc:
-            continue
-        if removed_cap and popcount(c & rem_region) > rem_k:
-            continue
-        d_pool = [i for i in c_pool if not (c >> i) & 1
-                  and not (req_d >> i) & 1]
-        for d_extra in itertools.combinations(d_pool, gap - kc - popcount(req_d)):
-            d = req_d | mask_of(d_extra)
-            if survivor_cap:
-                if popcount(cap_region & ~(c | d)) > cap_k:
-                    continue
-            if removed_cap and popcount((c | d) & rem_region) > rem_k:
-                continue
-            if t[m.full ^ d] - kc != rn:
-                continue
-            survivors = elems(m.full ^ c ^ d)
-            minor_bases = []
-            for combo in itertools.combinations(survivors, rn):
-                if t[mask_of(combo) | c] == rn + kc:
-                    minor_bases.append(mask_of(combo))
-            if len(minor_bases) != nb:
-                continue
-            pos = {e: k for k, e in enumerate(survivors)}
-            packed = [mask_of(pos[i] for i in elems(b)) for b in minor_bases]
-            if _degree_multiset(n_mat.n, packed) != ndeg:
-                continue
-            cand = Matroid(n_mat.n, packed,
-                           [m.labels[i] for i in survivors])
-            if is_isomorphic(cand, n_mat) is not None:
-                yield NLabelling(c, d)
+    kc_free = kc - popcount(req_c)
+    kd_free = gap - kc - popcount(req_d)
+    c_pool = [i for i in range(m.n)
+              if not ((excluded | req_c | req_d) >> i) & 1]
+    if len(c_pool) < kc_free + kd_free:
+        return
+    cap_region, cap_k = survivor_cap or (0, 0)
+    rem_region, rem_k = removed_cap or (0, 0)
+    t = m.table()
+    r, full = m.rank, m.full
+    m_bases = np.array(m.bases, dtype=np.int32)
+    pool = np.array(c_pool, dtype=np.int32)
+    n_free = len(c_pool) - kc_free
+    # D's positions in the pool left by C, the same for every C
+    d_pos = _id_rows(list(itertools.combinations(range(n_free), kd_free)),
+                     kd_free)
+    n_bases = np.array(n_mat.bases, dtype=np.int32)
+    want_deg = np.sort(np.concatenate([_bits(n_bases, n_mat.n).sum(0),
+                                       np.zeros(gap, dtype=np.int64)]))
+    c_combos = itertools.combinations(c_pool, kc_free)
+    while chunk := list(itertools.islice(c_combos,
+                                         max(1, _BATCH // len(d_pos)))):
+        cs = req_c | _masks(_id_rows(chunk, kc_free))
+        ok = t[cs] == kc
+        if removed_cap:
+            ok &= np.bitwise_count(cs & rem_region) <= rem_k
+        cs = cs[ok]
+        outside = ((cs[:, None] >> pool) & 1) == 0
+        left = np.broadcast_to(pool, outside.shape)[outside] \
+            .reshape(len(cs), n_free)
+        ds = req_d | _masks(left[:, d_pos])
+        ok = t[full ^ ds] == r
+        if survivor_cap:
+            ok &= np.bitwise_count(cap_region & ~(cs[:, None] | ds)) <= cap_k
+        if removed_cap:
+            ok &= np.bitwise_count((cs[:, None] | ds) & rem_region) <= rem_k
+        for i in np.flatnonzero(ok.any(1)).tolist():
+            c = int(cs[i])
+            d_c = ds[i][ok[i]]
+            xs = m_bases[(m_bases & c) == c] ^ c
+            # avoid[j, k]: X_k misses D_j, so it is a basis of M/C\D_j
+            avoid = (d_c[:, None] & xs) == 0
+            hit = avoid.sum(1) == len(n_bases)
+            deg = avoid[hit].astype(np.int32) @ _bits(xs, m.n)
+            for d in d_c[hit][(np.sort(deg, axis=1) == want_deg).all(1)] \
+                    .tolist():
+                if is_isomorphic(m.minor(c, d), n_mat) is not None:
+                    yield NLabelling(c, d)
 
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
@@ -256,6 +288,3 @@ def switch_labels(m: Matroid, n_mat: Matroid, lab: NLabelling,
                            "minor machinery is broken")
     return new
 
-
-def clear_minor_memo():
-    _minor_memo.clear()

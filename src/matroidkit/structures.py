@@ -177,13 +177,6 @@ def fans(m: Matroid) -> list[FanRecord]:
             for s in sorted(maximal, key=lex_key)]
 
 
-def fan_ends(rec: FanRecord) -> list[tuple[int, str]]:
-    """(element, spoke|rim) for the two ends of a fan of length >= 4."""
-    if len(rec.elements) < 4:
-        return []
-    return [(rec.elements[0], rec.types[0]), (rec.elements[-1], rec.types[-1])]
-
-
 # ---------------------------------------------------------------------------
 # flans
 

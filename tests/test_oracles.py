@@ -10,12 +10,17 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from matroidkit.core import (AxiomViolation, Matroid, bit, elems,
-                             is_isomorphic, mask_of, popcount, validate)
-from matroidkit.builders import (fano, spike, spiked_fano,
-                                 twisted_cube_matroid, uniform, wheel, whirl)
-from matroidkit.corpus import random_sparse_paving
-from matroidkit.minors import has_minor, labellings
+from matroidkit import builders
+from matroidkit.core import (AxiomViolation, Matroid, MatroidError, bit,
+                             elems, is_isomorphic, mask_of, popcount, validate)
+from matroidkit.builders import (BadParams, NotModularFlat,
+                                 RestrictionMismatch, delta_wye, fano,
+                                 nonfano, parallel_connection, spike,
+                                 spiked_fano, twisted_cube_matroid, uniform,
+                                 wheel, whirl, wye_delta)
+from matroidkit.corpus import generate_corpus, random_sparse_paving
+from matroidkit.minors import NLabelling, has_minor, labellings
+from matroidkit.structures import triads, triangles
 
 
 def brute_isomorphic(m1, m2):
@@ -76,6 +81,109 @@ def ref_minor(m, c, d):
     # M/C = (M* \ C)*, then delete D in the contraction's own ids
     mc = ref_dual(ref_delete(ref_dual(m), c))
     return ref_delete(mc, mc.set_of(m.label_list(d)))
+
+
+def ref_labellings(m, n_mat, required_contract=0, required_delete=0,
+                   excluded=0, survivor_cap=None, removed_cap=None):
+    # one candidate at a time, each re-packed into a Matroid from its bases
+    gap = m.n - n_mat.n
+    kc = m.rank - n_mat.rank
+    req_c, req_d = required_contract, required_delete
+    if gap < 0 or kc < 0 or gap < kc or req_c & excluded \
+            or req_d & excluded or popcount(req_c) > kc \
+            or popcount(req_d) > gap - kc:
+        return
+    t = m._list()
+    cap_region, cap_k = survivor_cap or (0, 0)
+    rem_region, rem_k = removed_cap or (0, 0)
+    c_pool = [i for i in range(m.n)
+              if not ((excluded | req_c | req_d) >> i) & 1]
+    for c_extra in itertools.combinations(c_pool, kc - popcount(req_c)):
+        c = req_c | mask_of(c_extra)
+        if t[c] != kc:
+            continue
+        if removed_cap and popcount(c & rem_region) > rem_k:
+            continue
+        d_pool = [i for i in c_pool if not (c >> i) & 1]
+        for d_extra in itertools.combinations(d_pool,
+                                              gap - kc - popcount(req_d)):
+            d = req_d | mask_of(d_extra)
+            if survivor_cap and popcount(cap_region & ~(c | d)) > cap_k:
+                continue
+            if removed_cap and popcount((c | d) & rem_region) > rem_k:
+                continue
+            if t[m.full ^ d] != m.rank:
+                continue
+            survivors = elems(m.full ^ c ^ d)
+            pos = {e: k for k, e in enumerate(survivors)}
+            packed = [mask_of(pos[i] for i in combo)
+                      for combo in itertools.combinations(survivors,
+                                                          n_mat.rank)
+                      if t[mask_of(combo) | c] == m.rank]
+            if len(packed) != len(n_mat.bases):
+                continue
+            cand = Matroid(n_mat.n, packed, [m.labels[i] for i in survivors])
+            if is_isomorphic(cand, n_mat) is not None:
+                yield NLabelling(c, d)
+
+
+def ref_parallel_connection(m1, m2, t_labels):
+    # every rank read one subset at a time through a scalar closure loop
+    t_labels = list(t_labels)
+    for lab in t_labels:
+        if lab not in m1.labels or lab not in m2.labels:
+            raise RestrictionMismatch(lab)
+    t1, t2 = m1.set_of(t_labels), m2.set_of(t_labels)
+    r1, r2 = m1.restrict(t1), m2.restrict(t2)
+    perm = [r2.labels.index(lab) for lab in r1.labels]
+    if set(r1.bases) != {mask_of(perm[i] for i in elems(b))
+                         for b in r2.bases}:
+        raise RestrictionMismatch("the two restrictions to T differ")
+    n1 = m1.n
+    tail = [i for i in range(m2.n) if not (t2 >> i) & 1]
+    n = n1 + len(tail)
+    if n > 24:
+        raise BadParams("glued ground set would exceed 24 elements")
+    labels = list(m1.labels) + [m2.labels[i] for i in tail]
+    if len(set(labels)) != n:
+        raise RestrictionMismatch("non-T labels of the two sides collide")
+    g2 = [0] * m2.n
+    for k, i in enumerate(tail):
+        g2[i] = n1 + k
+    for lab in t_labels:
+        g2[m2.id_of(lab)] = m1.id_of(lab)
+    lo = (1 << n1) - 1
+
+    def extract2(x):
+        return mask_of(i for i in range(m2.n) if (x >> g2[i]) & 1)
+
+    def expand2(x2):
+        return mask_of(g2[i] for i in elems(x2))
+
+    def rank_of(x):
+        f = x
+        while True:
+            nxt = f | m1.closure(f & lo) | expand2(m2.closure(extract2(f)))
+            if nxt == f:
+                break
+            f = nxt
+        return (m1.rank_of(f & lo) + m2.rank_of(extract2(f))
+                - m1.rank_of(f & t1))
+
+    r = rank_of((1 << n) - 1)
+    bases = [mask_of(c) for c in itertools.combinations(range(n), r)
+             if rank_of(mask_of(c)) == r]
+    try:
+        glued = validate(bases, n, labels)
+    except MatroidError as exc:
+        raise NotModularFlat(str(exc)) from exc
+    if glued.restrict(mask_of(range(n1))) != m1:
+        raise NotModularFlat("glued matroid does not restrict to the first side")
+    r2chk = glued.restrict(glued.set_of(m2.labels))
+    if {frozenset(r2chk.label_list(b)) for b in r2chk.bases} != \
+       {frozenset(m2.label_list(b)) for b in m2.bases}:
+        raise NotModularFlat("glued matroid does not restrict to the second side")
+    return glued
 
 
 def assert_same(got, want):
@@ -245,3 +353,105 @@ class TestMinorGatherOracle:
         assert minor == md.contract(md.set_of(m.label_list(c)))
         again = Matroid(minor.n, minor.bases, minor.labels)
         assert again == minor and hash(again) == hash(minor)
+
+
+def _random_mask(rng, n, p):
+    return mask_of(i for i in range(n) if rng.random() < p)
+
+
+class TestBatchedLabellingsOracle:
+    """The batched labelling search against the per-candidate loop: the
+    same labellings in the same order."""
+
+    def test_corpus_sample_with_random_constraints(self):
+        corpus = [e.matroid for e in generate_corpus(0, max_n=9)]
+        pairs = [(m, n_mat) for m in corpus for n_mat in corpus
+                 if 2 <= n_mat.n <= min(7, m.n)]
+        rng = random.Random(23)
+        found = 0
+        for m, n_mat in rng.sample(pairs, 150):
+            kw = {}
+            if rng.random() < 0.4:
+                kw["survivor_cap"] = (_random_mask(rng, m.n, 0.4),
+                                      rng.randrange(4))
+            if rng.random() < 0.4:
+                kw["removed_cap"] = (_random_mask(rng, m.n, 0.4),
+                                     rng.randrange(5))
+            if rng.random() < 0.3:
+                kw["required_contract"] = _random_mask(rng, m.n, 0.1)
+            if rng.random() < 0.3:
+                kw["required_delete"] = _random_mask(rng, m.n, 0.1) \
+                    & ~kw.get("required_contract", 0)
+            if rng.random() < 0.3:
+                kw["excluded"] = _random_mask(rng, m.n, 0.15)
+            want = list(ref_labellings(m, n_mat, **kw))
+            assert list(labellings(m, n_mat, **kw)) == want, (m, n_mat, kw)
+            found += len(want)
+        assert found > 100
+
+    def test_edge_shapes(self):
+        u26, u24, u36, u25 = uniform(2, 6), uniform(2, 4), uniform(3, 6), \
+            uniform(2, 5)
+        cases = [
+            (u36, u25, {}),                            # no deletion
+            (u26, u24, {}),                            # no contraction
+            (fano(), fano(), {}),                      # no size gap
+            (fano(), nonfano(), {}),                   # gap 0, no match
+            (u26, u24, {"required_delete": 0b110000}),  # D fully required
+            (u36, u24, {"required_delete": 0b100000}),
+            (u26, u24, {"excluded": 0b011111}),        # pool below |D|
+            (u36, u24, {"required_contract": 0b1, "excluded": 0b111100}),
+        ]
+        for m, n_mat, kw in cases:
+            want = list(ref_labellings(m, n_mat, **kw))
+            assert list(labellings(m, n_mat, **kw)) == want, (m, n_mat, kw)
+        assert list(labellings(u26, u24, required_delete=0b110000)) == \
+            [NLabelling(0, 0b110000)]
+        assert len(list(labellings(u36, u25))) == 6
+        assert list(labellings(u26, u24, excluded=0b011111)) == []
+
+
+def _outcome(build, *args):
+    # the built matroid's bases and labels, or the type of what it raised
+    try:
+        g = build(*args)
+    except MatroidError as exc:
+        return type(exc)
+    return g.bases, g.labels
+
+
+def _exchanges(m):
+    return [_outcome(op, m, x)
+            for op, xs in ((delta_wye, triangles(m)), (wye_delta, triads(m)))
+            for x in xs]
+
+
+class TestParallelConnectionOracle:
+    """The array gluing against the scalar closure loop: equal matroids,
+    or the same exception."""
+
+    def test_exchanges_match(self, monkeypatch):
+        ms = [e.matroid for e in generate_corpus(0, max_n=8)]
+        ms += [twisted_cube_matroid(), spiked_fano(4), spiked_fano(4, True)]
+        got = [_exchanges(m) for m in ms]
+        monkeypatch.setattr(builders, "parallel_connection",
+                            ref_parallel_connection)
+        assert got == [_exchanges(m) for m in ms]
+        assert sum(map(len, got)) > 200
+
+    def test_self_gluings_match(self):
+        rng = random.Random(3)
+        raised = 0
+        for _ in range(40):
+            n = rng.randint(4, 7)
+            m = random_sparse_paving(rng, n, rng.randint(2, min(4, n - 1)))
+            shared = rng.sample(range(n), rng.randint(1, n - 1))
+            la = [f"a{i}" for i in range(n)]
+            lb = [la[i] if i in shared else f"b{i}" for i in range(n)]
+            args = (Matroid(n, m.bases, la), Matroid(n, m.bases, lb),
+                    [la[i] for i in shared])
+            got = _outcome(parallel_connection, *args)
+            assert got == _outcome(ref_parallel_connection, *args), \
+                (m.bases, shared)
+            raised += got is NotModularFlat
+        assert raised
