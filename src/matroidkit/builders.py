@@ -132,7 +132,7 @@ def rim(m: Matroid, r: int) -> int:
 
 def relax(m: Matroid, x: int) -> Matroid:
     """Promote a circuit-hyperplane to a basis."""
-    t = m._list()
+    t = m._ranks()
     if t[x] != popcount(x) - 1 or any(t[x ^ bit(e)] != popcount(x) - 1
                                       for e in elems(x)):
         raise NotCircuitHyperplane(f"{m.fmt(x)} is not a circuit")
@@ -207,7 +207,7 @@ def principal_extension(m: Matroid, f: int, label: str) -> Matroid:
         raise NotAFlat(f"{m.fmt(f)} is not closed")
     if m.n + 1 > 24:
         raise BadParams("ground set would exceed 24 elements")
-    t = m._list()
+    t = m._ranks()
     bn = bit(m.n)
     bases = set(m.bases)
     for combo in itertools.combinations(range(m.n), m.rank - 1):
@@ -235,7 +235,7 @@ def modular_cut_extension(m: Matroid, generating_flats, label: str) -> Matroid:
         gens.append(fm)
     if not gens:
         raise BadParams("need at least one generating flat")
-    t = m._list()
+    t = m._ranks()
     flats = _all_flats(m)
     cut = {f for f in flats if any(f & g == g for g in gens)}
     changed = True
@@ -265,7 +265,7 @@ def modular_cut_extension(m: Matroid, generating_flats, label: str) -> Matroid:
 def is_modular_flat(m: Matroid, f: int) -> bool:
     if m.closure(f) != f:
         return False
-    t = m._list()
+    t = m._ranks()
     return all(t[f] + t[g] == t[m.closure(f | g)] + t[f & g]
                for g in _all_flats(m))
 

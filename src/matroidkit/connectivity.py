@@ -36,20 +36,23 @@ class SeparationReport:
 
 def lambda_(m: Matroid, x: int) -> int:
     """Connectivity function r(X) + r(E-X) - r(M)."""
-    t = m._list()
+    t = m._ranks()
     return t[x] + t[m.full ^ x] - m.rank
 
 
 def lambda_minus(m: Matroid, removed: int, x: int) -> int:
     """lambda of X inside the deletion minor M \\ removed, without relabelling."""
-    t = m._list()
+    t = m._ranks()
     ground = m.full ^ removed
     return t[x] + t[ground ^ x] - t[ground]
 
 
 def _lambda_all(m: Matroid) -> np.ndarray:
+    """lambda(X) for every mask X, in int8 since lambda <= 2 r(M) <= 48."""
     t = m.table()
-    return t.astype(np.int16) + t[::-1].astype(np.int16) - m.rank
+    lam = t + t[::-1]
+    lam -= m.rank
+    return lam
 
 
 def separations(m: Matroid, k: int) -> list[SeparationReport]:
@@ -80,7 +83,7 @@ def _pc(m: Matroid) -> np.ndarray:
 
 def _report(m: Matroid, x: int, k: int, lam: int) -> SeparationReport:
     y = m.full ^ x
-    t = m._list()
+    t = m._ranks()
     exact = lam == k - 1
     vertical = t[x] >= k and t[y] >= k
     cyclic = m.corank_of(x) >= k and m.corank_of(y) >= k
@@ -113,7 +116,7 @@ def is_3_connected(m: Matroid) -> bool:
 
 
 def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
-    t = m._list()
+    t = m._ranks()
     n = m.n
     out = []
     for z in range(n):

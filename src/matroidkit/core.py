@@ -1,11 +1,15 @@
 """Bit-packed matroids represented by their rank tables.
 
 Ground sets are index ranges 0..n-1 with n <= 24; every subset is a Python
-int bitmask.  The representation is the full 2^n rank table, a numpy array
-indexed by subset mask.  A matroid given by a basis family builds its table
-lazily; minors and duals are gathered from the parent's table, and their
-basis families are derived from the table on first use.  Every structural
-query is a rank lookup, so scans over all subsets stay cheap and exact.
+int bitmask.  The representation is the full 2^n rank table, a read-only
+int8 numpy array indexed by subset mask.  A matroid given by a basis family
+builds its table lazily; minors and duals are gathered from the parent's
+table, and their basis families are derived from the table on first use.
+Every structural query is a rank lookup, so scans over all subsets stay
+cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
+table (`Matroid._ranks`), and the subset-lattice kernels (`validate`,
+`circuits`) work on strided halves of the table, so no table-sized int64
+array or Python list is built even at n = 24.
 """
 
 from __future__ import annotations
@@ -170,8 +174,10 @@ class Matroid:
         self.rank = rank
         self.labels = labels
         self._bases = bases
+        if tab is not None:
+            tab.flags.writeable = False
         self._tab = tab
-        self._tab_list = None
+        self._tab_view = None
         self._dual = None
         self._circuits = None
         self._is3conn = None
@@ -226,24 +232,32 @@ class Matroid:
     # -- rank calculus -----------------------------------------------------
 
     def table(self) -> np.ndarray:
+        """The rank table, read-only: r(X) at index X."""
         if self._tab is None:
-            self._tab = rank_table(self.n, self.bases)
+            tab = rank_table(self.n, self.bases)
+            tab.flags.writeable = False
+            self._tab = tab
         return self._tab
 
-    def _list(self):
-        if self._tab_list is None:
-            self._tab_list = self.table().tolist()
-        return self._tab_list
+    def _ranks(self) -> memoryview:
+        """Zero-copy view of the read-only rank table for scalar lookups.
+
+        Indexing it with a mask gives r(X) as a Python int, without a
+        per-lookup numpy scalar and without a Python-list copy of the table.
+        """
+        if self._tab_view is None:
+            self._tab_view = self.table().data
+        return self._tab_view
 
     def rank_of(self, x: int) -> int:
-        return self._list()[x]
+        return self._ranks()[x]
 
     def corank_of(self, x: int) -> int:
         # r*(X) = |X| - r(M) + r(E-X)
-        return popcount(x) - self.rank + self._list()[self.full ^ x]
+        return popcount(x) - self.rank + self._ranks()[self.full ^ x]
 
     def closure(self, x: int) -> int:
-        t = self._list()
+        t = self._ranks()
         rx = t[x]
         out = x
         rest = self.full ^ x
@@ -253,7 +267,7 @@ class Matroid:
         return out
 
     def coclosure(self, x: int) -> int:
-        t = self._list()
+        t = self._ranks()
         full = self.full
         out = x
         for i in elems(full ^ x):
@@ -274,7 +288,8 @@ class Matroid:
     def dual(self) -> "Matroid":
         if self._dual is None:
             # r*(X) = |X| - r(E) + r(E - X)
-            tab = _popcount_table(self.n) - self.rank + self.table()[::-1]
+            tab = _popcount_table(self.n) - self.rank
+            tab += self.table()[::-1]
             d = Matroid._from_table(tab, self.labels)
             d._dual = self
             self._dual = d
@@ -323,16 +338,14 @@ class Matroid:
 
     def circuits(self) -> tuple[int, ...]:
         if self._circuits is None:
-            tab = self.table()
-            pc = _popcount_table(self.n)
-            dep = tab < pc
-            idx = np.arange(1 << self.n, dtype=np.int64)
+            dep = self.table() < _popcount_table(self.n)
             mini = dep.copy()
             for i in range(self.n):
-                b = 1 << i
-                has = (idx & b) != 0
-                mini &= ~(has & dep[idx ^ b])
-            self._circuits = tuple(int(x) for x in np.nonzero(mini)[0])
+                s = 1 << i
+                # a dependent X holding i is not minimal if X - i is dependent
+                v = mini.reshape(-1, 2 * s)
+                v[:, s:] &= ~dep.reshape(-1, 2 * s)[:, :s]
+            self._circuits = tuple(np.flatnonzero(mini).tolist())
         return self._circuits
 
     def cocircuits(self) -> tuple[int, ...]:
@@ -344,7 +357,7 @@ class Matroid:
         """Drop loops and parallel duplicates, keeping the lowest id of each
         class.  Returns (matroid, map) where map sends each non-loop label to
         the label of its retained representative."""
-        t = self._list()
+        t = self._ranks()
         loops = mask_of(i for i in range(self.n) if t[1 << i] == 0)
         rep = {}
         seen = 0
@@ -376,22 +389,26 @@ def validate(bases, n: int, labels=None) -> Matroid:
     that cannot be extended inside A = E - (ext(I) - I), the rank of A must
     equal |I|.  This is O(n * 2^n) vectorised, against O(|B|^2) for
     pairwise exchange.  The returned matroid keeps the table built here.
+
+    Per element i the masks without and with i are compared as the two
+    strided halves of the table, so the only table-sized arrays are the
+    int32 masks A and a few int8/bool tables.
     """
     m = Matroid(n, bases, labels)
-    full = m.full
     tab = m.table()
     pc = _popcount_table(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    indep = tab == pc
-    ext = np.zeros(1 << n, dtype=np.int64)
+    # ext[X] collects the elements i outside X with r(X + i) = r(X) + 1
+    ext = np.zeros(1 << n, dtype=np.int32)
     for i in range(n):
-        b = 1 << i
-        grows = (tab[idx | b] == tab + 1) & ((idx & b) == 0)
-        ext[grows] |= b
-    bad = indep & (tab[full ^ ext] != pc)
+        s = 1 << i
+        v = tab.reshape(-1, 2 * s)
+        e = ext.reshape(-1, 2 * s)[:, :s]
+        np.bitwise_or(e, s, out=e, where=v[:, s:] == v[:, :s] + 1)
+    ext ^= m.full  # now A = E - ext(X)
+    bad = (tab == pc) & (tab[ext] != pc)
     if bad.any():
-        i_mask = int(np.nonzero(bad)[0][0])
-        a_mask = full ^ int(ext[i_mask])
+        i_mask = int(bad.argmax())
+        a_mask = int(ext[i_mask])
         witness = _exchange_witness(m.bases, i_mask, a_mask)
         raise AxiomViolation(
             f"exchange fails: independent set {sorted(elems(i_mask))} is "
@@ -455,7 +472,7 @@ def is_isomorphic(m1: Matroid, m2: Matroid):
     for b in m1.bases:
         done_at[max(pos[i] for i in elems(b))].append(b)
     bset2 = set(m2.bases)
-    t1, t2 = m1._list(), m2._list()
+    t1, t2 = m1._ranks(), m2._ranks()
     img = [-1] * n
     used = [False] * n
 

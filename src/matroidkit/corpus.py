@@ -261,21 +261,3 @@ def generate_corpus(seed: int = 0, max_n: int = 16) -> list[CorpusEntry]:
             add(f"sparse8_{made}", m)
             made += 1
     return out
-
-
-def corpus_pairs(corpus, max_m: int | None = None, min_gap: int = 1):
-    """(M entry, N entry) pairs with both 3-connected, |E(N)| >= 4 and the
-    stated size gap; minor existence is left to the caller."""
-    pairs = []
-    for em in corpus:
-        if max_m is not None and em.matroid.n > max_m:
-            continue
-        if not is_3_connected(em.matroid):
-            continue
-        for en in corpus:
-            if en.matroid.n < 4 or em.matroid.n - en.matroid.n < min_gap:
-                continue
-            if not is_3_connected(en.matroid):
-                continue
-            pairs.append((em, en))
-    return pairs

@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import (Matroid, MatroidError, bit, elems, is_isomorphic,
                    mask_of, popcount)
-from .connectivity import (is_3_connected, is_connected, lambda_,
-                           lambda_minus, full_closure,
+from .connectivity import (_lambda_all, is_3_connected, is_connected,
+                           lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
 from .structures import (detect_elongated_quad, detect_skew_whiff,
                          detect_spike_like, detect_twisted_cube_like,
@@ -72,7 +72,7 @@ def _co(m: Matroid, e: int) -> Matroid:
 
 
 def _in_cl(m: Matroid, s: int, e: int) -> bool:
-    t = m._list()
+    t = m._ranks()
     return bool(s >> e & 1) or t[s | bit(e)] == t[s]
 
 
@@ -90,23 +90,17 @@ def is_wheel_or_whirl(m: Matroid) -> bool:
 
 
 def _is_u35_restriction(m: Matroid, p: int) -> bool:
-    t = m._list()
+    t = m._ranks()
     if popcount(p) != 5 or t[p] != 3:
         return False
     return all(t[mask_of(c)] == 3 for c in itertools.combinations(elems(p), 3))
 
 
 def _is_u36_restriction(m: Matroid, p: int) -> bool:
-    t = m._list()
+    t = m._ranks()
     if popcount(p) != 6 or t[p] != 3:
         return False
     return all(t[mask_of(c)] == 3 for c in itertools.combinations(elems(p), 3))
-
-
-def _exact3_sets(m: Matroid):
-    t = m.table()
-    lam = t.astype(np.int16) + t[::-1].astype(np.int16) - m.rank
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +109,7 @@ def _exact3_sets(m: Matroid):
 def check_uncrossing(m):
     if not is_3_connected(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     from .core import _popcount_table
     pc = _popcount_table(m.n).astype(np.int16)
     sep = np.nonzero(lam <= 2)[0]
@@ -139,8 +133,8 @@ def check_uncrossing(m):
 
 def check_closure_complement_swap(m):
     dual = m.dual()
-    t = m._list()
-    td = dual._list()
+    t = m._ranks()
+    td = dual._ranks()
     exercised = 0
     for e in range(m.n):
         be = bit(e)
@@ -163,7 +157,7 @@ def check_closure_complement_swap(m):
 def check_step_extension(m):
     if not is_3_connected(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     exercised = 0
     for x in range(1 << m.n):
         if lam[x] != 2:
@@ -180,7 +174,7 @@ def check_step_extension(m):
 def check_boundary_attachment(m):
     if not is_3_connected(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     exercised = 0
     for x in range(1 << m.n):
         if lam[x] != 2 or popcount(x) < 3:
@@ -195,7 +189,7 @@ def check_boundary_attachment(m):
 def check_guts_coguts_step(m):
     if not is_3_connected(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     exercised = 0
     for x in range(1 << m.n):
         if lam[x] != 2 or popcount(x) < 3:
@@ -227,7 +221,7 @@ def check_contraction_vertical_split(m):
 
 
 def _simple_cosimple(m):
-    t = m._list()
+    t = m._ranks()
     for e in range(m.n):
         if t[bit(e)] == 0 or m.corank_of(bit(e)) == 0:
             return False
@@ -241,7 +235,7 @@ def _simple_cosimple(m):
 def check_full_closure_two_separation(m):
     if not is_connected(m) or m.n < 4 or not _simple_cosimple(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     from .core import _popcount_table
     pc = _popcount_table(m.n)
     exercised = 0
@@ -259,7 +253,7 @@ def check_full_closure_two_separation(m):
 def check_guts_coguts_disjoint(m):
     if not is_3_connected(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
 
     def violates(x):
         return (lam[x] <= 2 and popcount(x) >= 3
@@ -327,14 +321,14 @@ def check_triangle_deletion_triad(m):
 
 
 def _rank3_cocircuits(m):
-    t = m._list()
+    t = m._ranks()
     return [c for c in m.cocircuits() if t[c] == 3]
 
 
 def check_rank3_cocircuit_contraction(m):
     if not is_3_connected(m) or m.n < 5:
         return 0, None
-    t = m._list()
+    t = m._ranks()
     exercised = 0
     for cstar in _rank3_cocircuits(m):
         for x in elems(cstar):
@@ -359,7 +353,7 @@ def check_rank3_cocircuit_contraction(m):
 def check_rank3_cocircuit_deletion(m):
     if not is_3_connected(m) or m.rank < 4:
         return 0, None
-    t = m._list()
+    t = m._ranks()
     exercised = 0
     for cstar in _rank3_cocircuits(m):
         for x in elems(cstar):
@@ -374,7 +368,7 @@ def check_rank3_cocircuit_deletion(m):
 def check_closure_meets_once(m):
     if not is_3_connected(m):
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
 
     def violates(x):
         if lam[x] > 2 or popcount(x) < 3 or m.n - popcount(x) < 3:
@@ -620,7 +614,7 @@ def check_two_separation_minor_side(m, n_mat):
         return 0, None
     if has_minor(m, n_mat) is None:
         return 0, None
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     exercised = 0
     seen = set()
     for x in range(1 << m.n):
@@ -689,7 +683,7 @@ def check_parallel_label_switch(m, n_mat):
     lab = has_minor(m, n_mat)
     if lab is None:
         return 0, None
-    t = m._list()
+    t = m._ranks()
     exercised = 0
     for c in elems(lab.contract):
         bc = bit(c)
@@ -796,7 +790,7 @@ def verify_theorem_triangles(m: Matroid, n_mat: Matroid) -> Verdict:
 
 
 def _spike_branch(m: Matroid, n_mat: Matroid) -> bool:
-    lam = _exact3_sets(m)
+    lam = _lambda_all(m)
     from .core import _popcount_table
     pc = _popcount_table(m.n)
     cand = np.nonzero((lam == 2) & (pc >= 6) & (pc % 2 == 0)
@@ -898,7 +892,7 @@ def verify_flan_corollary(m: Matroid, n_mat: Matroid, d: int,
 
 def _is_cyclic_triple(m: Matroid, x: int, z: int, y: int) -> bool:
     d = m.dual()
-    t = d._list()
+    t = d._ranks()
     bz = bit(z)
     if x | y | bz != m.full or popcount(x) < 3 or popcount(y) < 3:
         return False

@@ -258,7 +258,7 @@ def switch_labels(m: Matroid, n_mat: Matroid, lab: NLabelling,
     """Swap the labels of d and e, justified by a parallel pair {d,e} in
     M/c for some contracted c.  The result is re-verified as a labelling."""
     bd, be = bit(d), bit(e)
-    t = m._list()
+    t = m._ranks()
     hyp = any(t[bd | be | bit(c)] - t[bit(c)] == 1
               for c in elems(lab.contract & ~(bd | be)))
     if not hyp:

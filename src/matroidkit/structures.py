@@ -42,7 +42,7 @@ class StructureReport:
 # small circuits and cocircuits
 
 def _is_circuit(m: Matroid, x: int) -> bool:
-    t = m._list()
+    t = m._ranks()
     k = popcount(x)
     return t[x] == k - 1 and all(t[x ^ bit(e)] == k - 1 for e in elems(x))
 
@@ -76,7 +76,7 @@ def quads(m: Matroid) -> list[int]:
 
 def _segments_of(m: Matroid) -> list[int]:
     """Maximal sets whose restriction is a line U_{2,k}, k >= 3."""
-    t = m._list()
+    t = m._ranks()
     loops = mask_of(e for e in range(m.n) if t[bit(e)] == 0)
     lines = set()
     for i, j in itertools.combinations(range(m.n), 2):

@@ -8,11 +8,13 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders
-from matroidkit.core import (AxiomViolation, Matroid, MatroidError, bit,
-                             elems, is_isomorphic, mask_of, popcount, validate)
+from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
+                             _exchange_witness, _popcount_table, bit, elems,
+                             is_isomorphic, mask_of, popcount, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_connection, spike,
@@ -63,6 +65,37 @@ def brute_exchange_ok(bases, n):
     return True
 
 
+def ref_validate(bases, n, labels=None):
+    # the purity criterion over int64 index and mask arrays, one gather per bit
+    m = Matroid(n, bases, labels)
+    full = m.full
+    tab = m.table()
+    pc = _popcount_table(n)
+    idx = np.arange(1 << n, dtype=np.int64)
+    ext = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        b = 1 << i
+        grows = (tab[idx | b] == tab + 1) & ((idx & b) == 0)
+        ext[grows] |= b
+    bad = (tab == pc) & (tab[full ^ ext] != pc)
+    if bad.any():
+        i_mask = int(np.nonzero(bad)[0][0])
+        a_mask = full ^ int(ext[i_mask])
+        raise AxiomViolation(
+            f"exchange fails: independent set {sorted(elems(i_mask))} is "
+            f"maximal in {sorted(elems(a_mask))} but rank there is "
+            f"{int(tab[a_mask])}", _exchange_witness(m.bases, i_mask, a_mask))
+    return m
+
+
+def ref_circuits(m):
+    # dependent sets all of whose single-element deletions are independent
+    t = m.table()
+    return tuple(x for x in range(1, 1 << m.n)
+                 if t[x] < popcount(x)
+                 and all(t[x ^ bit(e)] == popcount(x) - 1 for e in elems(x)))
+
+
 def ref_dual(m):
     return Matroid(m.n, [m.full ^ b for b in m.bases], m.labels)
 
@@ -93,7 +126,7 @@ def ref_labellings(m, n_mat, required_contract=0, required_delete=0,
             or req_d & excluded or popcount(req_c) > kc \
             or popcount(req_d) > gap - kc:
         return
-    t = m._list()
+    t = m._ranks()
     cap_region, cap_k = survivor_cap or (0, 0)
     rem_region, rem_k = removed_cap or (0, 0)
     c_pool = [i for i in range(m.n)
@@ -305,6 +338,72 @@ class TestDerivedCaches:
         fresh = Matroid(m.n, m.bases, m.labels).circuits()
         assert first == fresh
         assert m.circuits() is first   # cached object, same content
+
+
+def _random_family(rng, n, r, kind):
+    # an equicardinal family of r-sets: a sparse paving matroid, the same
+    # with one basis dropped, or a random sample of r-sets
+    if kind == "random":
+        r_sets = [mask_of(c) for c in itertools.combinations(range(n), r)]
+        return rng.sample(r_sets, rng.randint(1, min(len(r_sets), 40)))
+    bases = list(random_sparse_paving(rng, n, r).bases)
+    if kind == "dropped" and len(bases) > 1:
+        bases.remove(rng.choice(bases))
+    return bases
+
+
+def _validate_outcome(check, bases, n):
+    try:
+        m = check(bases, n)
+    except AxiomViolation as err:
+        return str(err), err.witness
+    return m.bases, m.table().dtype.str, m.table().tobytes()
+
+
+FAMILY_KINDS = ("matroid", "dropped", "random")
+
+
+class TestTableKernelOracle:
+    """The stride-based `validate` and `circuits` against the int64 index
+    version and the definition, on matroids and non-matroids."""
+
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_validate_and_circuits_agree(self, data):
+        n = data.draw(st.integers(3, 10))
+        r = data.draw(st.integers(1, n - 1))
+        rng = data.draw(st.randoms(use_true_random=False))
+        bases = _random_family(rng, n, r,
+                               data.draw(st.sampled_from(FAMILY_KINDS)))
+        assert _validate_outcome(validate, bases, n) == \
+            _validate_outcome(ref_validate, bases, n)
+        m = Matroid(n, bases)
+        assert m.circuits() == ref_circuits(m)
+        assert m.dual().circuits() == ref_circuits(m.dual())
+
+    def test_seeded_families_cover_both_outcomes(self):
+        rng = random.Random(7)
+        verdicts = []
+        for _ in range(150):
+            n = rng.randint(3, 10)
+            bases = _random_family(rng, n, rng.randint(1, n - 1),
+                                   rng.choice(FAMILY_KINDS))
+            got = _validate_outcome(validate, bases, n)
+            assert got == _validate_outcome(ref_validate, bases, n), bases
+            verdicts.append(isinstance(got[0], str))
+        assert 20 <= sum(verdicts) <= 130
+
+    def test_tables_are_read_only(self):
+        m = twisted_cube_matroid()
+        fresh = Matroid(m.n, m.bases, m.labels)
+        for mat in (m, fresh, m.dual(), m.minor(1, 2),
+                    validate(m.bases, m.n)):
+            with pytest.raises(ValueError):
+                mat.table()[3] = 0
+            with pytest.raises(TypeError):
+                mat._ranks()[3] = 0
+            assert mat.rank_of(3) == mat.table()[3]
 
 
 class TestMinorGatherOracle:
