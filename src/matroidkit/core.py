@@ -3,8 +3,10 @@
 Ground sets are index ranges 0..n-1 with n <= 24; every subset is a Python
 int bitmask.  The representation is the full 2^n rank table, a read-only
 int8 numpy array indexed by subset mask.  A matroid given by a basis family
-builds its table lazily; minors and duals are gathered from the parent's
-table, and their basis families are derived from the table on first use.
+builds its table lazily.  A minor's table is a basic-index slice of the
+parent's table viewed as shape (2,)*n (mask bit i on axis n-1-i), a dual's
+is |X| - r(M) plus the parent's table reversed; their basis families are
+derived from the table on first use.
 Every structural query is a rank lookup, so scans over all subsets stay
 cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
 table (`Matroid._ranks`), and the subset-lattice kernels (`validate`,
@@ -114,7 +116,7 @@ def rank_table(n: int, bases) -> np.ndarray:
         s = 1 << i
         v = indep.reshape(-1, 2 * s)
         v[:, :s] |= v[:, s:]
-    g = np.where(indep, pc, 0).astype(np.int8)
+    g = np.where(indep, pc, np.int8(0))
     for i in range(n):
         s = 1 << i
         v = g.reshape(-1, 2 * s)
@@ -312,24 +314,28 @@ class Matroid:
         return self.minor(c, 0)
 
     def minor(self, c: int, d: int) -> "Matroid":
-        """M/C\\D, gathered from this table: r(X) = r(X | C) - r(C)."""
+        """M/C\\D, sliced from this table: r(X) = r(X | C) - r(C).
+
+        The table is viewed as shape (2,)*n, mask bit i on axis n-1-i, and
+        indexed with 1 on contracted axes, 0 on deleted ones and a full
+        slice on kept ones; a basic index, so no index array is built.
+        """
         if c & d:
             raise ValueError("contract and delete sets overlap")
         if (c | d) == self.full:
             raise GroundSetExhausted("no elements left")
         if not c | d:
             return self
-        keep = elems(self.full ^ c ^ d)
-        # ex[j] is the parent mask of compressed mask j; masks < 2^24
-        ex = np.zeros(1 << len(keep), dtype=np.int32)
-        for j, i in enumerate(keep):
-            s = 1 << j
-            ex[s:2 * s] = ex[:s] | (1 << i)
-        ex |= c
+        n = self.n
         t = self.table()
-        tab = t[ex]
-        tab -= t[c]
-        return Matroid._from_table(tab, [self.labels[i] for i in keep])
+        # the kept axes stay in order, so the slice is the table of the
+        # compressed masks
+        at = tuple(1 if c >> i & 1 else 0 if d >> i & 1 else slice(None)
+                   for i in range(n - 1, -1, -1))
+        tab = t.reshape((2,) * n)[at].reshape(-1) - t[c]
+        return Matroid._from_table(
+            tab, [lab for i, lab in enumerate(self.labels)
+                  if not (c | d) >> i & 1])
 
     def restrict(self, x: int) -> "Matroid":
         return self.delete(self.full ^ x)

@@ -89,16 +89,10 @@ def is_wheel_or_whirl(m: Matroid) -> bool:
     return is_isomorphic(m, whirl(m.rank)) is not None
 
 
-def _is_u35_restriction(m: Matroid, p: int) -> bool:
+def _is_u3k_restriction(m: Matroid, p: int, k: int) -> bool:
+    """M|P is U_{3,k}: |P| = k, r(P) = 3 and every 3-subset is a basis."""
     t = m._ranks()
-    if popcount(p) != 5 or t[p] != 3:
-        return False
-    return all(t[mask_of(c)] == 3 for c in itertools.combinations(elems(p), 3))
-
-
-def _is_u36_restriction(m: Matroid, p: int) -> bool:
-    t = m._ranks()
-    if popcount(p) != 6 or t[p] != 3:
+    if popcount(p) != k or t[p] != 3:
         return False
     return all(t[mask_of(c)] == 3 for c in itertools.combinations(elems(p), 3))
 
@@ -449,7 +443,7 @@ def check_plane_external_deletion(m):
     exercised = 0
     for combo in itertools.combinations(range(m.n), 5):
         p = mask_of(combo)
-        if not _is_u35_restriction(m, p):
+        if not _is_u3k_restriction(m, p, 5):
             continue
         for e in elems(m.closure(p) ^ p):
             exercised += 1
@@ -465,7 +459,7 @@ def check_plane_with_triad_deletion(m):
     exercised = 0
     for combo in itertools.combinations(range(m.n), 5):
         p = mask_of(combo)
-        if not _is_u35_restriction(m, p):
+        if not _is_u3k_restriction(m, p, 5):
             continue
         for tstar in trds:
             if tstar & p != tstar:
@@ -485,7 +479,7 @@ def check_hinged_plane_deletion_pairs(m):
     exercised = 0
     for combo in itertools.combinations(range(m.n), 5):
         p = mask_of(combo)
-        if not _is_u35_restriction(m, p):
+        if not _is_u3k_restriction(m, p, 5):
             continue
         clp = m.closure(p)
         if any(t & clp == t for t in tris):
@@ -519,7 +513,7 @@ def check_six_point_plane_pairs(m):
     exercised = 0
     for combo in itertools.combinations(range(m.n), 6):
         p = mask_of(combo)
-        if not _is_u36_restriction(m, p):
+        if not _is_u3k_restriction(m, p, 6):
             continue
         clp = m.closure(p)
         if any(t & clp == t for t in tris):

@@ -143,9 +143,13 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
 
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
-    """First labelling in canonical order, or None.  Memoised on the basis
-    families of both matroids."""
-    key = (m.key, n_mat.key)
+    """First labelling in canonical order, or None.  Memoised on the rank
+    tables of both matroids.
+
+    A table fixes n and the basis family (the bases are the r-sets X with
+    r(X) = r), so the key is as fine as the basis family, and a memo hit
+    derives no bases."""
+    key = (m.table().tobytes(), n_mat.table().tobytes())
     if key in _minor_memo:
         return _minor_memo[key]
     out = next(labellings(m, n_mat), None)
@@ -156,8 +160,8 @@ def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
 def has_minor_avoiding(m: Matroid, n_mat: Matroid, region: int,
                        max_meet: int) -> NLabelling | None:
     """First labelling whose surviving copy meets `region` in at most
-    `max_meet` elements."""
-    key = (m.key, n_mat.key, region, max_meet)
+    `max_meet` elements.  Memoised like `has_minor`."""
+    key = (m.table().tobytes(), n_mat.table().tobytes(), region, max_meet)
     if key in _minor_memo:
         return _minor_memo[key]
     out = next(labellings(m, n_mat, survivor_cap=(region, max_meet)), None)
@@ -197,10 +201,9 @@ def grounded_triads(m: Matroid, n_mat: Matroid) -> list[int]:
 
 
 def all_triples_grounded(m: Matroid, n_mat: Matroid) -> bool:
-    tri = triangles(m)
-    trd = triads(m)
-    return (len(grounded_triangles(m, n_mat)) == len(tri)
-            and len(grounded_triads(m, n_mat)) == len(trd))
+    """Every triangle and triad is N-grounded; stops at the first that is
+    not."""
+    return all(_grounded(m, n_mat, t) for t in triangles(m) + triads(m))
 
 
 def detachable_pairs(m: Matroid, n_mat: Matroid | None,

@@ -3,8 +3,11 @@ fans, flans, and the four special exactly-3-separating configurations."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Matroid, MatroidError, bit, elems, lex_key, mask_of, popcount
 from .connectivity import NotThreeConnected, is_3_connected, lambda_
@@ -55,9 +58,26 @@ def is_triad(m: Matroid, x: int) -> bool:
     return is_triangle(m.dual(), x)
 
 
+@functools.cache
+def _triple_bits(n: int) -> np.ndarray:
+    """Read-only (C(n,3), 3) array of the single-bit masks of each 3-subset
+    of 0..n-1, rows in lex order; shared per n."""
+    combos = list(itertools.combinations(range(n), 3))
+    bits = (1 << np.array(combos, dtype=np.int32)).reshape(len(combos), 3)
+    bits.flags.writeable = False
+    return bits
+
+
 def triangles(m: Matroid) -> list[int]:
-    return [mask_of(c) for c in itertools.combinations(range(m.n), 3)
-            if is_triangle(m, mask_of(c))]
+    """Triangle masks in lex order: 3-sets X with r(X) = 2 and every
+    2-subset independent."""
+    bits = _triple_bits(m.n)
+    x = bits.sum(1, dtype=np.int32)
+    t = m.table()
+    ok = t[x] == 2
+    for j in range(3):
+        ok &= t[x ^ bits[:, j]] == 2
+    return x[ok].tolist()
 
 
 def triads(m: Matroid) -> list[int]:

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from matroidkit.core import bit, is_isomorphic, mask_of, popcount
+from matroidkit import minors
+from matroidkit.core import Matroid, bit, is_isomorphic, mask_of, popcount
 from matroidkit.builders import (fano, nonfano, spike,
                                  twisted_cube_matroid, uniform, wheel, whirl)
 from matroidkit.minors import (HypothesisUnmet, NLabelling,
@@ -81,6 +82,51 @@ class TestHasMinor:
         lab = has_minor_avoiding(m, n, region, 1)
         if lab is not None:
             assert popcount(region & ~(lab.contract | lab.delete)) <= 1
+
+
+class TestMinorMemo:
+    """The memo is keyed on the rank tables, so equal matroids share an
+    entry however they were built, and a hit derives no bases."""
+
+    @pytest.fixture()
+    def memo(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(minors, "_minor_memo", memo)
+        return memo
+
+    def _no_search(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("memo miss")
+        monkeypatch.setattr(minors, "labellings", fail)
+
+    def test_minor_and_basis_built_copy_share_an_entry(self, memo,
+                                                       monkeypatch):
+        m = twisted_cube_matroid()
+        nf = nonfano()
+        cases = [(m.contract(m.set_of(["p1"])), nf),
+                 (m.delete(m.set_of(["p1"])), nf),
+                 (fano().delete(1), uniform(2, 4))]
+        want = [has_minor(minor, n_mat) for minor, n_mat in cases]
+        assert want[0] is not None and want[2] is None
+        assert len(memo) == len(cases)
+        self._no_search(monkeypatch)
+        for (minor, n_mat), lab in zip(cases, want):
+            again = Matroid(minor.n, minor.bases, minor.labels)
+            assert has_minor(again, n_mat) == lab
+        assert len(memo) == len(cases)
+
+    def test_hit_leaves_bases_underived(self, memo, monkeypatch):
+        m = twisted_cube_matroid()
+        nf = nonfano()
+        p1 = m.set_of(["p1"])
+        region = 0b111  # the first three elements of M/p1
+        has_minor(m.contract(p1), nf)
+        has_minor_avoiding(m.contract(p1), nf, region, 1)
+        self._no_search(monkeypatch)
+        fresh = m.contract(p1)
+        has_minor(fresh, nf)
+        has_minor_avoiding(fresh, nf, region, 1)
+        assert fresh._bases is None
 
 
 class TestElementStatus:

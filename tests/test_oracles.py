@@ -17,12 +17,16 @@ from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
                              is_isomorphic, mask_of, popcount, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
-                                 nonfano, parallel_connection, spike,
-                                 spiked_fano, twisted_cube_matroid, uniform,
-                                 wheel, whirl, wye_delta)
+                                 nonfano, parallel_add, parallel_connection,
+                                 series_add, spike, spiked_fano,
+                                 twisted_cube_matroid, uniform, wheel, whirl,
+                                 wye_delta)
+from matroidkit.connectivity import is_3_connected
 from matroidkit.corpus import generate_corpus, random_sparse_paving
-from matroidkit.minors import NLabelling, has_minor, labellings
-from matroidkit.structures import triads, triangles
+from matroidkit.minors import (NLabelling, all_triples_grounded,
+                               grounded_triads, grounded_triangles, has_minor,
+                               labellings)
+from matroidkit.structures import is_triangle, triads, triangles
 
 
 def brute_isomorphic(m1, m2):
@@ -217,6 +221,18 @@ def ref_parallel_connection(m1, m2, t_labels):
        {frozenset(m2.label_list(b)) for b in m2.bases}:
         raise NotModularFlat("glued matroid does not restrict to the second side")
     return glued
+
+
+def ref_triangles(m):
+    # every 3-set tested on its own through the scalar rank lookups
+    return [mask_of(c) for c in itertools.combinations(range(m.n), 3)
+            if is_triangle(m, mask_of(c))]
+
+
+def ref_all_triples_grounded(m, n_mat):
+    # both grounded lists built in full, then compared by length
+    return (len(grounded_triangles(m, n_mat)) == len(triangles(m))
+            and len(grounded_triads(m, n_mat)) == len(triads(m)))
 
 
 def assert_same(got, want):
@@ -430,6 +446,19 @@ class TestMinorGatherOracle:
                         d = mask_of(i for i, x in zip(ids, roles) if x == "d")
                         assert_same(m.minor(c, d), ref_minor(m, c, d))
 
+    def test_minor_tables_are_fresh_and_read_only(self):
+        # every deletion and contraction of one or two elements, including
+        # those whose slice of the parent table is contiguous
+        m = twisted_cube_matroid()
+        for k in (1, 2):
+            for ids in itertools.combinations(range(m.n), k):
+                for roles in itertools.product("cd", repeat=k):
+                    c = mask_of(i for i, x in zip(ids, roles) if x == "c")
+                    d = mask_of(i for i, x in zip(ids, roles) if x == "d")
+                    tab = m.minor(c, d).table()
+                    assert not tab.flags.writeable
+                    assert not np.shares_memory(tab, m.table())
+
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
     @given(st.data())
@@ -554,3 +583,63 @@ class TestParallelConnectionOracle:
                 (m.bases, shared)
             raised += got is NotModularFlat
         assert raised
+
+
+def _with_loop(m):
+    # one more element, in no basis
+    return Matroid(m.n + 1, m.bases, m.labels + ("loop",))
+
+
+class TestTrianglesOracle:
+    """The table-wide triangle scan against the per-3-set test: the same
+    masks in the same order, for M and M*."""
+
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_sparse_paving(self, data):
+        n = data.draw(st.integers(3, 10))
+        r = data.draw(st.integers(1, n - 1))
+        m = random_sparse_paving(data.draw(st.randoms(use_true_random=False)),
+                                 n, r)
+        for mat in (m, m.dual()):
+            assert triangles(mat) == ref_triangles(mat)
+
+    def test_loops_and_parallel_pairs(self):
+        ms = [parallel_add(fano(), 3, "x"), parallel_add(uniform(2, 4), 0, "y"),
+              series_add(uniform(2, 4), 1, "s"),
+              parallel_add(parallel_add(wheel(3), 0, "x"), 0, "y")]
+        ms += [_with_loop(m) for m in ms]
+        for m in ms:
+            for mat in (m, m.dual()):
+                assert triangles(mat) == ref_triangles(mat)
+        assert any(triangles(m) for m in ms)
+        assert any(triads(m) for m in ms)
+
+    def test_tiny_ground_sets(self):
+        for n in (1, 2):
+            for r in range(n + 1):
+                m = uniform(r, n)
+                assert triangles(m) == ref_triangles(m) == []
+                assert triads(m) == ref_triangles(m.dual()) == []
+
+    def test_cap_matroids(self):
+        # the seeded rank-4 cap matroid has none; a rank-3 one has some
+        for r in (4, 3):
+            m = random_sparse_paving(random.Random(24), 24, r)
+            for mat in (m, m.dual()):
+                assert triangles(mat) == ref_triangles(mat)
+        assert triangles(m)
+
+
+class TestGroundingOracle:
+    """The short-circuit `all_triples_grounded` against grounding every
+    triangle and triad."""
+
+    def test_corpus_pairs(self):
+        corpus = [e.matroid for e in generate_corpus(0, max_n=9)]
+        ns = [n_mat for n_mat in corpus if is_3_connected(n_mat)]
+        got = [all_triples_grounded(m, n_mat) for m in corpus for n_mat in ns]
+        assert got == [ref_all_triples_grounded(m, n_mat)
+                       for m in corpus for n_mat in ns]
+        assert 100 <= got.count(False) <= len(got) - 100
