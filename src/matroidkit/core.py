@@ -297,16 +297,6 @@ class Matroid:
             self._dual = d
         return self._dual
 
-    def _compress(self, mask: int, keep: int) -> int:
-        out = 0
-        j = 0
-        for i in range(self.n):
-            if keep >> i & 1:
-                if mask >> i & 1:
-                    out |= 1 << j
-                j += 1
-        return out
-
     def delete(self, d: int) -> "Matroid":
         return self.minor(0, d)
 
@@ -336,6 +326,26 @@ class Matroid:
         return Matroid._from_table(
             tab, [lab for i, lab in enumerate(self.labels)
                   if not (c | d) >> i & 1])
+
+    @staticmethod
+    def compress(x: int, removed: int) -> int:
+        """The mask, in any minor M/C\\D with C | D = `removed`, of the
+        elements of X that the minor keeps: kept elements are renumbered in
+        order, as in `minor`'s labels."""
+        x &= ~removed
+        for i in reversed(elems(removed)):
+            low = (1 << i) - 1
+            x = (x & low) | (x >> 1 & ~low)
+        return x
+
+    @staticmethod
+    def expand(x: int, removed: int) -> int:
+        """The inverse of `compress`: the mask in M of the elements that
+        mask X names in a minor M/C\\D with C | D = `removed`."""
+        for i in elems(removed):
+            low = (1 << i) - 1
+            x = (x & low) | (x & ~low) << 1
+        return x
 
     def restrict(self, x: int) -> "Matroid":
         return self.delete(self.full ^ x)

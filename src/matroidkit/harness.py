@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, bit, elems, is_isomorphic,
-                   mask_of, popcount)
+from .core import (Matroid, MatroidError, _popcount_table, bit, elems,
+                   is_isomorphic, mask_of, popcount)
 from .connectivity import (_lambda_all, is_3_connected, is_connected,
                            lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
@@ -104,7 +104,6 @@ def check_uncrossing(m):
     if not is_3_connected(m):
         return 0, None
     lam = _lambda_all(m)
-    from .core import _popcount_table
     pc = _popcount_table(m.n).astype(np.int16)
     sep = np.nonzero(lam <= 2)[0]
     n = m.n
@@ -230,7 +229,6 @@ def check_full_closure_two_separation(m):
     if not is_connected(m) or m.n < 4 or not _simple_cosimple(m):
         return 0, None
     lam = _lambda_all(m)
-    from .core import _popcount_table
     pc = _popcount_table(m.n)
     exercised = 0
     for x in range(1 << m.n):
@@ -648,7 +646,7 @@ def check_cyclic_separation_labels(m, n_mat):
         for x, y in ((xa, ya), (ya, xa)):
             bz = bit(z)
             mz = m.delete(bz)
-            region = m._compress(x, m.full ^ bz)
+            region = m.compress(x, bz)
             if next(labellings(mz, n_mat, survivor_cap=(region, 1)), None) is None:
                 continue
             exercised += 1
@@ -785,7 +783,6 @@ def verify_theorem_triangles(m: Matroid, n_mat: Matroid) -> Verdict:
 
 def _spike_branch(m: Matroid, n_mat: Matroid) -> bool:
     lam = _lambda_all(m)
-    from .core import _popcount_table
     pc = _popcount_table(m.n)
     cand = np.nonzero((lam == 2) & (pc >= 6) & (pc % 2 == 0)
                       & (pc <= m.n - 1))[0]
@@ -854,14 +851,12 @@ def verify_flan_corollary(m: Matroid, n_mat: Matroid, d: int,
     md = m.delete(bd)
     if not is_3_connected(md):
         raise HypothesisUnmet("M \\ d is not 3-connected")
-    keep = m.full ^ bd
-    seq_md = [popcount(keep & (bit(e) - 1)) for e in flan_order]
+    seq_md = [m.compress(bit(e), bd).bit_length() - 1 for e in flan_order]
     if len(flan_order) < 5 or not _is_flan_ordering(md, seq_md):
         raise HypothesisUnmet("not a flan ordering of length >= 5 in M \\ d")
     f5 = flan_order[4]
     md5 = m.delete(bd | bit(f5))
-    keep5 = m.full ^ bd ^ bit(f5)
-    region = m._compress(mask_of(flan_order[:4]), keep5)
+    region = m.compress(mask_of(flan_order[:4]), bd | bit(f5))
     if next(labellings(md5, n_mat, survivor_cap=(region, 1)), None) is None:
         raise HypothesisUnmet(
             "M\\d\\f5 lacks an N-minor nearly avoiding the flan start")
@@ -902,75 +897,73 @@ def verify_foundation(m: Matroid, n_mat: Matroid, d: int, dp: int,
     """Main structural outcome: inside Y there is a 3-separating X of size
     at least 4 that either completes (with one coguts element and d) to a
     special separator, or all of whose elements survive both removals and
-    stay doubly labelled."""
+    stay doubly labelled.
+
+    Checks every hypothesis: first those on the pair (M, N) (both
+    3-connected, |E(N)| >= 4, every triangle and triad N-grounded, no
+    N-detachable pair), then those on the instance (d, d', Y); raises
+    `HypothesisUnmet` at the first that fails."""
     if not (is_3_connected(m) and is_3_connected(n_mat)) or n_mat.n < 4:
         raise HypothesisUnmet("both matroids must be 3-connected, |E(N)| >= 4")
     if not all_triples_grounded(m, n_mat):
         raise HypothesisUnmet("a triangle or triad is not grounded")
     if detachable_pairs(m, n_mat, first_only=True):
         raise HypothesisUnmet("M has an N-detachable pair")
+    return _foundation_outcome(m, n_mat, d, dp, y, z)
+
+
+def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, dp: int,
+                        y: int, z: int) -> Verdict:
+    """`verify_foundation` once the hypotheses on (M, N) hold: checks those
+    on the instance (d, d', Y), then decides the outcome."""
     bd = bit(d)
     md = m.delete(bd)
     if not is_3_connected(md):
         raise HypothesisUnmet("M \\ d is not 3-connected")
-    keep = m.full ^ bd
-    ym = m._compress(y, keep)
-    zm = m._compress(z, keep)
-    dpm = popcount(keep & (bit(dp) - 1))
+    ym = m.compress(y, bd)
+    zm = m.compress(z, bd)
+    dpm = m.compress(bit(dp), bd).bit_length() - 1
     if not _is_cyclic_triple(md, ym, dpm, zm) or popcount(y) < 4:
         raise HypothesisUnmet("(Y, {d'}, Z) is not a cyclic 3-separation "
                               "of M \\ d with |Y| >= 4")
     mdd = m.delete(bd | bit(dp))
-    keep2 = m.full ^ bd ^ bit(dp)
-    region = m._compress(y, keep2)
+    region = m.compress(y, bd | bit(dp))
     if next(labellings(mdd, n_mat, survivor_cap=(region, 1)), None) is None:
         raise HypothesisUnmet("M\\d\\d' lacks an N-minor nearly avoiding Y")
 
     t0 = time.perf_counter()
+    kind = _qualifying_x(m, n_mat, bd, md, y)
+    ms = int((time.perf_counter() - t0) * 1000)
+    if kind is None:
+        return Verdict("foundation", "", "fail", 1, "no qualifying X", ms)
+    return Verdict("foundation", "", "pass", 1, kind, ms)
+
+
+def _qualifying_x(m: Matroid, n_mat: Matroid, bd: int, md: Matroid,
+                  y: int) -> str | None:
+    """How the first qualifying X inside Y qualifies, or None."""
     yids = elems(y)
-    found = None
     for size in range(4, len(yids) + 1):
         for combo in itertools.combinations(yids, size):
             x = mask_of(combo)
             if lambda_minus(m, bd, x) > 2:
                 continue
             if size == 4:
-                xm = m._compress(x, keep)
-                cands = md.coclosure(xm) & ~xm
-                for cm in elems(cands):
-                    c = elems(keep)[cm]
+                xm = m.compress(x, bd)
+                for c in elems(m.expand(md.coclosure(xm) & ~xm, bd)):
                     p = x | bit(c) | bd
-                    if lambda_(m, p) != 2:
-                        continue
-                    if detect_elongated_quad(m, p) or detect_skew_whiff(m, p) \
-                            or detect_twisted_cube_like(m.dual(), p):
-                        found = ("special-separator", x, c)
-                        break
-            if found:
-                break
-            ok = True
-            for e in elems(x):
-                em = popcount(keep & (bit(e) - 1))
-                be = bit(em)
-                if not is_3_connected(md.delete(be).cosimplify()[0]):
-                    ok = False
-                    break
-                if not is_3_connected(md.contract(be)):
-                    ok = False
-                    break
-                if has_minor(md.delete(be), n_mat) is None or \
-                        has_minor(md.contract(be), n_mat) is None:
-                    ok = False
-                    break
-            if ok:
-                found = ("all-elements-good", x, None)
-                break
-        if found:
-            break
-    ms = int((time.perf_counter() - t0) * 1000)
-    if found is None:
-        return Verdict("foundation", "", "fail", 1, "no qualifying X", ms)
-    return Verdict("foundation", "", "pass", 1, found[0], ms)
+                    if lambda_(m, p) == 2 and (
+                            detect_elongated_quad(m, p)
+                            or detect_skew_whiff(m, p)
+                            or detect_twisted_cube_like(m.dual(), p)):
+                        return "special-separator"
+            if all(is_3_connected(md.delete(be).cosimplify()[0])
+                   and is_3_connected(md.contract(be))
+                   and has_minor(md.delete(be), n_mat) is not None
+                   and has_minor(md.contract(be), n_mat) is not None
+                   for be in (m.compress(bit(e), bd) for e in elems(x))):
+                return "all-elements-good"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1062,14 @@ def sweep_theorem_triangles(corpus=None, max_m: int = 11) -> list[Verdict]:
 def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
     """Search for instances meeting the standing hypotheses (grounded
     triples, no detachable pair, a qualifying deletion d and cyclic split)
-    and verify the structural outcome on each."""
+    and verify the structural outcome on each.
+
+    The hypotheses on the pair (M, N) (both 3-connected, 4 <= |E(N)| <
+    |E(M)|, N a minor of M, every triangle and triad N-grounded, no
+    N-detachable pair) are decided once per pair, and the cyclic
+    3-separations of each 3-connected M\\d once per M, at the first N that
+    passes; only the hypotheses on each instance (d, d', Y) are checked
+    per instance."""
     if corpus is None:
         corpus = generate_corpus(0, max_n=max_m)
     out = []
@@ -1077,6 +1077,7 @@ def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
         m = em.matroid
         if m.n > max_m or not is_3_connected(m):
             continue
+        splits = None
         for en in corpus:
             n_mat = en.matroid
             if n_mat.n < 4 or n_mat.n >= m.n or not is_3_connected(n_mat):
@@ -1087,22 +1088,20 @@ def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
                 continue
             if detachable_pairs(m, n_mat, first_only=True):
                 continue
-            for d in range(m.n):
+            if splits is None:
+                splits = [(d, cyclic_3_separations(md)) for d in range(m.n)
+                          if is_3_connected(md := m.delete(bit(d)))]
+            for d, seps in splits:
                 bd = bit(d)
-                md = m.delete(bd)
-                if not is_3_connected(md):
-                    continue
-                keep = m.full ^ bd
-                kept_ids = elems(keep)
-                for xa, zz, ya in cyclic_3_separations(md):
+                for xa, zz, ya in seps:
+                    dp = m.expand(bit(zz), bd).bit_length() - 1
                     for ym, zm in ((xa, ya), (ya, xa)):
-                        y = mask_of(kept_ids[i] for i in elems(ym))
-                        zmask = mask_of(kept_ids[i] for i in elems(zm))
-                        dp = kept_ids[zz]
+                        y = m.expand(ym, bd)
                         if popcount(y) < 4:
                             continue
                         try:
-                            v = verify_foundation(m, n_mat, d, dp, y, zmask)
+                            v = _foundation_outcome(m, n_mat, d, dp, y,
+                                                    m.expand(zm, bd))
                         except HypothesisUnmet:
                             continue
                         v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"

@@ -41,7 +41,16 @@ class DetachableResult:
     labelling: NLabelling | None
 
 
+# (table bytes of M, table bytes of N[, region, max_meet]) -> the first
+# labelling, or None
 _minor_memo: dict = {}
+
+
+def _memo(key, search):
+    """The answer memoised under `key`, from `search()` on a miss."""
+    if key not in _minor_memo:
+        _minor_memo[key] = search()
+    return _minor_memo[key]
 
 
 # bound on the (C, D) pairs scored in one batch
@@ -82,6 +91,10 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
     M/C\\D are the sets B - C for the bases B of M that contain C and miss
     D; the D whose basis count and basis-degree multiset match N's reach
     `is_isomorphic`, on the minor gathered from the table.
+
+    The isomorphism verdict is memoised in `_minor_memo` on the tables of
+    the minor and N, as the `has_minor` answer for that equal-size pair:
+    NLabelling(0, 0) or None.
     """
     gap = m.n - n_mat.n
     kc = m.rank - n_mat.rank
@@ -109,6 +122,7 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
     d_pos = _id_rows(list(itertools.combinations(range(n_free), kd_free)),
                      kd_free)
     n_bases = np.array(n_mat.bases, dtype=np.int32)
+    n_key = n_mat.table().tobytes()
     want_deg = np.sort(np.concatenate([_bits(n_bases, n_mat.n).sum(0),
                                        np.zeros(gap, dtype=np.int64)]))
     c_combos = itertools.combinations(c_pool, kc_free)
@@ -138,7 +152,10 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
             deg = avoid[hit].astype(np.int32) @ _bits(xs, m.n)
             for d in d_c[hit][(np.sort(deg, axis=1) == want_deg).all(1)] \
                     .tolist():
-                if is_isomorphic(m.minor(c, d), n_mat) is not None:
+                mn = m.minor(c, d)
+                if _memo((mn.table().tobytes(), n_key),
+                         lambda: None if is_isomorphic(mn, n_mat) is None
+                         else NLabelling(0, 0)) is not None:
                     yield NLabelling(c, d)
 
 
@@ -148,25 +165,23 @@ def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
 
     A table fixes n and the basis family (the bases are the r-sets X with
     r(X) = r), so the key is as fine as the basis family, and a memo hit
-    derives no bases."""
-    key = (m.table().tobytes(), n_mat.table().tobytes())
-    if key in _minor_memo:
-        return _minor_memo[key]
-    out = next(labellings(m, n_mat), None)
-    _minor_memo[key] = out
-    return out
+    derives no bases.  The memo holds these answers, the answers of
+    `has_minor_avoiding` under keys that also carry the cap, and the
+    isomorphism verdicts of `labellings`, which are the answers for
+    equal-size pairs."""
+    return _memo((m.table().tobytes(), n_mat.table().tobytes()),
+                 lambda: next(labellings(m, n_mat), None))
 
 
 def has_minor_avoiding(m: Matroid, n_mat: Matroid, region: int,
                        max_meet: int) -> NLabelling | None:
     """First labelling whose surviving copy meets `region` in at most
     `max_meet` elements.  Memoised like `has_minor`."""
-    key = (m.table().tobytes(), n_mat.table().tobytes(), region, max_meet)
-    if key in _minor_memo:
-        return _minor_memo[key]
-    out = next(labellings(m, n_mat, survivor_cap=(region, max_meet)), None)
-    _minor_memo[key] = out
-    return out
+    return _memo((m.table().tobytes(), n_mat.table().tobytes(), region,
+                  max_meet),
+                 lambda: next(labellings(m, n_mat,
+                                         survivor_cap=(region, max_meet)),
+                              None))
 
 
 def verify_labelling(m: Matroid, n_mat: Matroid, lab: NLabelling) -> bool:

@@ -1,8 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass line and
 enforcing its runtime budget.  Run with `pytest tests/test_acceptance.py -s`
-to see the per-criterion lines."""
+to see the per-criterion lines.
 
+Criteria 6 and 7 also compare their verdict lines, without `millis`, with
+the frozen ones in tests/golden/."""
+
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,14 @@ REQUIRED_NONZERO = [
     "quad-cocircuit-contraction", "flan-contraction",
     "fan-end-removal", "maximal-fan-end-removal",
 ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_golden(verdicts, name):
+    got = [re.sub(r" millis=\d+$", "", v.line()) for v in verdicts]
+    assert got == (GOLDEN / name).read_text().splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +114,7 @@ def test_criterion_6_foundation_sweep(corpus):
     assert not bad, [v.line() for v in bad[:5]]
     names = {v.instance.split("|d=")[0] for v in verdicts}
     assert "twistedcube|nonfano" in names
+    assert_golden(verdicts, "foundation.txt")
     _report(6, f"foundation sweep over {len(verdicts)} instances", t0, 1800)
 
 
@@ -110,6 +124,7 @@ def test_criterion_7_splitter_property(corpus):
     assert verdicts
     bad = [v for v in verdicts if v.outcome != "pass"]
     assert not bad, [v.line() for v in bad[:5]]
+    assert_golden(verdicts, "splitter.txt")
     _report(7, f"splitter property over {len(verdicts)} pairs", t0, 600)
 
 

@@ -1,8 +1,11 @@
 """Harness-level behaviour: registry plumbing, verifier hypothesis gates,
 corpus determinism."""
 
+from pathlib import Path
+
 import pytest
 
+from matroidkit.core import bit
 
 from matroidkit.builders import (fano, twisted_cube_matroid, uniform,
                                  wheel, whirl)
@@ -10,10 +13,13 @@ from matroidkit.corpus import elongated_quad_glued, generate_corpus
 from matroidkit.harness import (MATROID_CHECKS, PAIR_CHECKS, Verdict,
                                 is_wheel_or_whirl, run_lemma_registry,
                                 sweep_theorem_triangles,
-                                verify_flan_corollary, verify_theorem_main,
+                                verify_flan_corollary, verify_foundation,
+                                verify_theorem_main,
                                 verify_theorem_triangles)
 from matroidkit.minors import HypothesisUnmet
 from matroidkit.cli import serialize
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestCorpus:
@@ -106,7 +112,6 @@ class TestVerifierGates:
                                    ("p1", "p2", "q3", "q4", "q2")])
 
     def test_foundation_rejects_instances_with_pairs(self):
-        from matroidkit.harness import verify_foundation
         m = uniform(2, 9)
         with pytest.raises(HypothesisUnmet):
             verify_foundation(m, uniform(2, 4), 0, 1,
@@ -119,3 +124,20 @@ class TestSweeps:
         verdicts = sweep_theorem_triangles(corpus, max_m=9)
         assert verdicts
         assert all(v.outcome == "pass" for v in verdicts)
+
+    def test_foundation_public_verifier_agrees_with_sweep(self):
+        # The sweep decides the hypotheses on (M, N) once per pair and skips
+        # them per instance; the public verifier re-checks every one.  Its
+        # verdicts are the frozen ones of criterion 6 on corpus seed 0.
+        corpus = {e.name: e.matroid for e in generate_corpus(0, max_n=16)}
+        lines = (GOLDEN / "foundation.txt").read_text().splitlines()
+        assert lines
+        for line in lines:
+            rec = dict(tok.split("=", 1) for tok in line.split())
+            m_name, n_name, d, dp, y = rec["instance"].split("|")
+            m = corpus[m_name]
+            d, dp = m.id_of(d[len("d="):]), m.id_of(dp[len("d'="):])
+            y = m.set_of(y[len("Y={"):-1].split(","))
+            z = m.full ^ bit(d) ^ bit(dp) ^ y
+            v = verify_foundation(m, corpus[n_name], d, dp, y, z)
+            assert (v.outcome, v.witness) == (rec["outcome"], rec["witness"])

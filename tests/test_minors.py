@@ -6,7 +6,7 @@ import pytest
 
 from matroidkit import minors
 from matroidkit.core import Matroid, bit, is_isomorphic, mask_of, popcount
-from matroidkit.builders import (fano, nonfano, spike,
+from matroidkit.builders import (fano, nonfano, paving8, spike,
                                  twisted_cube_matroid, uniform, wheel, whirl)
 from matroidkit.minors import (HypothesisUnmet, NLabelling,
                                detachable_after_exchange, detachable_pairs,
@@ -108,12 +108,14 @@ class TestMinorMemo:
                  (fano().delete(1), uniform(2, 4))]
         want = [has_minor(minor, n_mat) for minor, n_mat in cases]
         assert want[0] is not None and want[2] is None
-        assert len(memo) == len(cases)
+        assert all(memo[minor.table().tobytes(), n_mat.table().tobytes()]
+                   == lab for (minor, n_mat), lab in zip(cases, want))
+        size = len(memo)
         self._no_search(monkeypatch)
         for (minor, n_mat), lab in zip(cases, want):
             again = Matroid(minor.n, minor.bases, minor.labels)
             assert has_minor(again, n_mat) == lab
-        assert len(memo) == len(cases)
+        assert len(memo) == size
 
     def test_hit_leaves_bases_underived(self, memo, monkeypatch):
         m = twisted_cube_matroid()
@@ -127,6 +129,41 @@ class TestMinorMemo:
         has_minor(fresh, nf)
         has_minor_avoiding(fresh, nf, region, 1)
         assert fresh._bases is None
+
+    def _survivors(self, monkeypatch):
+        """The minors `labellings` hands to `is_isomorphic`, as called."""
+        seen = []
+
+        def spy(m1, m2):
+            seen.append(m1)
+            return is_isomorphic(m1, m2)
+        monkeypatch.setattr(minors, "is_isomorphic", spy)
+        return seen
+
+    def test_isomorphism_verdicts_are_memoised(self, memo, monkeypatch):
+        m, n = whirl(3), uniform(2, 4)
+        seen = self._survivors(monkeypatch)
+        first = list(labellings(m, n))
+        assert first and seen
+        tested = list(seen)
+        seen.clear()
+        assert list(labellings(m, n)) == first
+        assert seen == []
+        # each verdict is the has_minor answer for that equal-size pair
+        self._no_search(monkeypatch)
+        for survivor in tested:
+            assert has_minor(survivor, n) == NLabelling(0, 0)
+
+    def test_non_isomorphic_survivor_stores_none(self, memo, monkeypatch):
+        # one minor of the twisted cube's dual passes the basis-count and
+        # degree filters against paving8 without being isomorphic to it
+        m, n = twisted_cube_matroid().dual(), paving8()
+        seen = self._survivors(monkeypatch)
+        assert list(labellings(m, n)) == []
+        assert len(seen) == 1 and seen[0].n == n.n
+        assert memo[seen[0].table().tobytes(), n.table().tobytes()] is None
+        self._no_search(monkeypatch)
+        assert has_minor(seen[0], n) is None
 
 
 class TestElementStatus:

@@ -482,6 +482,26 @@ class TestMinorGatherOracle:
         again = Matroid(minor.n, minor.bases, minor.labels)
         assert again == minor and hash(again) == hash(minor)
 
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_compress_and_expand(self, data):
+        n = data.draw(st.integers(2, 12))
+        m = uniform(1, n)
+        roles = data.draw(st.lists(st.sampled_from("kcd"), min_size=n,
+                                   max_size=n).filter(lambda x: "k" in x))
+        c = mask_of(i for i, x in enumerate(roles) if x == "c")
+        d = mask_of(i for i, x in enumerate(roles) if x == "d")
+        x = data.draw(st.integers(0, m.full))
+        removed = c | d
+        small = m.compress(x, removed)
+        assert m.expand(small, removed) == x & ~removed
+        minor = m.minor(c, d)
+        assert small >> minor.n == 0
+        assert minor.label_list(small) == m.label_list(x & ~removed)
+        y = data.draw(st.integers(0, minor.full))
+        assert m.compress(m.expand(y, removed), removed) == y
+
 
 def _random_mask(rng, n, p):
     return mask_of(i for i in range(n) if rng.random() < p)
