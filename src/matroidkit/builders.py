@@ -126,7 +126,8 @@ def wheel(r: int) -> Matroid:
     return graphic(r + 1, edges, labels)
 
 
-def rim(m: Matroid, r: int) -> int:
+def rim(r: int) -> int:
+    """Mask of the rim elements r1..rr of `wheel(r)`."""
     return mask_of(range(r, 2 * r))
 
 
@@ -143,7 +144,7 @@ def relax(m: Matroid, x: int) -> Matroid:
 
 def whirl(r: int) -> Matroid:
     w = wheel(r)
-    return relax(w, rim(w, r))
+    return relax(w, rim(r))
 
 
 def spike(r: int) -> Matroid:

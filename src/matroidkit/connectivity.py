@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, elems, lex_key, popcount
+from .core import Matroid, MatroidError, lex_key, popcount
 
 
 class NotThreeConnected(MatroidError):
@@ -116,41 +116,27 @@ def is_3_connected(m: Matroid) -> bool:
 
 
 def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
-    t = m._ranks()
-    n = m.n
+    """The triples of `vertical_3_separations`, sorted by z and then by X
+    in lex order, where X holds the lowest element other than z.  One
+    numpy pass per z over every such X."""
+    t = m.table()
+    pc = _pc(m)
+    masks = np.arange(1 << m.n, dtype=np.int32)
     out = []
-    for z in range(n):
+    for z in range(m.n):
         bz = 1 << z
         rest = m.full ^ bz
-        ids = elems(rest)
-        low = 1 << ids[0]
-        # canonical X contains the lowest remaining id
-        for sub in _half_subsets(rest, low):
-            x = sub
-            y = rest ^ x
-            if popcount(x) < 3 or popcount(y) < 3:
-                continue
-            if t[x] < 3 or t[y] < 3:
-                continue
-            if t[x] + t[y | bz] - m.rank > 2:
-                continue
-            if t[x | bz] + t[y] - m.rank > 2:
-                continue
-            if t[x | bz] != t[x] or t[y | bz] != t[y]:
-                continue  # z in cl(X) and cl(Y)
-            out.append((x, z, y))
-    out.sort(key=lambda triple: (triple[1], lex_key(triple[0])))
+        low = rest & -rest
+        x = masks[(masks & (bz | low)) == low]
+        y = rest ^ x
+        tx, ty = t[x], t[y]
+        # z in cl(X) and cl(Y), so both flanking bipartitions have
+        # lambda = r(X) + r(Y) - r(M)
+        ok = (pc[x] >= 3) & (pc[y] >= 3) & (tx >= 3) & (ty >= 3) \
+            & (t[x | bz] == tx) & (t[y | bz] == ty) & (tx + ty <= m.rank + 2)
+        out += sorted(((side, z, rest ^ side) for side in x[ok].tolist()),
+                      key=lambda triple: lex_key(triple[0]))
     return out
-
-
-def _half_subsets(rest: int, low: int):
-    others = rest ^ low
-    sub = others
-    while True:
-        yield sub | low
-        if sub == 0:
-            return
-        sub = (sub - 1) & others
 
 
 def vertical_3_separations(m: Matroid) -> list[tuple[int, int, int]]:

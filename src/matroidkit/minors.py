@@ -3,14 +3,18 @@ and triads, and detachable-pair search (direct and after a single
 delta-wye or wye-delta exchange).
 
 The minor search scores candidate labellings in numpy batches over the
-rank table, per contract set, and builds no `Matroid` per candidate; only
-the candidates whose basis count and basis-degree multiset match reach the
-isomorphism test.
+rank table.  Contract sets that share a head (a lex-order prefix) form a
+group, and one float32 product over the bases of M that contain the head
+counts the bases of every minor M/C\\D of the group; only the candidates
+whose basis count and basis-degree multiset match N's reach the
+isomorphism test.  The head length and the slicing of the deletion sets
+and of the survivors bound the search's matrices by `_CELLS` cells.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +57,15 @@ def _memo(key, search):
     return _minor_memo[key]
 
 
-# bound on the (C, D) pairs scored in one batch
-_BATCH = 1 << 14
+# bound on the cells of each (C, basis), (D, basis), (C, D) and (survivor,
+# basis) matrix of the labelling search; only a single row can exceed it
+_CELLS = 1 << 16
 
 
-def _id_rows(combos: list[tuple[int, ...]], k: int) -> np.ndarray:
-    """(len(combos), k) array of k-tuples of element ids."""
-    return np.array(combos, dtype=np.int32).reshape(len(combos), k)
-
-
-def _masks(ids: np.ndarray) -> np.ndarray:
-    """Masks of the id tuples along the last axis of `ids`."""
-    return (1 << ids).sum(-1, dtype=np.int32)
+def _combos(n: int, k: int) -> np.ndarray:
+    """(comb(n, k), k) array of the k-subsets of range(n), in lex order."""
+    return np.array(list(itertools.combinations(range(n), k)),
+                    dtype=np.int32).reshape(math.comb(n, k), k)
 
 
 def _bits(masks: np.ndarray, n: int) -> np.ndarray:
@@ -72,11 +73,33 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n, dtype=np.int32)) & 1
 
 
+def _count_hits(has_c: np.ndarray, xs: np.ndarray, ds: np.ndarray,
+                want: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C row, D row) pairs, C-major, where exactly `want` of the bases `xs`
+    contain C and miss D; `has_c[i, j]` is 1 where xs[j] contains C_i."""
+    step = max(1, _CELLS // max(has_c.shape))
+    rows, cols = [], []
+    for s in range(0, len(ds), step):
+        misses = ((xs & ds[s:s + step, None]) == 0).astype(np.float32)
+        # float32 counts are exact: a count is at most |B| <= C(24, 12),
+        # below 2^24, up to which float32 holds every integer.  einsum
+        # multiplies in this thread; a BLAS product (@) starts threads
+        # that stall the search whenever another process holds a core.
+        count = np.einsum("ij,kj->ik", has_c, misses)
+        i, j = np.nonzero(count == want)
+        rows.append(i)
+        cols.append(j + s)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
 def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
                required_delete: int = 0, excluded: int = 0,
                survivor_cap: tuple[int, int] | None = None,
                removed_cap: tuple[int, int] | None = None):
-    """Generate every labelling (C, D) with M/C\\D isomorphic to N.
+    """Generate every labelling (C, D) with M/C\\D isomorphic to N, in lex
+    order of C, then of D.
 
     C always has exactly r(M) - r(N) elements and D the rest of the size
     gap; this loses nothing since every minor has such a reduced form.
@@ -84,13 +107,19 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
     ground set meets `region` in at most k elements; `removed_cap` bounds
     how many removed elements may fall in a region.
 
-    The search is batched over M's rank table and builds no `Matroid` per
-    candidate.  Contract sets C are taken in lex order, a block at a time,
-    and every deletion set D of the block is scored at once: r(C) = |C|,
-    the caps and r(E - D) = r(M).  Then, per contract set C, the bases of
-    M/C\\D are the sets B - C for the bases B of M that contain C and miss
-    D; the D whose basis count and basis-degree multiset match N's reach
-    `is_isomorphic`, on the minor gathered from the table.
+    The search builds no `Matroid` per candidate.  C = head | tail, every
+    head element before every tail element, so the C that share a head
+    are consecutive; they form a group, scored over the bases of M that
+    contain the head.  The head is the shortest whose group's (C, basis)
+    matrix fits `_CELLS`.  The head and each D are filtered on their own:
+    r(head) = |head|, r(E - D) = r(M) and the caps, the survivor cap with
+    a slack of one per tail element.  The bases of M/C\\D are B - C for
+    the bases B that contain C and miss D, so one float32 `einsum` of
+    "B contains C" by "B misses D" counts them for the whole group.  The
+    pairs whose count is |B(N)| and that pass the caps have their
+    basis-degree rows compared sorted with N's, and the survivors reach
+    `is_isomorphic` on the minor gathered from the table.  D and the
+    survivors are sliced to keep their matrices within `_CELLS` cells.
 
     The isomorphism verdict is memoised in `_minor_memo` on the tables of
     the minor and N, as the `has_minor` answer for that equal-size pair:
@@ -109,49 +138,81 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
     kd_free = gap - kc - popcount(req_d)
     c_pool = [i for i in range(m.n)
               if not ((excluded | req_c | req_d) >> i) & 1]
-    if len(c_pool) < kc_free + kd_free:
+    n_pool = len(c_pool)
+    if n_pool < kc_free + kd_free:
         return
     cap_region, cap_k = survivor_cap or (0, 0)
     rem_region, rem_k = removed_cap or (0, 0)
     t = m.table()
     r, full = m.rank, m.full
-    m_bases = np.array(m.bases, dtype=np.int32)
-    pool = np.array(c_pool, dtype=np.int32)
-    n_free = len(c_pool) - kc_free
-    # D's positions in the pool left by C, the same for every C
-    d_pos = _id_rows(list(itertools.combinations(range(n_free), kd_free)),
-                     kd_free)
-    n_bases = np.array(n_mat.bases, dtype=np.int32)
+    bases = np.array(m.bases, dtype=np.int32)
+    pool_bits = np.int32(1) << np.array(c_pool, dtype=np.int32)
+    nb_n = len(n_mat.bases)
     n_key = n_mat.table().tobytes()
-    want_deg = np.sort(np.concatenate([_bits(n_bases, n_mat.n).sum(0),
-                                       np.zeros(gap, dtype=np.int64)]))
-    c_combos = itertools.combinations(c_pool, kc_free)
-    while chunk := list(itertools.islice(c_combos,
-                                         max(1, _BATCH // len(d_pos)))):
-        cs = req_c | _masks(_id_rows(chunk, kc_free))
-        ok = t[cs] == kc
+    want_deg = np.sort(np.concatenate([
+        _bits(np.array(n_mat.bases, dtype=np.int32), n_mat.n).sum(0),
+        np.zeros(gap, dtype=np.int64)]))
+    k_head = next((j for j in range(kc_free + 1)
+                   if math.comb(n_pool - j, kc_free - j) * len(bases)
+                   <= _CELLS), kc_free)
+    k_tail = kc_free - k_head
+    head_pos = _combos(n_pool - k_tail, k_head)  # leaves room for a tail
+    heads = req_c | pool_bits[head_pos].sum(1, dtype=np.int32)
+    tail_pos = _combos(n_pool, k_tail)
+    tails = pool_bits[tail_pos].sum(1, dtype=np.int32)
+    # a head's tails are the lex-order suffix after its last element
+    starts = np.searchsorted(tail_pos[:, 0], head_pos[:, -1], "right") \
+        if k_head and k_tail else np.zeros(len(heads), dtype=np.intp)
+    # D's positions in the pool left by the head, the same for every head
+    d_pos = _combos(n_pool - k_head, kd_free)
+    ok = t[heads] == popcount(req_c) + k_head
+    if removed_cap:
+        ok &= np.bitwise_count(heads & rem_region) <= rem_k
+    for g in np.flatnonzero(ok).tolist():
+        h = int(heads[g])
+        xs = bases[(bases & h) == h]
+        cs = h | tails[starts[g]:]
+        c_ok = t[cs] == kc
         if removed_cap:
-            ok &= np.bitwise_count(cs & rem_region) <= rem_k
-        cs = cs[ok]
-        outside = ((cs[:, None] >> pool) & 1) == 0
-        left = np.broadcast_to(pool, outside.shape)[outside] \
-            .reshape(len(cs), n_free)
-        ds = req_d | _masks(left[:, d_pos])
-        ok = t[full ^ ds] == r
+            c_ok &= np.bitwise_count(cs & rem_region) <= rem_k
+        cs = cs[c_ok]
+        if len(xs) < nb_n or not len(cs):
+            continue
+        ds = req_d | np.delete(pool_bits, head_pos[g])[d_pos] \
+            .sum(1, dtype=np.int32)
+        d_ok = t[full ^ ds] == r
         if survivor_cap:
-            ok &= np.bitwise_count(cap_region & ~(cs[:, None] | ds)) <= cap_k
+            # the tail takes at most k_tail elements out of the region
+            d_ok &= np.bitwise_count(cap_region & ~(h | ds)) \
+                <= cap_k + k_tail
         if removed_cap:
-            ok &= np.bitwise_count((cs[:, None] | ds) & rem_region) <= rem_k
-        for i in np.flatnonzero(ok.any(1)).tolist():
-            c = int(cs[i])
-            d_c = ds[i][ok[i]]
-            xs = m_bases[(m_bases & c) == c] ^ c
-            # avoid[j, k]: X_k misses D_j, so it is a basis of M/C\D_j
-            avoid = (d_c[:, None] & xs) == 0
-            hit = avoid.sum(1) == len(n_bases)
-            deg = avoid[hit].astype(np.int32) @ _bits(xs, m.n)
-            for d in d_c[hit][(np.sort(deg, axis=1) == want_deg).all(1)] \
-                    .tolist():
+            d_ok &= np.bitwise_count((h | ds) & rem_region) <= rem_k
+        ds = ds[d_ok]
+        if not len(ds):
+            continue
+        has_c = (xs & cs[:, None]) == cs[:, None]
+        # a count of |B(N)| >= 1 also makes C and D disjoint
+        ci, di = _count_hits(has_c.astype(np.float32), xs, ds, nb_n)
+        removed = cs[ci] | ds[di]
+        hit = np.ones(len(ci), dtype=bool)
+        if survivor_cap:
+            hit &= np.bitwise_count(cap_region & ~removed) <= cap_k
+        if removed_cap:
+            hit &= np.bitwise_count(removed & rem_region) <= rem_k
+        ci, di = ci[hit], di[hit]
+        if not len(ci):
+            continue
+        x_bits = _bits(xs, m.n).astype(np.float32)
+        step = max(1, _CELLS // len(xs))
+        for s in range(0, len(ci), step):
+            a, b = ci[s:s + step], di[s:s + step]
+            # deg[j, e]: how many bases of M/C_a[j]\D_b[j] contain e
+            avoid = (has_c[a] & ((xs & ds[b, None]) == 0)).astype(np.float32)
+            deg = np.einsum("ij,jk->ik", avoid, x_bits)
+            deg[_bits(cs[a], m.n) == 1] = 0  # C lies in every basis counted
+            for j in np.flatnonzero(
+                    (np.sort(deg, axis=1) == want_deg).all(1)).tolist():
+                c, d = int(cs[a[j]]), int(ds[b[j]])
                 mn = m.minor(c, d)
                 if _memo((mn.table().tobytes(), n_key),
                          lambda: None if is_isomorphic(mn, n_mat) is None

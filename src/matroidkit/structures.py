@@ -183,7 +183,13 @@ def fans(m: Matroid) -> list[FanRecord]:
     (lexicographically least) ordering."""
     if not is_3_connected(m):
         raise NotThreeConnected("fan detection needs a 3-connected matroid")
-    orderings = _fan_orderings(m)
+    return [FanRecord(seq, _fan_types(m, seq), True)
+            for seq in _maximal_supports(_fan_orderings(m))]
+
+
+def _maximal_supports(orderings) -> list[tuple[int, ...]]:
+    """The least ordering of each inclusion-maximal support, the supports
+    in lex order."""
     by_support: dict[int, tuple] = {}
     for seq in orderings:
         sup = mask_of(seq)
@@ -191,10 +197,8 @@ def fans(m: Matroid) -> list[FanRecord]:
         if best is None or seq < best:
             by_support[sup] = seq
     sups = sorted(by_support, key=lex_key)
-    maximal = [s for s in sups
-               if not any(s != o and s & o == s for o in sups)]
-    return [FanRecord(by_support[s], _fan_types(m, by_support[s]), True)
-            for s in sorted(maximal, key=lex_key)]
+    return [by_support[s] for s in sups
+            if not any(s != o and s & o == s for o in sups)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +240,11 @@ def flans(m: Matroid) -> list[FlanRecord]:
     if not is_3_connected(m):
         raise NotThreeConnected("flan detection needs a 3-connected matroid")
     orderings = _flan_orderings(m)
-    by_support: dict[int, tuple] = {}
     for seq in orderings:
         for i in range(1, len(seq) + 1):
             if lambda_(m, mask_of(seq[:i])) > 2 and i < m.n:
                 raise MatroidError("flan prefix fails to be 3-separating")
-        sup = mask_of(seq)
-        best = by_support.get(sup)
-        if best is None or seq < best:
-            by_support[sup] = seq
-    sups = sorted(by_support, key=lex_key)
-    maximal = [s for s in sups
-               if not any(s != o and s & o == s for o in sups)]
-    return [FlanRecord(by_support[s], True)
-            for s in sorted(maximal, key=lex_key)]
+    return [FlanRecord(seq, True) for seq in _maximal_supports(orderings)]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class TestRelax:
 
     def test_basis_count_increases_by_one(self):
         w = wheel(3)
-        assert len(relax(w, rim(w, 3)).bases) == len(w.bases) + 1
+        assert len(relax(w, rim(3)).bases) == len(w.bases) + 1
 
     def test_non_circuit_hyperplane_rejected(self):
         m = fano()

@@ -1,6 +1,7 @@
 """Minor search, labellings, grounded triples, detachable pairs."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -82,6 +83,24 @@ class TestHasMinor:
         lab = has_minor_avoiding(m, n, region, 1)
         if lab is not None:
             assert popcount(region & ~(lab.contract | lab.delete)) <= 1
+
+
+class TestLabellingSearchBounds:
+    def test_peak_memory_of_an_exhaustive_scan(self):
+        # 3,003 bases and 78 heads of two elements, with no labelling: the
+        # cell bound keeps every matrix of the search small
+        m, n = uniform(6, 14), fano()
+        tracemalloc.start()
+        try:
+            assert list(labellings(m, n)) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_first_labelling_is_least_in_lex_order(self):
+        assert next(labellings(uniform(6, 14), uniform(3, 6))) == \
+            NLabelling(0b111, 0b11111000)
 
 
 class TestMinorMemo:

@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidkit import builders
+from matroidkit import builders, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
                              _exchange_witness, _popcount_table, bit, elems,
-                             is_isomorphic, mask_of, popcount, validate)
+                             is_isomorphic, lex_key, mask_of, popcount,
+                             submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
                                  series_add, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl,
                                  wye_delta)
-from matroidkit.connectivity import is_3_connected
+from matroidkit.connectivity import (cyclic_3_separations, is_3_connected,
+                                     vertical_3_separations)
 from matroidkit.corpus import generate_corpus, random_sparse_paving
 from matroidkit.minors import (NLabelling, all_triples_grounded,
                                grounded_triads, grounded_triangles, has_minor,
@@ -233,6 +235,34 @@ def ref_all_triples_grounded(m, n_mat):
     # both grounded lists built in full, then compared by length
     return (len(grounded_triangles(m, n_mat)) == len(triangles(m))
             and len(grounded_triads(m, n_mat)) == len(triads(m)))
+
+
+def ref_vertical_triples(m):
+    # the scalar scan: every X holding the lowest element other than z
+    t = m._ranks()
+    out = []
+    for z in range(m.n):
+        bz = 1 << z
+        rest = m.full ^ bz
+        if not rest:
+            continue
+        low = 1 << elems(rest)[0]
+        for sub in submasks(rest ^ low):
+            x = sub | low
+            y = rest ^ x
+            if popcount(x) < 3 or popcount(y) < 3:
+                continue
+            if t[x] < 3 or t[y] < 3:
+                continue
+            if t[x] + t[y | bz] - m.rank > 2:
+                continue
+            if t[x | bz] + t[y] - m.rank > 2:
+                continue
+            if t[x | bz] != t[x] or t[y | bz] != t[y]:
+                continue  # z in cl(X) and cl(Y)
+            out.append((x, z, y))
+    out.sort(key=lambda triple: (triple[1], lex_key(triple[0])))
+    return out
 
 
 def assert_same(got, want):
@@ -558,6 +588,14 @@ class TestBatchedLabellingsOracle:
         assert len(list(labellings(u36, u25))) == 6
         assert list(labellings(u26, u24, excluded=0b011111)) == []
 
+    @pytest.mark.parametrize("cells", [1, 97])
+    def test_small_cell_bounds(self, cells, monkeypatch):
+        # 1 makes every head all of C and slices D and the survivors one at
+        # a time; 97 gives heads of every length in between, uneven slices
+        monkeypatch.setattr(minors, "_CELLS", cells)
+        self.test_corpus_sample_with_random_constraints()
+        self.test_edge_shapes()
+
 
 def _outcome(build, *args):
     # the built matroid's bases and labels, or the type of what it raised
@@ -663,3 +701,28 @@ class TestGroundingOracle:
         assert got == [ref_all_triples_grounded(m, n_mat)
                        for m in corpus for n_mat in ns]
         assert 100 <= got.count(False) <= len(got) - 100
+
+
+class TestVerticalTriplesOracle:
+    """The per-z numpy pass behind `vertical_3_separations` and
+    `cyclic_3_separations` against the scalar scan: the same triples in the
+    same order."""
+
+    def test_three_connected_corpus_and_duals(self):
+        ms = [e.matroid for e in generate_corpus(0, max_n=12)] \
+            + [twisted_cube_matroid(), spiked_fano(4)]
+        found = 0
+        for m in ms:
+            if not is_3_connected(m):
+                continue
+            vertical = vertical_3_separations(m)
+            cyclic = cyclic_3_separations(m)
+            assert vertical == ref_vertical_triples(m), m
+            assert cyclic == ref_vertical_triples(m.dual()), m
+            found += len(vertical) + len(cyclic)
+        assert found > 150
+
+    def test_one_element(self):
+        for r in (0, 1):
+            m = uniform(r, 1)
+            assert vertical_3_separations(m) == ref_vertical_triples(m) == []
