@@ -300,9 +300,8 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
     t1 = m1.set_of(t_labels)
     t2 = m2.set_of(t_labels)
     r1 = m1.restrict(t1)
-    r2 = m2.restrict(t2)
-    perm = [r2.labels.index(lab) for lab in r1.labels]
-    if set(r1.bases) != {mask_of(perm[i] for i in elems(b)) for b in r2.bases}:
+    if not np.array_equal(m2.restrict(t2).reorder(r1.labels).table(),
+                          r1.table()):
         raise RestrictionMismatch("the two restrictions to T differ")
 
     n1 = m1.n
@@ -355,25 +354,17 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
             f"gluing along {t_labels} does not define a matroid: {exc}") from exc
     if glued.restrict(mask_of(range(n1))) != m1:
         raise NotModularFlat("glued matroid does not restrict to the first side")
-    back = glued.set_of(m2.labels)
-    r2chk = glued.restrict(back)
-    if {frozenset(r2chk.label_list(b)) for b in r2chk.bases} != \
-       {frozenset(m2.label_list(b)) for b in m2.bases}:
+    back = glued.restrict(glued.set_of(m2.labels)).reorder(m2.labels)
+    if not np.array_equal(back.table(), m2.table()):
         raise NotModularFlat("glued matroid does not restrict to the second side")
     return glued
 
 
-def _reorder(m: Matroid, new_labels) -> Matroid:
-    perm = [m.id_of(lab) for lab in new_labels]   # new id -> old id
-    inv = [0] * m.n
-    for newid, oldid in enumerate(perm):
-        inv[oldid] = newid
-    bases = (mask_of(inv[i] for i in elems(b)) for b in m.bases)
-    return Matroid(m.n, bases, new_labels)
-
-
 def _relabel(m: Matroid, mapping) -> Matroid:
-    return Matroid(m.n, m.bases, [mapping.get(lab, lab) for lab in m.labels])
+    labels = [mapping.get(lab, lab) for lab in m.labels]
+    if len(set(labels)) != m.n:
+        raise ValueError("labels must be unique, one per element")
+    return Matroid._from_table(m.table(), labels)
 
 
 def _k4_for_exchange(tri_labels, prime_labels) -> Matroid:
@@ -396,8 +387,7 @@ def delta_wye(m: Matroid, tri: int) -> Matroid:
     k4 = _k4_for_exchange(tl, primes)
     glued = parallel_connection(k4, m, tl)
     cut = glued.delete(glued.set_of(tl))
-    cut = _relabel(cut, dict(zip(primes, tl)))
-    return _reorder(cut, m.labels)
+    return _relabel(cut, dict(zip(primes, tl))).reorder(m.labels)
 
 
 def wye_delta(m: Matroid, triad: int) -> Matroid:

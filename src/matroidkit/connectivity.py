@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, lex_key, popcount
+from .core import Matroid, MatroidError, _popcount_table, lex_key, popcount
 
 
 class NotThreeConnected(MatroidError):
@@ -55,6 +55,13 @@ def _lambda_all(m: Matroid) -> np.ndarray:
     return lam
 
 
+def _k_separating(m: Matroid, k: int) -> np.ndarray:
+    """Bool over every mask X: X is a side of a k-separation, that is
+    lambda(X) < k and both X and E - X have at least k elements."""
+    pc = _popcount_table(m.n)
+    return (_lambda_all(m) <= k - 1) & (pc >= k) & (pc <= m.n - k)
+
+
 def separations(m: Matroid, k: int) -> list[SeparationReport]:
     """All k-separations, one report per unordered pair.
 
@@ -63,22 +70,13 @@ def separations(m: Matroid, k: int) -> list[SeparationReport]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    lam = _lambda_all(m)
-    pc = _pc(m)
-    n = m.n
-    ok = (lam <= k - 1) & (pc >= k) & (pc <= n - k)
-    ok &= (np.arange(1 << n) & 1).astype(bool)  # canonical side holds id 0
+    ok = _k_separating(m, k)
+    ok &= (np.arange(1 << m.n) & 1).astype(bool)  # canonical side holds id 0
     out = []
-    for x in np.nonzero(ok)[0]:
-        x = int(x)
-        out.append(_report(m, x, k, int(lam[x])))
+    for x in np.flatnonzero(ok).tolist():
+        out.append(_report(m, x, k, lambda_(m, x)))
     out.sort(key=lambda rep: lex_key(rep.side))
     return out
-
-
-def _pc(m: Matroid) -> np.ndarray:
-    from .core import _popcount_table
-    return _popcount_table(m.n)
 
 
 def _report(m: Matroid, x: int, k: int, lam: int) -> SeparationReport:
@@ -96,18 +94,13 @@ def _report(m: Matroid, x: int, k: int, lam: int) -> SeparationReport:
 
 
 def is_connected(m: Matroid) -> bool:
-    if m.n == 1:
-        return True
-    lam = _lambda_all(m)
-    pc = _pc(m)
-    viol = (lam <= 0) & (pc >= 1) & (pc <= m.n - 1)
-    return not bool(viol.any())
+    return not bool(_k_separating(m, 1).any())
 
 
 def is_3_connected(m: Matroid) -> bool:
     if m._is3conn is None:
         lam = _lambda_all(m)
-        pc = _pc(m)
+        pc = _popcount_table(m.n)
         n = m.n
         viol = (lam <= 0) & (pc >= 1) & (pc <= n - 1)
         viol |= (lam <= 1) & (pc >= 2) & (pc <= n - 2)
@@ -120,7 +113,7 @@ def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
     in lex order, where X holds the lowest element other than z.  One
     numpy pass per z over every such X."""
     t = m.table()
-    pc = _pc(m)
+    pc = _popcount_table(m.n)
     masks = np.arange(1 << m.n, dtype=np.int32)
     out = []
     for z in range(m.n):

@@ -350,6 +350,19 @@ class Matroid:
     def restrict(self, x: int) -> "Matroid":
         return self.delete(self.full ^ x)
 
+    def reorder(self, labels) -> "Matroid":
+        """The same matroid with element k renamed to the one labelled
+        labels[k]: the axes of the table's (2,)*n view are permuted, so no
+        basis is rebuilt."""
+        n = self.n
+        perm = [self.id_of(lab) for lab in labels]   # new id -> old id
+        if sorted(perm) != list(range(n)):
+            raise ValueError("labels must be unique, one per element")
+        # new bit k lies on axis n-1-k and is old bit perm[k]
+        axes = [n - 1 - perm[n - 1 - j] for j in range(n)]
+        tab = self.table().reshape((2,) * n).transpose(axes).reshape(-1)
+        return Matroid._from_table(tab, labels)
+
     # -- circuits ------------------------------------------------------------
 
     def circuits(self) -> tuple[int, ...]:

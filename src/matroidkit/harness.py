@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Matroid, MatroidError, _popcount_table, bit, elems,
-                   is_isomorphic, mask_of, popcount)
-from .connectivity import (_lambda_all, is_3_connected, is_connected,
-                           lambda_, lambda_minus, full_closure,
+                   is_isomorphic, mask_of, popcount, submasks)
+from .connectivity import (_k_separating, _lambda_all, is_3_connected,
+                           is_connected, lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
 from .structures import (detect_elongated_quad, detect_skew_whiff,
                          detect_spike_like, detect_twisted_cube_like,
@@ -48,6 +48,13 @@ class Verdict:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+def _timed(fn, *args):
+    """fn(*args), and the whole milliseconds it took."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, int((time.perf_counter() - t0) * 1000)
+
 
 def shrink_mask(violates, mask: int) -> int:
     """Greedily drop elements from a failing witness while the violation
@@ -89,12 +96,27 @@ def is_wheel_or_whirl(m: Matroid) -> bool:
     return is_isomorphic(m, whirl(m.rank)) is not None
 
 
-def _is_u3k_restriction(m: Matroid, p: int, k: int) -> bool:
-    """M|P is U_{3,k}: |P| = k, r(P) = 3 and every 3-subset is a basis."""
+def _u3k_planes(m: Matroid, k: int):
+    """The k-sets P, in lex order, with M|P = U_{3,k}: r(P) = 3 and every
+    3-subset of P is a basis."""
     t = m._ranks()
-    if popcount(p) != k or t[p] != 3:
-        return False
-    return all(t[mask_of(c)] == 3 for c in itertools.combinations(elems(p), 3))
+    for combo in itertools.combinations(range(m.n), k):
+        p = mask_of(combo)
+        if t[p] == 3 and all(t[mask_of(c)] == 3
+                             for c in itertools.combinations(combo, 3)):
+            yield p
+
+
+def _fan_ends(m: Matroid):
+    """(fan, end, the end's type) for both ends of every maximal fan of at
+    least four elements; none unless M is 3-connected, has at least four
+    elements and is neither a wheel nor a whirl."""
+    if not is_3_connected(m) or m.n < 4 or is_wheel_or_whirl(m):
+        return
+    for rec in fans(m):
+        if len(rec.elements) >= 4:
+            for i in (0, -1):
+                yield rec.elements, rec.elements[i], rec.types[i]
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +154,13 @@ def check_closure_complement_swap(m):
     for e in range(m.n):
         be = bit(e)
         rest = m.full ^ be
-        sub = rest
-        while True:
-            x = sub
+        for x in submasks(rest):
             y = rest ^ x
             in_cl = t[x | be] == t[x]
             in_cocl = td[y | be] == td[y]
             exercised += 1
             if in_cl == in_cocl:
                 return exercised, (e, x)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
     return exercised, None
 
 
@@ -152,9 +169,7 @@ def check_step_extension(m):
         return 0, None
     lam = _lambda_all(m)
     exercised = 0
-    for x in range(1 << m.n):
-        if lam[x] != 2:
-            continue
+    for x in np.flatnonzero(lam == 2).tolist():
         for e in elems(m.full ^ x):
             exercised += 1
             grows = lam[x | bit(e)] <= 2
@@ -169,9 +184,7 @@ def check_boundary_attachment(m):
         return 0, None
     lam = _lambda_all(m)
     exercised = 0
-    for x in range(1 << m.n):
-        if lam[x] != 2 or popcount(x) < 3:
-            continue
+    for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
         for e in elems(x):
             exercised += 1
             if not (_in_cl(m, x ^ bit(e), e) or _in_cocl(m, x ^ bit(e), e)):
@@ -184,9 +197,7 @@ def check_guts_coguts_step(m):
         return 0, None
     lam = _lambda_all(m)
     exercised = 0
-    for x in range(1 << m.n):
-        if lam[x] != 2 or popcount(x) < 3:
-            continue
+    for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
         y = m.full ^ x
         for e in elems(x):
             rest = x ^ bit(e)
@@ -229,11 +240,8 @@ def check_full_closure_two_separation(m):
     if not is_connected(m) or m.n < 4 or not _simple_cosimple(m):
         return 0, None
     lam = _lambda_all(m)
-    pc = _popcount_table(m.n)
     exercised = 0
-    for x in range(1 << m.n):
-        if lam[x] > 1 or pc[x] < 2 or m.n - pc[x] < 2:
-            continue
+    for x in np.flatnonzero(_k_separating(m, 2)).tolist():
         exercised += 1
         f = full_closure(m, x)
         rest = m.full ^ f
@@ -253,9 +261,7 @@ def check_guts_coguts_disjoint(m):
                 and m.closure(x) & m.coclosure(x) & (m.full ^ x))
 
     exercised = 0
-    for x in range(1 << m.n):
-        if lam[x] > 2 or popcount(x) < 3 or m.n - popcount(x) < 3:
-            continue
+    for x in np.flatnonzero(_k_separating(m, 3)).tolist():
         exercised += 1
         if violates(x):
             return exercised, shrink_mask(violates, x)
@@ -371,9 +377,7 @@ def check_closure_meets_once(m):
         return a and b and (popcount(a) != 1 or popcount(b) != 1)
 
     exercised = 0
-    for x in range(1 << m.n):
-        if lam[x] > 2 or popcount(x) < 3 or m.n - popcount(x) < 3:
-            continue
+    for x in np.flatnonzero(_k_separating(m, 3)).tolist():
         if x & m.closure(m.full ^ x) and x & m.coclosure(m.full ^ x):
             exercised += 1
             if violates(x):
@@ -382,37 +386,25 @@ def check_closure_meets_once(m):
 
 
 def check_fan_end_removal(m):
-    if not is_3_connected(m) or m.n < 4 or is_wheel_or_whirl(m):
-        return 0, None
     exercised = 0
-    for rec in fans(m):
-        if len(rec.elements) < 4:
-            continue
-        for f, kind in ((rec.elements[0], rec.types[0]),
-                        (rec.elements[-1], rec.types[-1])):
-            exercised += 1
-            if kind == "spoke":
-                ok = is_3_connected(_co(m, f)) and not is_3_connected(_si(m, f))
-            else:
-                ok = is_3_connected(_si(m, f)) and not is_3_connected(_co(m, f))
-            if not ok:
-                return exercised, (rec.elements, f)
+    for fan, f, kind in _fan_ends(m):
+        exercised += 1
+        if kind == "spoke":
+            ok = is_3_connected(_co(m, f)) and not is_3_connected(_si(m, f))
+        else:
+            ok = is_3_connected(_si(m, f)) and not is_3_connected(_co(m, f))
+        if not ok:
+            return exercised, (fan, f)
     return exercised, None
 
 
 def check_maximal_fan_end_removal(m):
-    if not is_3_connected(m) or m.n < 4 or is_wheel_or_whirl(m):
-        return 0, None
     exercised = 0
-    for rec in fans(m):
-        if len(rec.elements) < 4:
-            continue
-        for f, kind in ((rec.elements[0], rec.types[0]),
-                        (rec.elements[-1], rec.types[-1])):
-            exercised += 1
-            target = m.delete(bit(f)) if kind == "spoke" else m.contract(bit(f))
-            if not is_3_connected(target):
-                return exercised, (rec.elements, f)
+    for fan, f, kind in _fan_ends(m):
+        exercised += 1
+        target = m.delete(bit(f)) if kind == "spoke" else m.contract(bit(f))
+        if not is_3_connected(target):
+            return exercised, (fan, f)
     return exercised, None
 
 
@@ -439,10 +431,7 @@ def check_plane_external_deletion(m):
     if not is_3_connected(m):
         return 0, None
     exercised = 0
-    for combo in itertools.combinations(range(m.n), 5):
-        p = mask_of(combo)
-        if not _is_u3k_restriction(m, p, 5):
-            continue
+    for p in _u3k_planes(m, 5):
         for e in elems(m.closure(p) ^ p):
             exercised += 1
             if not is_3_connected(m.delete(bit(e))):
@@ -455,10 +444,7 @@ def check_plane_with_triad_deletion(m):
         return 0, None
     trds = triads(m)
     exercised = 0
-    for combo in itertools.combinations(range(m.n), 5):
-        p = mask_of(combo)
-        if not _is_u3k_restriction(m, p, 5):
-            continue
+    for p in _u3k_planes(m, 5):
         for tstar in trds:
             if tstar & p != tstar:
                 continue
@@ -475,10 +461,7 @@ def check_hinged_plane_deletion_pairs(m):
     trds = triads(m)
     tris = triangles(m)
     exercised = 0
-    for combo in itertools.combinations(range(m.n), 5):
-        p = mask_of(combo)
-        if not _is_u3k_restriction(m, p, 5):
-            continue
+    for p in _u3k_planes(m, 5):
         clp = m.closure(p)
         if any(t & clp == t for t in tris):
             continue
@@ -509,10 +492,7 @@ def check_six_point_plane_pairs(m):
         return 0, None
     tris = triangles(m)
     exercised = 0
-    for combo in itertools.combinations(range(m.n), 6):
-        p = mask_of(combo)
-        if not _is_u3k_restriction(m, p, 6):
-            continue
+    for p in _u3k_planes(m, 6):
         clp = m.closure(p)
         if any(t & clp == t for t in tris):
             continue
@@ -606,20 +586,17 @@ def check_two_separation_minor_side(m, n_mat):
         return 0, None
     if has_minor(m, n_mat) is None:
         return 0, None
-    lam = _lambda_all(m)
     exercised = 0
     seen = set()
-    for x in range(1 << m.n):
+    for x in np.flatnonzero(_k_separating(m, 2)).tolist():
         y = m.full ^ x
-        if lam[x] > 1 or popcount(x) < 2 or popcount(y) < 2:
-            continue
         if y in seen:
             continue
         seen.add(x)
         exercised += 1
 
         def side_ok(u):
-            got = next(labellings(m, n_mat, survivor_cap=(u, 1)), None)
+            got = next(labellings(m, n_mat, survivor_cap=u), None)
             if got is None:
                 return False
             for e in elems(u):
@@ -647,7 +624,7 @@ def check_cyclic_separation_labels(m, n_mat):
             bz = bit(z)
             mz = m.delete(bz)
             region = m.compress(x, bz)
-            if next(labellings(mz, n_mat, survivor_cap=(region, 1)), None) is None:
+            if next(labellings(mz, n_mat, survivor_cap=region), None) is None:
                 continue
             exercised += 1
             cocly = m.coclosure(y)
@@ -717,13 +694,7 @@ def run_lemma_registry(corpus=None, seed: int = 0,
         for entry in corpus:
             if entry.matroid.n > cap:
                 continue
-            t0 = time.perf_counter()
-            exercised, witness = fn(entry.matroid)
-            ms = int((time.perf_counter() - t0) * 1000)
-            outcome = ("fail" if witness is not None
-                       else "pass" if exercised else "vacuous")
-            out.append(Verdict(name, entry.name, outcome, exercised,
-                               witness, ms))
+            out.append(_check_verdict(name, entry.name, fn, entry.matroid))
     small = [e for e in corpus if e.matroid.n <= max_n]
     for name, fn, cap in PAIR_CHECKS:
         for em in small:
@@ -734,14 +705,17 @@ def run_lemma_registry(corpus=None, seed: int = 0,
                     continue
                 if en.matroid.n == em.matroid.n and en.name != em.name:
                     continue
-                t0 = time.perf_counter()
-                exercised, witness = fn(em.matroid, en.matroid)
-                ms = int((time.perf_counter() - t0) * 1000)
-                outcome = ("fail" if witness is not None
-                           else "pass" if exercised else "vacuous")
-                out.append(Verdict(name, f"{em.name}|{en.name}", outcome,
-                                   exercised, witness, ms))
+                out.append(_check_verdict(name, f"{em.name}|{en.name}", fn,
+                                          em.matroid, en.matroid))
     return out
+
+
+def _check_verdict(check, instance, fn, *args) -> Verdict:
+    """The verdict of a registry check `fn` on `args`, timed."""
+    (exercised, witness), ms = _timed(fn, *args)
+    outcome = ("fail" if witness is not None
+               else "pass" if exercised else "vacuous")
+    return Verdict(check, instance, outcome, exercised, witness, ms)
 
 
 def registry_summary(verdicts) -> dict:
@@ -757,6 +731,15 @@ def registry_summary(verdicts) -> dict:
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
+def _branch_verdict(check, search, *args, miss="no branch") -> Verdict:
+    """Pass with the branch that `search(*args)` returns, or fail with
+    `miss` when it returns None; `millis` times the search."""
+    branch, ms = _timed(search, *args)
+    if branch is None:
+        return Verdict(check, "", "fail", 1, miss, ms)
+    return Verdict(check, "", "pass", 1, branch, ms)
+
+
 def verify_theorem_triangles(m: Matroid, n_mat: Matroid) -> Verdict:
     """Trichotomy: a detachable pair, a detachable pair after one exchange,
     or every triangle and triad grounded."""
@@ -766,19 +749,17 @@ def verify_theorem_triangles(m: Matroid, n_mat: Matroid) -> Verdict:
         raise HypothesisUnmet("need |E(N)| >= 4 and a size gap of at least 5")
     if has_minor(m, n_mat) is None:
         raise HypothesisUnmet("N is not a minor of M")
-    t0 = time.perf_counter()
+    return _branch_verdict("theorem-triangles", _triangles_branch, m, n_mat)
+
+
+def _triangles_branch(m: Matroid, n_mat: Matroid) -> str | None:
     if detachable_pairs(m, n_mat, first_only=True):
-        branch = "detachable-pair"
-    elif all_triples_grounded(m, n_mat):
-        branch = "all-grounded"
-    elif detachable_after_exchange(m, n_mat, first_only=True):
-        branch = "detachable-after-exchange"
-    else:
-        branch = None
-    ms = int((time.perf_counter() - t0) * 1000)
-    if branch is None:
-        return Verdict("theorem-triangles", "", "fail", 1, "no branch", ms)
-    return Verdict("theorem-triangles", "", "pass", 1, branch, ms)
+        return "detachable-pair"
+    if all_triples_grounded(m, n_mat):
+        return "all-grounded"
+    if detachable_after_exchange(m, n_mat, first_only=True):
+        return "detachable-after-exchange"
+    return None
 
 
 def _spike_branch(m: Matroid, n_mat: Matroid) -> bool:
@@ -791,7 +772,7 @@ def _spike_branch(m: Matroid, n_mat: Matroid) -> bool:
         if detect_spike_like(m, p) is None:
             continue
         outside = m.full ^ p
-        if next(labellings(m, n_mat, removed_cap=(outside, 1)), None):
+        if next(labellings(m, n_mat, removed_cap=outside), None):
             return True
     return False
 
@@ -803,24 +784,22 @@ def verify_theorem_main(m: Matroid, n_mat: Matroid) -> Verdict:
         raise HypothesisUnmet("both matroids must be 3-connected")
     if n_mat.n < 4 or m.n - n_mat.n < 10:
         raise HypothesisUnmet("need |E(N)| >= 4 and a size gap of at least 10")
-    t0 = time.perf_counter()
+    return _branch_verdict("theorem-main", _main_branch, m, n_mat)
+
+
+def _main_branch(m: Matroid, n_mat: Matroid) -> str | None:
     # the spike branch searches a constrained labelling, so a hit also
     # certifies the minor hypothesis; check it first to keep large
     # instances off the unconstrained minor search
     if _spike_branch(m, n_mat):
-        branch = "spike-like-separator"
-    elif has_minor(m, n_mat) is None:
+        return "spike-like-separator"
+    if has_minor(m, n_mat) is None:
         raise HypothesisUnmet("N is not a minor of M")
-    elif detachable_pairs(m, n_mat, first_only=True):
-        branch = "detachable-pair"
-    elif detachable_after_exchange(m, n_mat, first_only=True):
-        branch = "detachable-after-exchange"
-    else:
-        branch = None
-    ms = int((time.perf_counter() - t0) * 1000)
-    if branch is None:
-        return Verdict("theorem-main", "", "fail", 1, "no branch", ms)
-    return Verdict("theorem-main", "", "pass", 1, branch, ms)
+    if detachable_pairs(m, n_mat, first_only=True):
+        return "detachable-pair"
+    if detachable_after_exchange(m, n_mat, first_only=True):
+        return "detachable-after-exchange"
+    return None
 
 
 def _is_flan_ordering(m: Matroid, seq) -> bool:
@@ -857,26 +836,25 @@ def verify_flan_corollary(m: Matroid, n_mat: Matroid, d: int,
     f5 = flan_order[4]
     md5 = m.delete(bd | bit(f5))
     region = m.compress(mask_of(flan_order[:4]), bd | bit(f5))
-    if next(labellings(md5, n_mat, survivor_cap=(region, 1)), None) is None:
+    if next(labellings(md5, n_mat, survivor_cap=region), None) is None:
         raise HypothesisUnmet(
             "M\\d\\f5 lacks an N-minor nearly avoiding the flan start")
-    t0 = time.perf_counter()
-    branch = None
+    return _branch_verdict("flan-corollary", _flan_branch, m, n_mat,
+                           mask_of(flan_order[:5]) | bd)
+
+
+def _flan_branch(m: Matroid, n_mat: Matroid, p: int) -> str | None:
     if detachable_pairs(m, n_mat, first_only=True):
-        branch = "detachable-pair"
-    else:
-        p = mask_of(flan_order[:5]) | bd
-        if lambda_(m, p) == 2:
-            if detect_skew_whiff(m, p):
-                branch = "skew-whiff"
-            elif detect_elongated_quad(m, p):
-                branch = "elongated-quad"
-            elif detect_twisted_cube_like(m.dual(), p):
-                branch = "twisted-cube-like-dual"
-    ms = int((time.perf_counter() - t0) * 1000)
-    if branch is None:
-        return Verdict("flan-corollary", "", "fail", 1, "no branch", ms)
-    return Verdict("flan-corollary", "", "pass", 1, branch, ms)
+        return "detachable-pair"
+    if lambda_(m, p) != 2:
+        return None
+    if detect_skew_whiff(m, p):
+        return "skew-whiff"
+    if detect_elongated_quad(m, p):
+        return "elongated-quad"
+    if detect_twisted_cube_like(m.dual(), p):
+        return "twisted-cube-like-dual"
+    return None
 
 
 def _is_cyclic_triple(m: Matroid, x: int, z: int, y: int) -> bool:
@@ -928,15 +906,10 @@ def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, dp: int,
                               "of M \\ d with |Y| >= 4")
     mdd = m.delete(bd | bit(dp))
     region = m.compress(y, bd | bit(dp))
-    if next(labellings(mdd, n_mat, survivor_cap=(region, 1)), None) is None:
+    if next(labellings(mdd, n_mat, survivor_cap=region), None) is None:
         raise HypothesisUnmet("M\\d\\d' lacks an N-minor nearly avoiding Y")
-
-    t0 = time.perf_counter()
-    kind = _qualifying_x(m, n_mat, bd, md, y)
-    ms = int((time.perf_counter() - t0) * 1000)
-    if kind is None:
-        return Verdict("foundation", "", "fail", 1, "no qualifying X", ms)
-    return Verdict("foundation", "", "pass", 1, kind, ms)
+    return _branch_verdict("foundation", _qualifying_x, m, n_mat, bd, md, y,
+                           miss="no qualifying X")
 
 
 def _qualifying_x(m: Matroid, n_mat: Matroid, bd: int, md: Matroid,
@@ -969,93 +942,103 @@ def _qualifying_x(m: Matroid, n_mat: Matroid, bd: int, md: Matroid,
 # ---------------------------------------------------------------------------
 # construction replays
 
+def _need(cond, what):
+    if not cond:
+        raise ConstructionFailed(what)
+
+
 def verify_construction_twisted() -> Verdict:
-    t0 = time.perf_counter()
-    m = twisted_cube_matroid()
-    nf = nonfano()
-
-    def need(cond, what):
-        if not cond:
-            raise ConstructionFailed(what)
-
-    need(m.n == 12, "ground set size is 12")
-    need(is_3_connected(m), "3-connected")
-    need(m.n - nf.n == 5, "size gap is 5")
-    c = m.set_of(["p1"])
-    dset = m.set_of(["s1", "s2", "p2", "q2"])
-    need(is_isomorphic(m.minor(c, dset), nf) is not None,
-         "contracting p1 and deleting {s1,s2,p2,q2} yields the non-Fano")
-    x = m.set_of(["p1", "p2", "q1", "q2", "s1", "s2"])
-    need(detect_twisted_cube_like(m, x) is not None,
-         "X is a twisted cube-like 3-separator")
-    for e in elems(m.full ^ x):
-        need(has_minor(m.delete(bit(e)), nf) is None,
-             f"M \\ {m.labels[e]} has no non-Fano minor")
-        need(has_minor(m.contract(bit(e)), nf) is None,
-             f"M / {m.labels[e]} has no non-Fano minor")
-    pure = detachable_pairs(m, None, within=x)
-    want = {(frozenset(m.label_list(mask_of(r.pair))), r.mode) for r in pure}
-    need(want == {(frozenset(["p1", "q2"]), "delete"),
-                  (frozenset(["p2", "q1"]), "delete")},
-         "detachable pairs inside X are exactly the two deletion pairs")
-    need(not detachable_pairs(m, nf), "no N-detachable pairs")
-    need(not detachable_after_exchange(m, nf),
-         "no N-detachable pairs after one exchange")
-    ms = int((time.perf_counter() - t0) * 1000)
+    _, ms = _timed(_replay_twisted)
     return Verdict("construction-twisted", "twistedcube", "pass", 10, None, ms)
 
 
+def _replay_twisted():
+    m = twisted_cube_matroid()
+    nf = nonfano()
+    _need(m.n == 12, "ground set size is 12")
+    _need(is_3_connected(m), "3-connected")
+    _need(m.n - nf.n == 5, "size gap is 5")
+    c = m.set_of(["p1"])
+    dset = m.set_of(["s1", "s2", "p2", "q2"])
+    _need(is_isomorphic(m.minor(c, dset), nf) is not None,
+          "contracting p1 and deleting {s1,s2,p2,q2} yields the non-Fano")
+    x = m.set_of(["p1", "p2", "q1", "q2", "s1", "s2"])
+    _need(detect_twisted_cube_like(m, x) is not None,
+          "X is a twisted cube-like 3-separator")
+    for e in elems(m.full ^ x):
+        _need(has_minor(m.delete(bit(e)), nf) is None,
+              f"M \\ {m.labels[e]} has no non-Fano minor")
+        _need(has_minor(m.contract(bit(e)), nf) is None,
+              f"M / {m.labels[e]} has no non-Fano minor")
+    pure = detachable_pairs(m, None, within=x)
+    want = {(frozenset(m.label_list(mask_of(r.pair))), r.mode) for r in pure}
+    _need(want == {(frozenset(["p1", "q2"]), "delete"),
+                   (frozenset(["p2", "q1"]), "delete")},
+          "detachable pairs inside X are exactly the two deletion pairs")
+    _need(not detachable_pairs(m, nf), "no N-detachable pairs")
+    _need(not detachable_after_exchange(m, nf),
+          "no N-detachable pairs after one exchange")
+
+
 def verify_construction_spike(r: int = 4, include_free: bool = True) -> Verdict:
-    t0 = time.perf_counter()
+    exercised, ms = _timed(_replay_spike, r, include_free)
+    return Verdict("construction-spike", f"spikedfano-{r}", "pass",
+                   exercised, None, ms)
+
+
+def _replay_spike(r: int, include_free: bool) -> int:
+    """The spiked-Fano checks on each variant; how many ran."""
     f7 = fano()
     exercised = 0
     variants = [False, True] if include_free else [False]
     for free in variants:
         m = spiked_fano(r, free_tip=free)
         tag = "free" if free else "relabel"
-
-        def need(cond, what):
-            if not cond:
-                raise ConstructionFailed(f"[{tag}] {what}")
-
-        need(is_3_connected(m), "3-connected")
-        need(has_minor(m, f7) is not None, "a Fano minor is present")
+        _need(is_3_connected(m), f"[{tag}] 3-connected")
+        _need(has_minor(m, f7) is not None, f"[{tag}] a Fano minor is present")
         spike_part = m.set_of([lab for lab in m.labels
                                if lab[0] in "xy" and lab[1:].isdigit()])
-        need(lambda_(m, spike_part) == 2, "spike part exactly 3-separating")
-        need(detect_spike_like(m, spike_part) is not None,
-             "spike part is a spike-like 3-separator")
-        need(not detachable_pairs(m, f7), "no Fano-detachable pairs")
-        need(not detachable_after_exchange(m, f7),
-             "no Fano-detachable pairs after one exchange")
+        _need(lambda_(m, spike_part) == 2,
+              f"[{tag}] spike part exactly 3-separating")
+        _need(detect_spike_like(m, spike_part) is not None,
+              f"[{tag}] spike part is a spike-like 3-separator")
+        _need(not detachable_pairs(m, f7), f"[{tag}] no Fano-detachable pairs")
+        _need(not detachable_after_exchange(m, f7),
+              f"[{tag}] no Fano-detachable pairs after one exchange")
         exercised += 6
-    ms = int((time.perf_counter() - t0) * 1000)
-    return Verdict("construction-spike", f"spikedfano-{r}", "pass",
-                   exercised, None, ms)
+    return exercised
 
 
 # ---------------------------------------------------------------------------
 # corpus sweeps
 
-def sweep_theorem_triangles(corpus=None, max_m: int = 11) -> list[Verdict]:
+def _minor_pairs(corpus, max_m: int, gap: int, skip=None):
+    """The corpus pairs (M entry, N entry), M-major in corpus order, with M
+    3-connected of at most `max_m` elements, N 3-connected with at least
+    four elements and at least `gap` fewer than M, and N a minor of M.
+    An M for which `skip` holds is passed over before any minor test.  With
+    no corpus given, the seed-0 corpus up to `max_m` elements."""
     if corpus is None:
         corpus = generate_corpus(0, max_n=max_m)
-    out = []
     for em in corpus:
         m = em.matroid
-        if m.n > max_m or not is_3_connected(m):
+        if m.n > max_m or not is_3_connected(m) or (skip and skip(m)):
             continue
         for en in corpus:
             n_mat = en.matroid
-            if n_mat.n < 4 or m.n - n_mat.n < 5:
+            if n_mat.n < 4 or m.n - n_mat.n < gap \
+                    or not is_3_connected(n_mat):
                 continue
-            if not is_3_connected(n_mat):
-                continue
-            if has_minor(m, n_mat) is None:
-                continue
-            v = verify_theorem_triangles(m, n_mat)
-            v.instance = f"{em.name}|{en.name}"
-            out.append(v)
+            if has_minor(m, n_mat) is not None:
+                yield em, en
+
+
+def sweep_theorem_triangles(corpus=None, max_m: int = 11) -> list[Verdict]:
+    out = []
+    for em, en in _minor_pairs(corpus, max_m, 5):
+        v = verify_theorem_triangles(em.matroid, en.matroid)
+        v.instance = f"{em.name}|{en.name}"
+        out.append(v)
     return out
 
 
@@ -1070,43 +1053,34 @@ def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
     3-separations of each 3-connected M\\d once per M, at the first N that
     passes; only the hypotheses on each instance (d, d', Y) are checked
     per instance."""
-    if corpus is None:
-        corpus = generate_corpus(0, max_n=max_m)
     out = []
-    for em in corpus:
-        m = em.matroid
-        if m.n > max_m or not is_3_connected(m):
+    split_m = None
+    for em, en in _minor_pairs(corpus, max_m, 1):
+        m, n_mat = em.matroid, en.matroid
+        if not all_triples_grounded(m, n_mat):
             continue
-        splits = None
-        for en in corpus:
-            n_mat = en.matroid
-            if n_mat.n < 4 or n_mat.n >= m.n or not is_3_connected(n_mat):
-                continue
-            if has_minor(m, n_mat) is None:
-                continue
-            if not all_triples_grounded(m, n_mat):
-                continue
-            if detachable_pairs(m, n_mat, first_only=True):
-                continue
-            if splits is None:
-                splits = [(d, cyclic_3_separations(md)) for d in range(m.n)
-                          if is_3_connected(md := m.delete(bit(d)))]
-            for d, seps in splits:
-                bd = bit(d)
-                for xa, zz, ya in seps:
-                    dp = m.expand(bit(zz), bd).bit_length() - 1
-                    for ym, zm in ((xa, ya), (ya, xa)):
-                        y = m.expand(ym, bd)
-                        if popcount(y) < 4:
-                            continue
-                        try:
-                            v = _foundation_outcome(m, n_mat, d, dp, y,
-                                                    m.expand(zm, bd))
-                        except HypothesisUnmet:
-                            continue
-                        v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"
-                                      f"|d'={m.labels[dp]}|Y={m.fmt(y)}")
-                        out.append(v)
+        if detachable_pairs(m, n_mat, first_only=True):
+            continue
+        if split_m is not em:
+            split_m = em
+            splits = [(d, cyclic_3_separations(md)) for d in range(m.n)
+                      if is_3_connected(md := m.delete(bit(d)))]
+        for d, seps in splits:
+            bd = bit(d)
+            for xa, zz, ya in seps:
+                dp = m.expand(bit(zz), bd).bit_length() - 1
+                for ym, zm in ((xa, ya), (ya, xa)):
+                    y = m.expand(ym, bd)
+                    if popcount(y) < 4:
+                        continue
+                    try:
+                        v = _foundation_outcome(m, n_mat, d, dp, y,
+                                                m.expand(zm, bd))
+                    except HypothesisUnmet:
+                        continue
+                    v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"
+                                  f"|d'={m.labels[dp]}|Y={m.fmt(y)}")
+                    out.append(v)
     return out
 
 
@@ -1114,31 +1088,19 @@ def splitter_check(corpus=None, max_m: int = 12) -> list[Verdict]:
     """Every 3-connected corpus matroid that is not a wheel or whirl, with a
     3-connected proper minor of >= 4 elements, has a single-element removal
     that is 3-connected with the minor intact."""
-    if corpus is None:
-        corpus = generate_corpus(0, max_n=max_m)
     out = []
-    for em in corpus:
-        m = em.matroid
-        if m.n > max_m or not is_3_connected(m) or is_wheel_or_whirl(m):
-            continue
-        for en in corpus:
-            n_mat = en.matroid
-            if n_mat.n < 4 or n_mat.n >= m.n or not is_3_connected(n_mat):
-                continue
-            if has_minor(m, n_mat) is None:
-                continue
-            t0 = time.perf_counter()
-            ok = False
-            for e in range(m.n):
-                mc = m.contract(bit(e))
-                if is_3_connected(mc) and has_minor(mc, n_mat):
-                    ok = True
-                    break
-                mdl = m.delete(bit(e))
-                if is_3_connected(mdl) and has_minor(mdl, n_mat):
-                    ok = True
-                    break
-            ms = int((time.perf_counter() - t0) * 1000)
-            out.append(Verdict("splitter", f"{em.name}|{en.name}",
-                               "pass" if ok else "fail", 1, None, ms))
+    for em, en in _minor_pairs(corpus, max_m, 1, skip=is_wheel_or_whirl):
+        ok, ms = _timed(_splitter_holds, em.matroid, en.matroid)
+        out.append(Verdict("splitter", f"{em.name}|{en.name}",
+                           "pass" if ok else "fail", 1, None, ms))
     return out
+
+
+def _splitter_holds(m: Matroid, n_mat: Matroid) -> bool:
+    """Some single contraction or deletion of M is 3-connected and keeps
+    an N-minor; contractions first, element by element."""
+    for e in range(m.n):
+        for mm in (m.contract(bit(e)), m.delete(bit(e))):
+            if is_3_connected(mm) and has_minor(mm, n_mat) is not None:
+                return True
+    return False

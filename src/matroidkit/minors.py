@@ -1,6 +1,8 @@
-"""Minor testing, labellings certifying a fixed minor, grounded triangles
-and triads, and detachable-pair search (direct and after a single
-delta-wye or wye-delta exchange).
+"""Minor testing, labellings certifying a fixed minor (all of them, or
+those that nearly avoid a region: the surviving copy of N, or the removed
+elements, meet it in at most one element), grounded triangles and triads,
+and detachable-pair search (direct and after a single delta-wye or
+wye-delta exchange).
 
 The minor search scores candidate labellings in numpy batches over the
 rank table.  Contract sets that share a head (a lex-order prefix) form a
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, bit, elems, is_isomorphic,
-                   popcount)
+from .core import Matroid, MatroidError, bit, elems, is_isomorphic
 from .connectivity import is_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
@@ -45,8 +46,7 @@ class DetachableResult:
     labelling: NLabelling | None
 
 
-# (table bytes of M, table bytes of N[, region, max_meet]) -> the first
-# labelling, or None
+# (table bytes of M, table bytes of N) -> the first labelling, or None
 _minor_memo: dict = {}
 
 
@@ -56,6 +56,10 @@ def _memo(key, search):
         _minor_memo[key] = search()
     return _minor_memo[key]
 
+
+# the paper's "nearly avoids": a capped region may meet the surviving copy
+# of N, or the removed elements, in at most this many elements
+_NEAR = 1
 
 # bound on the cells of each (C, basis), (D, basis), (C, D) and (survivor,
 # basis) matrix of the labelling search; only a single row can exceed it
@@ -94,18 +98,17 @@ def _count_hits(has_c: np.ndarray, xs: np.ndarray, ds: np.ndarray,
     return rows[order], cols[order]
 
 
-def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
-               required_delete: int = 0, excluded: int = 0,
-               survivor_cap: tuple[int, int] | None = None,
-               removed_cap: tuple[int, int] | None = None):
+def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
+               removed_cap: int = 0):
     """Generate every labelling (C, D) with M/C\\D isomorphic to N, in lex
     order of C, then of D.
 
     C always has exactly r(M) - r(N) elements and D the rest of the size
     gap; this loses nothing since every minor has such a reduced form.
-    `survivor_cap` = (region, k) keeps only labellings whose surviving
-    ground set meets `region` in at most k elements; `removed_cap` bounds
-    how many removed elements may fall in a region.
+    `survivor_cap` keeps only the labellings whose surviving copy of N
+    nearly avoids that region, meeting it in at most `_NEAR` elements;
+    `removed_cap` keeps those that remove at most `_NEAR` elements of
+    its region.
 
     The search builds no `Matroid` per candidate.  C = head | tail, every
     head element before every tail element, so the C that share a head
@@ -129,64 +132,50 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
     kc = m.rank - n_mat.rank
     if gap < 0 or kc < 0 or gap < kc:
         return
-    req_c = required_contract
-    req_d = required_delete
-    if req_c & excluded or req_d & excluded or popcount(req_c) > kc \
-            or popcount(req_d) > gap - kc:
-        return
-    kc_free = kc - popcount(req_c)
-    kd_free = gap - kc - popcount(req_d)
-    c_pool = [i for i in range(m.n)
-              if not ((excluded | req_c | req_d) >> i) & 1]
-    n_pool = len(c_pool)
-    if n_pool < kc_free + kd_free:
-        return
-    cap_region, cap_k = survivor_cap or (0, 0)
-    rem_region, rem_k = removed_cap or (0, 0)
+    n = m.n
     t = m.table()
     r, full = m.rank, m.full
     bases = np.array(m.bases, dtype=np.int32)
-    pool_bits = np.int32(1) << np.array(c_pool, dtype=np.int32)
+    elem_bits = np.int32(1) << np.arange(n, dtype=np.int32)
     nb_n = len(n_mat.bases)
     n_key = n_mat.table().tobytes()
     want_deg = np.sort(np.concatenate([
         _bits(np.array(n_mat.bases, dtype=np.int32), n_mat.n).sum(0),
         np.zeros(gap, dtype=np.int64)]))
-    k_head = next((j for j in range(kc_free + 1)
-                   if math.comb(n_pool - j, kc_free - j) * len(bases)
-                   <= _CELLS), kc_free)
-    k_tail = kc_free - k_head
-    head_pos = _combos(n_pool - k_tail, k_head)  # leaves room for a tail
-    heads = req_c | pool_bits[head_pos].sum(1, dtype=np.int32)
-    tail_pos = _combos(n_pool, k_tail)
-    tails = pool_bits[tail_pos].sum(1, dtype=np.int32)
+    k_head = next((j for j in range(kc + 1)
+                   if math.comb(n - j, kc - j) * len(bases) <= _CELLS), kc)
+    k_tail = kc - k_head
+    head_pos = _combos(n - k_tail, k_head)  # leaves room for a tail
+    heads = elem_bits[head_pos].sum(1, dtype=np.int32)
+    tail_pos = _combos(n, k_tail)
+    tails = elem_bits[tail_pos].sum(1, dtype=np.int32)
     # a head's tails are the lex-order suffix after its last element
     starts = np.searchsorted(tail_pos[:, 0], head_pos[:, -1], "right") \
         if k_head and k_tail else np.zeros(len(heads), dtype=np.intp)
-    # D's positions in the pool left by the head, the same for every head
-    d_pos = _combos(n_pool - k_head, kd_free)
-    ok = t[heads] == popcount(req_c) + k_head
+    # D's positions among the elements left by the head, the same for
+    # every head
+    d_pos = _combos(n - k_head, gap - kc)
+    ok = t[heads] == k_head
     if removed_cap:
-        ok &= np.bitwise_count(heads & rem_region) <= rem_k
+        ok &= np.bitwise_count(heads & removed_cap) <= _NEAR
     for g in np.flatnonzero(ok).tolist():
         h = int(heads[g])
         xs = bases[(bases & h) == h]
         cs = h | tails[starts[g]:]
         c_ok = t[cs] == kc
         if removed_cap:
-            c_ok &= np.bitwise_count(cs & rem_region) <= rem_k
+            c_ok &= np.bitwise_count(cs & removed_cap) <= _NEAR
         cs = cs[c_ok]
         if len(xs) < nb_n or not len(cs):
             continue
-        ds = req_d | np.delete(pool_bits, head_pos[g])[d_pos] \
-            .sum(1, dtype=np.int32)
+        ds = np.delete(elem_bits, head_pos[g])[d_pos].sum(1, dtype=np.int32)
         d_ok = t[full ^ ds] == r
         if survivor_cap:
             # the tail takes at most k_tail elements out of the region
-            d_ok &= np.bitwise_count(cap_region & ~(h | ds)) \
-                <= cap_k + k_tail
+            d_ok &= np.bitwise_count(survivor_cap & ~(h | ds)) \
+                <= _NEAR + k_tail
         if removed_cap:
-            d_ok &= np.bitwise_count((h | ds) & rem_region) <= rem_k
+            d_ok &= np.bitwise_count((h | ds) & removed_cap) <= _NEAR
         ds = ds[d_ok]
         if not len(ds):
             continue
@@ -196,20 +185,20 @@ def labellings(m: Matroid, n_mat: Matroid, required_contract: int = 0,
         removed = cs[ci] | ds[di]
         hit = np.ones(len(ci), dtype=bool)
         if survivor_cap:
-            hit &= np.bitwise_count(cap_region & ~removed) <= cap_k
+            hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
         if removed_cap:
-            hit &= np.bitwise_count(removed & rem_region) <= rem_k
+            hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
         ci, di = ci[hit], di[hit]
         if not len(ci):
             continue
-        x_bits = _bits(xs, m.n).astype(np.float32)
+        x_bits = _bits(xs, n).astype(np.float32)
         step = max(1, _CELLS // len(xs))
         for s in range(0, len(ci), step):
             a, b = ci[s:s + step], di[s:s + step]
             # deg[j, e]: how many bases of M/C_a[j]\D_b[j] contain e
             avoid = (has_c[a] & ((xs & ds[b, None]) == 0)).astype(np.float32)
             deg = np.einsum("ij,jk->ik", avoid, x_bits)
-            deg[_bits(cs[a], m.n) == 1] = 0  # C lies in every basis counted
+            deg[_bits(cs[a], n) == 1] = 0  # C lies in every basis counted
             for j in np.flatnonzero(
                     (np.sort(deg, axis=1) == want_deg).all(1)).tolist():
                 c, d = int(cs[a[j]]), int(ds[b[j]])
@@ -226,23 +215,11 @@ def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
 
     A table fixes n and the basis family (the bases are the r-sets X with
     r(X) = r), so the key is as fine as the basis family, and a memo hit
-    derives no bases.  The memo holds these answers, the answers of
-    `has_minor_avoiding` under keys that also carry the cap, and the
-    isomorphism verdicts of `labellings`, which are the answers for
-    equal-size pairs."""
+    derives no bases.  The memo holds these answers and the isomorphism
+    verdicts of `labellings`, which are the answers for equal-size
+    pairs."""
     return _memo((m.table().tobytes(), n_mat.table().tobytes()),
                  lambda: next(labellings(m, n_mat), None))
-
-
-def has_minor_avoiding(m: Matroid, n_mat: Matroid, region: int,
-                       max_meet: int) -> NLabelling | None:
-    """First labelling whose surviving copy meets `region` in at most
-    `max_meet` elements.  Memoised like `has_minor`."""
-    return _memo((m.table().tobytes(), n_mat.table().tobytes(), region,
-                  max_meet),
-                 lambda: next(labellings(m, n_mat,
-                                         survivor_cap=(region, max_meet)),
-                              None))
 
 
 def verify_labelling(m: Matroid, n_mat: Matroid, lab: NLabelling) -> bool:

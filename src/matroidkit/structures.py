@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, bit, elems, lex_key, mask_of, popcount
+from .core import (Matroid, MatroidError, bit, elems, lex_key, mask_of,
+                   popcount, submasks)
 from .connectivity import NotThreeConnected, is_3_connected, lambda_
 
 
@@ -94,7 +95,7 @@ def quads(m: Matroid) -> list[int]:
             if is_quad(m, mask_of(c))]
 
 
-def _segments_of(m: Matroid) -> list[int]:
+def segments(m: Matroid) -> list[int]:
     """Maximal sets whose restriction is a line U_{2,k}, k >= 3."""
     t = m._ranks()
     loops = mask_of(e for e in range(m.n) if t[bit(e)] == 0)
@@ -118,12 +119,8 @@ def _segments_of(m: Matroid) -> list[int]:
     return sorted(out, key=lex_key)
 
 
-def segments(m: Matroid) -> list[int]:
-    return _segments_of(m)
-
-
 def cosegments(m: Matroid) -> list[int]:
-    return _segments_of(m.dual())
+    return segments(m.dual())
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +254,7 @@ def _require_exact3(m: Matroid, p: int):
 
 
 def _inner_circuits(m: Matroid, p: int) -> set[int]:
-    out = set()
-    sub = p
-    while True:
-        if sub and _is_circuit(m, sub):
-            out.add(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & p
+    return {sub for sub in submasks(p) if sub and _is_circuit(m, sub)}
 
 
 def detect_spike_like(m: Matroid, p: int):

@@ -2,8 +2,10 @@
 enforcing its runtime budget.  Run with `pytest tests/test_acceptance.py -s`
 to see the per-criterion lines.
 
-Criteria 6 and 7 also compare their verdict lines, without `millis`, with
-the frozen ones in tests/golden/."""
+Criteria 2 to 7 also compare their verdict lines, without `millis`, with
+the frozen ones in tests/golden/.  The registry's file holds the per-check
+summary lines, as `verify registry` prints them, and then every verdict
+that is not vacuous; the summary counts pin the vacuous ones."""
 
 import re
 import time
@@ -40,9 +42,12 @@ REQUIRED_NONZERO = [
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def assert_golden(verdicts, name):
-    got = [re.sub(r" millis=\d+$", "", v.line()) for v in verdicts]
-    assert got == (GOLDEN / name).read_text().splitlines()
+def frozen(verdicts):
+    return [re.sub(r" millis=\d+$", "", v.line()) for v in verdicts]
+
+
+def golden(name):
+    return (GOLDEN / name).read_text().splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,11 @@ def test_criterion_2_lemma_registry(corpus):
     summary = registry_summary(verdicts)
     for check in REQUIRED_NONZERO:
         assert summary[check]["exercised"] > 0, check
+    lines = [f"check={c} pass={s['pass']} vacuous={s['vacuous']} "
+             f"fail={s['fail']} exercised={s['exercised']}"
+             for c, s in sorted(summary.items())]
+    lines += frozen(v for v in verdicts if v.outcome != "vacuous")
+    assert lines == golden("registry.txt")
     _report(2, "registry pass-or-vacuous with coverage", t0, 300)
 
 
@@ -87,6 +97,7 @@ def test_criterion_3_twisted_cube_replay():
     t0 = time.perf_counter()
     v = verify_construction_twisted()
     assert v.outcome == "pass"
+    assert frozen([v]) == golden("constructions.txt")[:1]
     _report(3, "twisted-cube construction replay", t0, 600)
 
 
@@ -94,6 +105,7 @@ def test_criterion_4_spiked_fano_replay():
     t0 = time.perf_counter()
     v = verify_construction_spike(4, include_free=True)
     assert v.outcome == "pass"
+    assert frozen([v]) == golden("constructions.txt")[1:]
     _report(4, "spiked-Fano construction replay, both variants", t0, 600)
 
 
@@ -103,6 +115,7 @@ def test_criterion_5_triangle_trichotomy_sweep(corpus):
     assert verdicts
     bad = [v for v in verdicts if v.outcome != "pass"]
     assert not bad, [v.line() for v in bad[:5]]
+    assert frozen(verdicts) == golden("triangles.txt")
     _report(5, f"trichotomy sweep over {len(verdicts)} pairs", t0, 1800)
 
 
@@ -114,7 +127,7 @@ def test_criterion_6_foundation_sweep(corpus):
     assert not bad, [v.line() for v in bad[:5]]
     names = {v.instance.split("|d=")[0] for v in verdicts}
     assert "twistedcube|nonfano" in names
-    assert_golden(verdicts, "foundation.txt")
+    assert frozen(verdicts) == golden("foundation.txt")
     _report(6, f"foundation sweep over {len(verdicts)} instances", t0, 1800)
 
 
@@ -124,7 +137,7 @@ def test_criterion_7_splitter_property(corpus):
     assert verdicts
     bad = [v for v in verdicts if v.outcome != "pass"]
     assert not bad, [v.line() for v in bad[:5]]
-    assert_golden(verdicts, "splitter.txt")
+    assert frozen(verdicts) == golden("splitter.txt")
     _report(7, f"splitter property over {len(verdicts)} pairs", t0, 600)
 
 

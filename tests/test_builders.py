@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from matroidkit.core import (AxiomViolation, bit, elems, is_isomorphic,
-                             mask_of, popcount, validate)
+from matroidkit.core import (AxiomViolation, Matroid, bit, elems,
+                             is_isomorphic, mask_of, popcount, validate)
 from matroidkit.builders import (BadElement, BadParams, NotAFlat,
                                  NotATriangle, NotATriad,
                                  NotCircuitHyperplane, RestrictionMismatch,
@@ -219,6 +219,16 @@ class TestParallelConnection:
     def test_restriction_mismatch(self):
         with pytest.raises(RestrictionMismatch):
             parallel_connection(fano(), uniform(2, 4), ["a", "b"])
+
+    def test_shared_labels_listed_in_another_order(self):
+        # on both sides T = {a, b, c} is a loop a and two free points; the
+        # second side lists T as b, c, a, a 3-cycle of the first's order
+        m1 = Matroid(4, [0b0110, 0b1010, 0b1100], ["a", "b", "c", "d"])
+        m2 = Matroid(4, [0b0011, 0b1001, 0b1010], ["b", "c", "a", "e"])
+        glued = parallel_connection(m1, m2, ["a", "b", "c"])
+        assert glued.labels == ("a", "b", "c", "d", "e")
+        assert glued.is_loop(0)
+        assert glued.delete(1) == uniform(2, 4, ["b", "c", "d", "e"])
 
     def test_triangle_modular_in_k4_but_not_in_spike(self):
         k4 = wheel(3)

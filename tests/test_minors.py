@@ -12,9 +12,8 @@ from matroidkit.builders import (fano, nonfano, paving8, spike,
 from matroidkit.minors import (HypothesisUnmet, NLabelling,
                                detachable_after_exchange, detachable_pairs,
                                element_status, grounded_triads,
-                               grounded_triangles, has_minor,
-                               has_minor_avoiding, labellings, switch_labels,
-                               verify_labelling)
+                               grounded_triangles, has_minor, labellings,
+                               switch_labels, verify_labelling)
 from matroidkit.structures import triangles
 
 
@@ -54,35 +53,19 @@ class TestHasMinor:
             count += 1
         assert count > 0
 
-    def test_constraints(self):
-        m = wheel(4)
-        n = wheel(3)
-        d = m.set_of(["s1"])
-        for lab in itertools.islice(
-                labellings(m, n, required_delete=d), 5):
-            assert lab.delete & d == d
-
     def test_survivor_cap(self):
         m = whirl(3)
         n = uniform(2, 4)
         region = m.set_of(["s1", "s2", "s3"])
-        for lab in labellings(m, n, survivor_cap=(region, 1)):
+        for lab in labellings(m, n, survivor_cap=region):
             assert popcount(region & ~(lab.contract | lab.delete)) <= 1
 
     def test_removed_cap(self):
         m = whirl(3)
         n = uniform(2, 4)
         region = m.set_of(["s1", "s2"])
-        for lab in labellings(m, n, removed_cap=(region, 0)):
-            assert (lab.contract | lab.delete) & region == 0
-
-    def test_avoiding_helper(self):
-        m = whirl(3)
-        n = uniform(2, 4)
-        region = m.set_of(["s1", "s2", "s3"])
-        lab = has_minor_avoiding(m, n, region, 1)
-        if lab is not None:
-            assert popcount(region & ~(lab.contract | lab.delete)) <= 1
+        for lab in labellings(m, n, removed_cap=region):
+            assert popcount((lab.contract | lab.delete) & region) <= 1
 
 
 class TestLabellingSearchBounds:
@@ -140,13 +123,10 @@ class TestMinorMemo:
         m = twisted_cube_matroid()
         nf = nonfano()
         p1 = m.set_of(["p1"])
-        region = 0b111  # the first three elements of M/p1
         has_minor(m.contract(p1), nf)
-        has_minor_avoiding(m.contract(p1), nf, region, 1)
         self._no_search(monkeypatch)
         fresh = m.contract(p1)
         has_minor(fresh, nf)
-        has_minor_avoiding(fresh, nf, region, 1)
         assert fresh._bases is None
 
     def _survivors(self, monkeypatch):
