@@ -9,9 +9,16 @@ is |X| - r(M) plus the parent's table reversed; their basis families are
 derived from the table on first use.
 Every structural query is a rank lookup, so scans over all subsets stay
 cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
-table (`Matroid._ranks`), and the subset-lattice kernels (`validate`,
-`circuits`) work on strided halves of the table, so no table-sized int64
-array or Python list is built even at n = 24.
+table (`Matroid._ranks`), and the subset-lattice kernels (`rank_table`,
+`validate`, `circuits`) work on strided views of the table, so no
+table-sized int64 array or Python list is built even at n = 24.
+
+Each of those kernels is a pass along every axis of the subset lattice
+that pairs X without i with X plus i, and every such pass goes through
+`_halves`.  On a short axis (bit i below 4) the two halves, taken as
+blocks, have rows of only 2^i elements, and a ufunc over them runs one
+tiny inner loop per row; so there `_halves` hands out one pair of long
+strided columns per offset instead.
 """
 
 from __future__ import annotations
@@ -101,26 +108,52 @@ def _popcount_table(n: int) -> np.ndarray:
     return pc
 
 
+# Below this half-width a pass goes column by column: numpy puts the
+# size-2^i axis of a block innermost, so each ufunc would run 2^n / 2^(i+1)
+# inner loops of 2^i elements, which costs far more than the arithmetic.
+_COLS = 16
+
+
+def _halves(a: np.ndarray, i: int):
+    """Pairs of views (X without i, X with i) of the flat 2^n table `a`.
+
+    Together the pairs cover every mask once: the first view of a pair
+    holds the X that miss bit i, the second the X + i at the same
+    positions.  For 2^i < _COLS they are 1-D columns, one pair per offset
+    b < 2^i (each a stride of 2^(i+1) entries); otherwise one pair of
+    (2^n / 2^(i+1), 2^i) blocks.  Only views are made, so writing to one
+    writes to `a`.
+    """
+    s = 1 << i
+    v = a.reshape(-1, 2 * s)
+    if s < _COLS:
+        for b in range(s):
+            yield v[:, b], v[:, s + b]
+    else:
+        yield v[:, :s], v[:, s:]
+
+
 def rank_table(n: int, bases) -> np.ndarray:
     """Full 2^n rank table of the independence system spanned by `bases`.
 
     rank[X] = size of the largest subset of X contained in some member of
     `bases`.  Valid for arbitrary equicardinal families, which is what lets
-    the axiom checker use it before matroidness is known.
+    the axiom checker use it before matroidness is known.  Both passes, the
+    OR that marks every subset of a member and the max that carries |I| up
+    to each superset, go along each axis through `_halves`, so the short
+    axes run column by column.
     """
     size = 1 << n
     pc = _popcount_table(n)
     indep = np.zeros(size, dtype=bool)
     indep[np.fromiter(bases, dtype=np.int64)] = True
     for i in range(n):
-        s = 1 << i
-        v = indep.reshape(-1, 2 * s)
-        v[:, :s] |= v[:, s:]
+        for lo, hi in _halves(indep, i):
+            lo |= hi
     g = np.where(indep, pc, np.int8(0))
     for i in range(n):
-        s = 1 << i
-        v = g.reshape(-1, 2 * s)
-        np.maximum(v[:, s:], v[:, :s], out=v[:, s:])
+        for lo, hi in _halves(g, i):
+            np.maximum(hi, lo, out=hi)
     return g
 
 
@@ -366,14 +399,17 @@ class Matroid:
     # -- circuits ------------------------------------------------------------
 
     def circuits(self) -> tuple[int, ...]:
+        """Circuit masks, ascending: the dependent sets X with X - i
+        independent for every i in X.  One minimality pass per axis, through
+        `_halves`, so the short axes go column by column."""
         if self._circuits is None:
             dep = self.table() < _popcount_table(self.n)
             mini = dep.copy()
             for i in range(self.n):
-                s = 1 << i
                 # a dependent X holding i is not minimal if X - i is dependent
-                v = mini.reshape(-1, 2 * s)
-                v[:, s:] &= ~dep.reshape(-1, 2 * s)[:, :s]
+                for (_, m_hi), (d_lo, _) in zip(_halves(mini, i),
+                                                _halves(dep, i)):
+                    m_hi &= ~d_lo
             self._circuits = tuple(np.flatnonzero(mini).tolist())
         return self._circuits
 
@@ -419,9 +455,10 @@ def validate(bases, n: int, labels=None) -> Matroid:
     equal |I|.  This is O(n * 2^n) vectorised, against O(|B|^2) for
     pairwise exchange.  The returned matroid keeps the table built here.
 
-    Per element i the masks without and with i are compared as the two
-    strided halves of the table, so the only table-sized arrays are the
-    int32 masks A and a few int8/bool tables.
+    Per element i the masks without and with i are compared as the views
+    `_halves` gives (strided columns on the short axes, whose blocks would
+    run one tiny inner loop per row; two blocks otherwise), so the only
+    table-sized arrays are the int32 masks A and a few int8/bool tables.
     """
     m = Matroid(n, bases, labels)
     tab = m.table()
@@ -429,10 +466,8 @@ def validate(bases, n: int, labels=None) -> Matroid:
     # ext[X] collects the elements i outside X with r(X + i) = r(X) + 1
     ext = np.zeros(1 << n, dtype=np.int32)
     for i in range(n):
-        s = 1 << i
-        v = tab.reshape(-1, 2 * s)
-        e = ext.reshape(-1, 2 * s)[:, :s]
-        np.bitwise_or(e, s, out=e, where=v[:, s:] == v[:, :s] + 1)
+        for (t_lo, t_hi), (e, _) in zip(_halves(tab, i), _halves(ext, i)):
+            np.bitwise_or(e, 1 << i, out=e, where=t_hi == t_lo + 1)
     ext ^= m.full  # now A = E - ext(X)
     bad = (tab == pc) & (tab[ext] != pc)
     if bad.any():

@@ -200,6 +200,10 @@ def elongated_quad_glued() -> Matroid:
 def random_sparse_paving(rng: random.Random, n: int, r: int) -> Matroid:
     """Seeded sparse paving matroid: a random independent family of r-sets
     meeting pairwise in at most r-2 elements, turned into circuit-hyperplanes."""
+    if n < 3:
+        # the target family size below is drawn from 3..n
+        raise builders.BadParams(
+            f"random_sparse_paving(n={n}, r={r}) needs n >= 3")
     cands = [mask_of(c) for c in itertools.combinations(range(n), r)]
     rng.shuffle(cands)
     target = rng.randint(3, n)

@@ -15,7 +15,7 @@ from matroidkit import builders, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
                              _exchange_witness, _popcount_table, bit, elems,
                              is_isomorphic, lex_key, mask_of, popcount,
-                             submasks, validate)
+                             rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
@@ -92,6 +92,33 @@ def ref_validate(bases, n, labels=None):
             f"maximal in {sorted(elems(a_mask))} but rank there is "
             f"{int(tab[a_mask])}", _exchange_witness(m.bases, i_mask, a_mask))
     return m
+
+
+def ref_rank_table(n, bases):
+    # the definition: r(X) = max over the members B of |X & B|
+    idx = np.arange(1 << n)
+    pc = _popcount_table(n)
+    out = np.zeros(1 << n, dtype=np.int8)
+    for b in bases:
+        np.maximum(out, pc[idx & b], out=out)
+    return out
+
+
+def ref_rank_table_blocks(n, bases):
+    # the per-axis passes with both halves taken as blocks on every axis,
+    # short ones included
+    indep = np.zeros(1 << n, dtype=bool)
+    indep[np.fromiter(bases, dtype=np.int64)] = True
+    for i in range(n):
+        s = 1 << i
+        v = indep.reshape(-1, 2 * s)
+        v[:, :s] |= v[:, s:]
+    g = np.where(indep, _popcount_table(n), np.int8(0))
+    for i in range(n):
+        s = 1 << i
+        v = g.reshape(-1, 2 * s)
+        np.maximum(v[:, s:], v[:, :s], out=v[:, s:])
+    return g
 
 
 def ref_circuits(m):
@@ -452,6 +479,44 @@ class TestTableKernelOracle:
             with pytest.raises(TypeError):
                 mat._ranks()[3] = 0
             assert mat.rank_of(3) == mat.table()[3]
+
+
+class TestRankTableOracle:
+    """`rank_table`, whose passes go column by column on the short axes,
+    against the definition and against the all-blocks kernel, on matroids
+    and non-matroids."""
+
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_agrees_with_the_definition(self, data):
+        n = data.draw(st.integers(3, 10))
+        r = data.draw(st.integers(1, n - 1))
+        rng = data.draw(st.randoms(use_true_random=False))
+        bases = _random_family(rng, n, r,
+                               data.draw(st.sampled_from(FAMILY_KINDS)))
+        got = rank_table(n, bases)
+        assert got.dtype == np.int8
+        assert got.tobytes() == ref_rank_table(n, bases).tobytes()
+        assert got.tobytes() == ref_rank_table_blocks(n, bases).tobytes()
+
+    @pytest.mark.parametrize("n", [20, 24])
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_large_tables_match_the_blocks_kernel(self, n, kind):
+        bases = _random_family(random.Random(n), n, 4, kind)
+        got = rank_table(n, bases)
+        assert got.tobytes() == ref_rank_table_blocks(n, bases).tobytes()
+
+
+class TestRandomSparsePaving:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_elements_is_bad_params(self, n):
+        with pytest.raises(BadParams, match=f"n={n}, r=1"):
+            random_sparse_paving(random.Random(0), n, 1)
+
+    def test_three_elements_is_a_matroid(self):
+        m = random_sparse_paving(random.Random(0), 3, 2)
+        assert (m.n, m.rank) == (3, 2)
 
 
 class TestMinorGatherOracle:
