@@ -5,6 +5,12 @@ spikes, the two glued constructions) this builds a handful of engineered
 fixtures that exercise hypotheses the catalog cannot reach: planes with
 triads inside, a hinged pair of planes, and small non-representable-style
 instances carrying each special 3-separator.
+
+The representable fixtures come from integer vectors through
+`from_vectors`, which decides every r-subset at once by batched
+fraction-free (Bareiss) elimination in int64; it accepts vectors whose
+Hadamard bound H = (sqrt(r) * max|a|)^r keeps H^2 below 2^63 (the corpus
+has max|a| = 9 at rank 5, so H^2 is about 1.1e13).
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import Matroid, mask_of, popcount, validate
+import numpy as np
+
+from .core import (MAX_GROUND, Matroid, _popcount_table, mask_of, popcount,
+                   validate)
 from .connectivity import is_3_connected
 from . import builders
 from .builders import (fano, graphic, nonfano, parallel_connection, paving,
@@ -29,33 +37,115 @@ class CorpusEntry:
     matroid: Matroid
 
 
-def _rank_exact(rows) -> int:
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+# r-subsets per batch of from_vectors: a (2^15, r, r) int64 stack is at
+# most 38 MB at r = 12, and every corpus instance fits in one batch
+_BLOCK = 1 << 15
+
+
+def _integer_rows(vectors) -> list[list[int]]:
+    """The vectors as lists of Python ints, all of one length."""
+    rows = [list(v) for v in vectors]
+    d = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != d:
+            raise builders.BadParams(
+                f"from_vectors: vector {i} {row} has {len(row)} "
+                f"coordinates, vector 0 has {d}")
+        if not all(isinstance(x, (int, np.integer))
+                   and not isinstance(x, bool) for x in row):
+            raise builders.BadParams(
+                f"from_vectors: vector {i} {row} has an entry that is not "
+                f"an integer")
+    return [[int(x) for x in row] for row in rows]
+
+
+def _pivot_coordinates(rows) -> list[int]:
+    """Pivot coordinates of one fraction-free elimination of all the rows.
+
+    There are r of them, r the rank of the rows, and the rows projected
+    onto them still have rank r, so the projection keeps every linear
+    dependency among the rows.  Python ints, so nothing overflows.
+    """
+    rows = [row[:] for row in rows]
+    d = len(rows[0]) if rows else 0
+    cols, prev = [], 1
+    for c in range(d):
+        k = len(cols)
+        p = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        rows[k], rows[p] = rows[p], rows[k]
+        piv = rows[k][c]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(piv * x - f * y) // prev
+                       for x, y in zip(rows[i], rows[k])]
+        prev = piv
+        cols.append(c)
+    return cols
+
+
+def _nonsingular(mats: np.ndarray) -> np.ndarray:
+    """Indices of the nonsingular matrices in a (B, r, r) int64 stack.
+
+    Batched Bareiss elimination, one numpy pass per column: each matrix
+    swaps in the first row at or below the diagonal with a nonzero entry
+    in the column, and one with no such row is singular and dropped.  The
+    update (piv * a - a_ic * a_cj) // prev is exact, and every entry it
+    makes is a minor of the matrix.
+    """
+    live = np.arange(len(mats))
+    prev = np.ones(len(mats), dtype=np.int64)
+    r = mats.shape[1]
+    for k in range(r):
+        nz = mats[:, k:, k] != 0
+        has = nz.any(axis=1)
+        live, mats, nz, prev = live[has], mats[has], nz[has], prev[has]
+        p = k + nz.argmax(axis=1)
+        at = np.arange(len(mats))
+        mats[at, p], mats[:, k] = mats[:, k].copy(), mats[at, p]
+        low = mats[:, k + 1:, k + 1:]
+        low *= mats[:, k, k, None, None]
+        low -= mats[:, k + 1:, k, None] * mats[:, k, None, k + 1:]
+        low //= prev[:, None, None]
+        prev = mats[:, k, k]
+    return live
 
 
 def from_vectors(vectors, labels) -> Matroid:
-    """Linear matroid of integer coordinate vectors, validated."""
+    """Linear matroid of integer coordinate vectors, validated.
+
+    One fraction-free elimination of all the vectors finds their rank r and
+    r pivot coordinates; projected onto those, the vectors keep every
+    dependency.  The r x r matrices of all r-subsets then go through one
+    batched Bareiss elimination (`_nonsingular`), and the nonsingular ones
+    are the bases.  Every Bareiss intermediate is a minor of absolute value
+    at most H = (sqrt(r) * max|a|)^r (Hadamard), and int64 holds the
+    products of two of them while H^2 < 2^63; vectors past that bound, of
+    unequal lengths or with entries that are not integers (bools included)
+    raise BadParams.
+    """
     n = len(vectors)
-    r = _rank_exact(vectors)
-    bases = [mask_of(c) for c in itertools.combinations(range(n), r)
-             if _rank_exact([vectors[i] for i in c]) == r]
+    if n > MAX_GROUND:
+        raise builders.BadParams(
+            f"from_vectors: {n} vectors, more than {MAX_GROUND}")
+    rows = _integer_rows(vectors)
+    cols = _pivot_coordinates(rows)
+    r = len(cols)
+    amax, big = max(((abs(x), i) for i, row in enumerate(rows) for x in row),
+                    default=(0, 0))
+    if (r * amax * amax) ** r >= 1 << 63:
+        raise builders.BadParams(
+            f"from_vectors: vector {big} {rows[big]} has an entry of size "
+            f"{amax}, past the int64 bound at rank {r}")
+    a = np.array([[row[c] for c in cols] for row in rows],
+                 dtype=np.int64).reshape(n, r)
+    subsets = np.flatnonzero(_popcount_table(n) == r)
+    bases = []
+    for lo in range(0, len(subsets), _BLOCK):
+        block = subsets[lo:lo + _BLOCK]
+        ids = np.nonzero((block[:, None] >> np.arange(n)) & 1)[1]
+        bases += block[_nonsingular(a[ids.reshape(len(block), r)])].tolist()
     return validate(bases, n, labels)
 
 

@@ -1,6 +1,7 @@
 """Harness-level behaviour: registry plumbing, verifier hypothesis gates,
 corpus determinism."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,25 @@ from matroidkit.cli import serialize
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def corpus_lines(seed, max_n=16):
+    """One line per corpus entry: name, size, rank, labels and the sha256
+    of the rank table's bytes."""
+    out = []
+    for e in generate_corpus(seed, max_n=max_n):
+        m = e.matroid
+        digest = hashlib.sha256(m.table().tobytes()).hexdigest()
+        out.append(f"seed={seed} name={e.name} n={m.n} rank={m.rank} "
+                   f"labels={','.join(m.labels)} table_sha256={digest}")
+    return out
+
+
 class TestCorpus:
+    def test_matches_golden(self):
+        # frozen from a Fraction elimination per r-subset, the method of
+        # ref_from_vectors in test_oracles.py
+        lines = corpus_lines(0) + corpus_lines(11)
+        assert lines == (GOLDEN / "corpus.txt").read_text().splitlines()
+
     def test_deterministic(self):
         a = generate_corpus(7, max_n=12)
         b = generate_corpus(7, max_n=12)

@@ -6,6 +6,7 @@ must agree with the production path exactly.
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from matroidkit.builders import (BadParams, NotModularFlat,
                                  wye_delta)
 from matroidkit.connectivity import (cyclic_3_separations, is_3_connected,
                                      vertical_3_separations)
-from matroidkit.corpus import generate_corpus, random_sparse_paving
+from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
+                               from_vectors, generate_corpus,
+                               random_sparse_paving)
 from matroidkit.minors import (NLabelling, all_triples_grounded,
                                grounded_triads, grounded_triangles, has_minor,
                                labellings)
@@ -292,6 +295,36 @@ def ref_vertical_triples(m):
             out.append((x, z, y))
     out.sort(key=lambda triple: (triple[1], lex_key(triple[0])))
     return out
+
+
+def ref_rank_exact(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def ref_from_vectors(vectors, labels):
+    # one Fraction elimination per r-subset of the vectors
+    n = len(vectors)
+    r = ref_rank_exact(vectors)
+    bases = [mask_of(c) for c in itertools.combinations(range(n), r)
+             if ref_rank_exact([vectors[i] for i in c]) == r]
+    return validate(bases, n, labels)
 
 
 def assert_same(got, want):
@@ -805,3 +838,98 @@ class TestVerticalTriplesOracle:
         for r in (0, 1):
             m = uniform(r, 1)
             assert vertical_3_separations(m) == ref_vertical_triples(m) == []
+
+
+def _same_linear_matroid(vectors):
+    labels = [f"v{i}" for i in range(len(vectors))]
+    got = from_vectors(vectors, labels)
+    want = ref_from_vectors(vectors, labels)
+    assert got.labels == want.labels
+    assert got.bases == want.bases
+    assert got.table().tobytes() == want.table().tobytes()
+    return got
+
+
+class TestFromVectorsOracle:
+    """`from_vectors`, one batched Bareiss pass over every r-subset, against
+    a Fraction elimination per r-subset."""
+
+    @settings(max_examples=120, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_agrees_with_fraction_elimination(self, data):
+        # rank at most r in d = r..r+2 coordinates: each coordinate past
+        # the first r repeats one of them, then the coordinates are shuffled
+        n = data.draw(st.integers(1, 10))
+        r = data.draw(st.integers(0, 5))
+        d = data.draw(st.integers(r, r + 2))
+        copies = data.draw(st.lists(st.integers(0, max(r - 1, 0)),
+                                    min_size=d - r, max_size=d - r))
+        perm = data.draw(st.permutations(range(d)))
+        vectors = []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(
+                ["free", "free", "zero", "repeat"]))
+            if kind == "repeat" and vectors:
+                vectors.append(list(data.draw(st.sampled_from(vectors))))
+                continue
+            core = [0] * r if kind == "zero" else data.draw(
+                st.lists(st.integers(-4, 4), min_size=r, max_size=r))
+            row = core + [core[j] if r else 0 for j in copies]
+            vectors.append([row[j] for j in perm])
+        _same_linear_matroid(vectors)
+
+    def test_all_zero_vectors(self):
+        m = _same_linear_matroid([[0, 0, 0]] * 4)
+        assert (m.rank, m.bases) == (0, (0,))
+
+    def test_single_vector(self):
+        assert _same_linear_matroid([[0, -3]]).bases == (1,)
+        assert _same_linear_matroid([[0, 0]]).bases == (0,)
+
+    def test_pivot_coordinates_skip_a_dependent_leading_coordinate(self):
+        # coordinate 1 repeats coordinate 0, so of the first r = 2
+        # coordinates only one is a pivot and the third must be taken
+        vectors = [[1, 1, 0], [2, 2, 1], [0, 0, 1], [1, 1, 1]]
+        assert _pivot_coordinates(vectors) == [0, 2]
+        assert _same_linear_matroid(vectors).rank == 2
+
+    def test_row_swap_at_the_first_column(self):
+        mats = np.array([[[0, 1], [1, 0]], [[0, 1], [0, 2]],
+                         [[0, 2], [3, 1]], [[2, 4], [1, 2]]])
+        assert _nonsingular(mats).tolist() == [0, 2]
+        assert _same_linear_matroid([[0, 1], [1, 0]]).bases == (3,)
+
+
+class TestFromVectorsContract:
+    def test_ragged_rows(self):
+        with pytest.raises(BadParams, match=r"vector 2 \[1\] has 1"):
+            from_vectors([[1, 0], [0, 1], [1]], "abc")
+
+    @pytest.mark.parametrize("bad", [1.0, Fraction(1), True, np.True_, "1"])
+    def test_entries_must_be_integers(self, bad):
+        with pytest.raises(BadParams, match="vector 1 .* not an integer"):
+            from_vectors([[1, 0], [0, bad]], "ab")
+
+    def test_numpy_integers_are_integers(self):
+        m = from_vectors(np.array([[1, 0], [0, 1], [1, 1]]), "abc")
+        assert m == from_vectors([[1, 0], [0, 1], [1, 1]], "abc")
+
+    def test_hadamard_bound(self):
+        # (r * max|a|^2)^r must stay below 2^63: at r = 2, max|a| <= 38967
+        vectors = [[38967, 38967], [38967, -38967], [1, 0]]
+        assert _same_linear_matroid(vectors).bases == (3, 5, 6)
+        with pytest.raises(BadParams, match="vector 1 .* int64 bound"):
+            from_vectors([[1, 0], [0, -38968]], "ab")
+        with pytest.raises(BadParams, match="vector 1 "):
+            from_vectors([[1, 0, 0], [0, 2 ** 70, 0]], "ab")
+
+    def test_constructor_errors_stay(self):
+        with pytest.raises(ValueError, match="ground set size 0"):
+            from_vectors([], [])
+        with pytest.raises(ValueError, match="labels"):
+            from_vectors([[1], [2]], "a")
+
+    def test_more_vectors_than_the_cap(self):
+        with pytest.raises(BadParams, match="25 vectors"):
+            from_vectors([[1]] * 25, [f"e{i}" for i in range(25)])
