@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .core import (AxiomViolation, Matroid, MatroidError, _popcount_table,
+from .core import (AxiomViolation, Matroid, MatroidError, _masks_of_size,
                    bit, elems, mask_of, popcount, validate)
 from .structures import is_triad, is_triangle
 
@@ -345,7 +345,7 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
                 - tab1[f & t1])
 
     r = int(rank_all(np.array([(1 << n) - 1]))[0])
-    cand = np.flatnonzero(_popcount_table(n) == r)
+    cand = _masks_of_size(n, r)
     bases = cand[rank_all(cand) == r].tolist()
     try:
         glued = validate(bases, n, labels)

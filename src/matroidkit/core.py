@@ -10,11 +10,13 @@ derived from the table on first use.
 Every structural query is a rank lookup, so scans over all subsets stay
 cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
 table (`Matroid._ranks`), and the subset-lattice kernels (`rank_table`,
-`validate`, `circuits`) work on strided views of the table, so no
-table-sized int64 array or Python list is built even at n = 24.
+`circuits`) work on strided views of the table, so no table-sized int64
+array or Python list is built even at n = 24.  Queries about the sets of
+one size k (the bases, `validate`'s independent (r-1)-sets) gather from
+the table at the shared, ascending mask array `_masks_of_size(n, k)`.
 
-Each of those kernels is a pass along every axis of the subset lattice
-that pairs X without i with X plus i, and every such pass goes through
+Each subset-lattice kernel is a pass along every axis of the lattice that
+pairs X without i with X plus i, and every such pass goes through
 `_halves`.  On a short axis (bit i below 4) the two halves, taken as
 blocks, have rows of only 2^i elements, and a ufunc over them runs one
 tiny inner loop per row; so there `_halves` hands out one pair of long
@@ -106,6 +108,14 @@ def _popcount_table(n: int) -> np.ndarray:
         pc[s:2 * s] = pc[:s] + 1
     pc.flags.writeable = False
     return pc
+
+
+@functools.cache
+def _masks_of_size(n: int, k: int) -> np.ndarray:
+    """Read-only ascending masks X < 2^n with |X| = k, shared per (n, k)."""
+    masks = np.flatnonzero(_popcount_table(n) == k)
+    masks.flags.writeable = False
+    return masks
 
 
 # Below this half-width a pass goes column by column: numpy puts the
@@ -221,10 +231,8 @@ class Matroid:
     def bases(self) -> tuple[int, ...]:
         """Basis masks, ascending."""
         if self._bases is None:
-            pc = _popcount_table(self.n)
-            r = self.rank
-            self._bases = tuple(
-                np.flatnonzero((self._tab == r) & (pc == r)).tolist())
+            sets = _masks_of_size(self.n, self.rank)
+            self._bases = tuple(sets[self._tab[sets] == self.rank].tolist())
         return self._bases
 
     # -- identity ----------------------------------------------------------
@@ -449,48 +457,40 @@ class Matroid:
 def validate(bases, n: int, labels=None) -> Matroid:
     """Check the basis axioms exhaustively and return the matroid.
 
-    Equicardinality is checked by the constructor.  Exchange is checked
-    through the equivalent purity criterion: for every independent set I
-    that cannot be extended inside A = E - (ext(I) - I), the rank of A must
-    equal |I|.  This is O(n * 2^n) vectorised, against O(|B|^2) for
-    pairwise exchange.  The returned matroid keeps the table built here.
-
-    Per element i the masks without and with i are compared as the views
-    `_halves` gives (strided columns on the short axes, whose blocks would
-    run one tiny inner loop per row; two blocks otherwise), so the only
-    table-sized arrays are the int32 masks A and a few int8/bool tables.
+    Equicardinality is checked by the constructor.  Exchange fails at
+    (B1, B2, x) exactly when the independent (r-1)-set I = B1 - x spans a
+    basis: its closure cl(I), I plus every y with I + y dependent, has
+    rank r.  So only the independent (r-1)-sets are checked, with one
+    gather per element over them; beyond building the table, which the
+    returned matroid keeps, nothing runs over all 2^n masks but the first
+    `_masks_of_size` call for each (n, k).  For the first
+    failing I (in mask order) the witness is (B1, B2, x): the least basis
+    B1 holding I, the least basis B2 inside cl(I), and x = B1 - I.
     """
     m = Matroid(n, bases, labels)
+    r = m.rank
+    if r == 0:
+        return m
     tab = m.table()
-    pc = _popcount_table(n)
-    # ext[X] collects the elements i outside X with r(X + i) = r(X) + 1
-    ext = np.zeros(1 << n, dtype=np.int32)
+    sets = _masks_of_size(n, r - 1)
+    ind = sets[tab[sets] == r - 1]
+    # ext[I] collects the elements i with I + i a basis
+    ext = np.zeros_like(ind)
     for i in range(n):
-        for (t_lo, t_hi), (e, _) in zip(_halves(tab, i), _halves(ext, i)):
-            np.bitwise_or(e, 1 << i, out=e, where=t_hi == t_lo + 1)
-    ext ^= m.full  # now A = E - ext(X)
-    bad = (tab == pc) & (tab[ext] != pc)
-    if bad.any():
-        i_mask = int(bad.argmax())
-        a_mask = int(ext[i_mask])
-        witness = _exchange_witness(m.bases, i_mask, a_mask)
+        np.bitwise_or(ext, 1 << i, out=ext, where=tab[ind | 1 << i] == r)
+    bad = np.flatnonzero(tab[m.full ^ ext] != r - 1)
+    if bad.size:
+        i_mask, e = int(ind[bad[0]]), int(ext[bad[0]])
+        cl = m.full ^ e
+        x = (e & -e).bit_length() - 1
+        r_sets = _masks_of_size(n, r)
+        inside = r_sets[r_sets & ~cl == 0]
+        b2 = int(inside[tab[inside] == r][0])
         raise AxiomViolation(
             f"exchange fails: independent set {sorted(elems(i_mask))} is "
-            f"maximal in {sorted(elems(a_mask))} but rank there is "
-            f"{int(tab[a_mask])}", witness)
+            f"maximal in {sorted(elems(cl))} but rank there is {r}",
+            (i_mask | 1 << x, b2, x))
     return m
-
-
-def _exchange_witness(bases, i_mask, a_mask):
-    """Try to upgrade a purity failure to a literal exchange triple."""
-    bset = set(bases)
-    for b1 in bases:
-        for b2 in bases:
-            for x in elems(b1 & ~b2):
-                if not any((b1 ^ (1 << x)) | (1 << y) in bset
-                           for y in elems(b2 & ~b1)):
-                    return (b1, b2, x)
-    return (i_mask, a_mask, None)
 
 
 # ---------------------------------------------------------------------------

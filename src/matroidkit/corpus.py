@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_GROUND, Matroid, _popcount_table, mask_of, popcount,
+from .core import (MAX_GROUND, Matroid, _masks_of_size, mask_of, popcount,
                    validate)
 from .connectivity import is_3_connected
 from . import builders
@@ -140,7 +140,7 @@ def from_vectors(vectors, labels) -> Matroid:
             f"{amax}, past the int64 bound at rank {r}")
     a = np.array([[row[c] for c in cols] for row in rows],
                  dtype=np.int64).reshape(n, r)
-    subsets = np.flatnonzero(_popcount_table(n) == r)
+    subsets = _masks_of_size(n, r)
     bases = []
     for lo in range(0, len(subsets), _BLOCK):
         block = subsets[lo:lo + _BLOCK]

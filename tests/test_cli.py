@@ -1,10 +1,12 @@
 """File format round-trips and command behaviour, including the three
 documented examples pinned byte-for-byte."""
 
+import time
+
 import pytest
 
 from matroidkit.cli import ParseError, main, parse, serialize
-from matroidkit.core import is_isomorphic
+from matroidkit.core import Matroid, is_isomorphic
 from matroidkit.builders import paving8, uniform
 from matroidkit.corpus import generate_corpus
 
@@ -122,6 +124,21 @@ class TestCommands:
         rc = main(["analyze", str(bad)])
         assert rc == 2
         assert "error=" in capsys.readouterr().err
+
+    def test_exchange_failure_is_one_error_line(self, tmp_path, capsys):
+        # U(6,14) without its two last bases fails exchange only at the last
+        # independent 5-set, behind 3,001 bases
+        u = uniform(6, 14)
+        bad = tmp_path / "u614-2.mtx"
+        bad.write_text(serialize(Matroid(14, u.bases[:-2], u.labels), "bad"))
+        t0 = time.perf_counter()
+        rc = main(["analyze", str(bad)])
+        wall = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error=AxiomViolation detail=exchange fails")
+        assert wall < 2.0, f"{wall:.1f} s"
 
     def test_construct_dual_and_exchange(self, tmp_path, capsys):
         assert main(["construct", "wheel 3"]) == 0

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
-                             _exchange_witness, _popcount_table, bit, elems,
-                             is_isomorphic, lex_key, mask_of, popcount,
-                             rank_table, submasks, validate)
+                             _popcount_table, bit, elems, is_isomorphic,
+                             lex_key, mask_of, popcount, rank_table,
+                             submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
@@ -75,9 +75,38 @@ def brute_exchange_ok(bases, n):
 
 
 def ref_validate(bases, n, labels=None):
-    # the purity criterion over int64 index and mask arrays, one gather per bit
+    # exchange fails iff an independent (r-1)-set I spans a basis: scan the
+    # (r-1)-sets in mask order, build cl(I) by per-element lookups, and take
+    # the least bases holding I and inside cl(I) by scanning all r-sets
     m = Matroid(n, bases, labels)
-    full = m.full
+    r, t = m.rank, m._ranks()
+    if r == 0:
+        return m
+    r_sets = sorted(map(mask_of, itertools.combinations(range(n), r)))
+    for i_mask in sorted(map(mask_of,
+                             itertools.combinations(range(n), r - 1))):
+        if t[i_mask] != r - 1:
+            continue
+        cl = i_mask
+        for y in range(n):
+            if t[i_mask | bit(y)] == r - 1:
+                cl |= bit(y)
+        if t[cl] == r - 1:
+            continue
+        b1 = next(b for b in r_sets if b & i_mask == i_mask and t[b] == r)
+        b2 = next(b for b in r_sets if b & ~cl == 0 and t[b] == r)
+        raise AxiomViolation(
+            f"exchange fails: independent set {sorted(elems(i_mask))} is "
+            f"maximal in {sorted(elems(cl))} but rank there is {t[cl]}",
+            (b1, b2, elems(b1 ^ i_mask)[0]))
+    return m
+
+
+def purity_ok(bases, n):
+    # the verdict of the full purity criterion over int64 index and mask
+    # arrays, one gather per bit: every independent I that cannot be
+    # extended inside A = E - (ext(I) - I) has rank(A) = |I|
+    m = Matroid(n, bases)
     tab = m.table()
     pc = _popcount_table(n)
     idx = np.arange(1 << n, dtype=np.int64)
@@ -86,15 +115,18 @@ def ref_validate(bases, n, labels=None):
         b = 1 << i
         grows = (tab[idx | b] == tab + 1) & ((idx & b) == 0)
         ext[grows] |= b
-    bad = (tab == pc) & (tab[full ^ ext] != pc)
-    if bad.any():
-        i_mask = int(np.nonzero(bad)[0][0])
-        a_mask = full ^ int(ext[i_mask])
-        raise AxiomViolation(
-            f"exchange fails: independent set {sorted(elems(i_mask))} is "
-            f"maximal in {sorted(elems(a_mask))} but rank there is "
-            f"{int(tab[a_mask])}", _exchange_witness(m.bases, i_mask, a_mask))
-    return m
+    return not ((tab == pc) & (tab[m.full ^ ext] != pc)).any()
+
+
+def assert_real_exchange_failure(witness, bases):
+    # B1 and B2 are members, x is in B1 - B2, and no y in B2 - B1 makes
+    # B1 - x + y a member
+    b1, b2, x = witness
+    bset = set(bases)
+    assert b1 in bset and b2 in bset, witness
+    assert b1 & ~b2 & bit(x), witness
+    assert not any((b1 ^ bit(x)) | bit(y) in bset for y in elems(b2 & ~b1)), \
+        witness
 
 
 def ref_rank_table(n, bases):
@@ -419,6 +451,7 @@ class TestValidateOracle:
             k = rng.randint(1, 6)
             fam = sorted(rng.sample(all_sets, k))
             want = brute_exchange_ok(fam, n)
+            assert purity_ok(fam, n) == want, fam
             try:
                 validate(fam, n)
                 got = True
@@ -426,17 +459,19 @@ class TestValidateOracle:
                 got = False
             assert got == want, fam
 
-    def test_witness_is_a_real_violation(self):
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.data())
+    def test_witness_is_a_real_violation(self, data):
+        fixed = [0b00011, 0b01100, 0b11000]
+        with pytest.raises(AxiomViolation) as err:
+            validate(fixed, 5)
+        assert_real_exchange_failure(err.value.witness, fixed)
+        n, bases = _draw_family(data)
         try:
-            validate([0b00011, 0b01100, 0b11000], 5)
-        except AxiomViolation as err:
-            b1, b2, x = err.witness
-            if x is not None:
-                bset = {0b00011, 0b01100, 0b11000}
-                assert not any((b1 ^ bit(x)) | bit(y) in bset
-                               for y in elems(b2 & ~b1))
-        else:
-            raise AssertionError("family should fail exchange")
+            validate(bases, n)
+        except AxiomViolation as exc:
+            assert_real_exchange_failure(exc.witness, bases)
 
 
 class TestDerivedCaches:
@@ -471,21 +506,39 @@ def _validate_outcome(check, bases, n):
 FAMILY_KINDS = ("matroid", "dropped", "random")
 
 
+def _draw_family(data):
+    n = data.draw(st.integers(3, 10))
+    r = data.draw(st.integers(1, n - 1))
+    rng = data.draw(st.randoms(use_true_random=False))
+    return n, _random_family(rng, n, r,
+                             data.draw(st.sampled_from(FAMILY_KINDS)))
+
+
+def _check_validate(bases, n):
+    # byte-equal to the scalar oracle, with the verdict of the full purity
+    # pass and of pairwise exchange and a real witness; True when the
+    # family fails
+    got = _validate_outcome(validate, bases, n)
+    assert got == _validate_outcome(ref_validate, bases, n), bases
+    failed = isinstance(got[0], str)
+    assert failed != purity_ok(bases, n), bases
+    assert failed != brute_exchange_ok(bases, n), bases
+    if failed:
+        assert_real_exchange_failure(got[1], bases)
+    return failed
+
+
 class TestTableKernelOracle:
-    """The stride-based `validate` and `circuits` against the int64 index
-    version and the definition, on matroids and non-matroids."""
+    """`validate` against its scalar oracle, the full purity pass and
+    pairwise exchange, and the stride-based `circuits` against the
+    definition, on matroids and non-matroids."""
 
     @settings(max_examples=80, deadline=None, database=None,
               derandomize=True)
     @given(st.data())
     def test_validate_and_circuits_agree(self, data):
-        n = data.draw(st.integers(3, 10))
-        r = data.draw(st.integers(1, n - 1))
-        rng = data.draw(st.randoms(use_true_random=False))
-        bases = _random_family(rng, n, r,
-                               data.draw(st.sampled_from(FAMILY_KINDS)))
-        assert _validate_outcome(validate, bases, n) == \
-            _validate_outcome(ref_validate, bases, n)
+        n, bases = _draw_family(data)
+        _check_validate(bases, n)
         m = Matroid(n, bases)
         assert m.circuits() == ref_circuits(m)
         assert m.dual().circuits() == ref_circuits(m.dual())
@@ -497,9 +550,7 @@ class TestTableKernelOracle:
             n = rng.randint(3, 10)
             bases = _random_family(rng, n, rng.randint(1, n - 1),
                                    rng.choice(FAMILY_KINDS))
-            got = _validate_outcome(validate, bases, n)
-            assert got == _validate_outcome(ref_validate, bases, n), bases
-            verdicts.append(isinstance(got[0], str))
+            verdicts.append(_check_validate(bases, n))
         assert 20 <= sum(verdicts) <= 130
 
     def test_tables_are_read_only(self):

@@ -12,6 +12,8 @@ from matroidkit.connectivity import is_3_connected
 from matroidkit.harness import verify_theorem_main
 from matroidkit.minors import detachable_pairs
 
+from test_cap import check_exchange_failure_within_bounds
+
 pytestmark = pytest.mark.slow
 
 
@@ -37,3 +39,8 @@ def test_rank5_spike_construction_has_no_direct_pairs():
     m = spiked_fano(5)
     assert is_3_connected(m)
     assert detachable_pairs(m, fano()) == []
+
+
+def test_rank11_exchange_failure_at_the_cap():
+    # the largest basis family at the cap: C(24, 11) - 2 bases, about 0.5 s
+    check_exchange_failure_within_bounds(11)
