@@ -11,8 +11,8 @@ import itertools
 
 import numpy as np
 
-from .core import (AxiomViolation, Matroid, MatroidError, _masks_of_size,
-                   bit, elems, mask_of, popcount, validate)
+from .core import (MAX_GROUND, AxiomViolation, Matroid, MatroidError,
+                   _masks_of_size, bit, elems, mask_of, popcount, validate)
 from .structures import is_triad, is_triangle
 
 
@@ -85,8 +85,8 @@ def paving(r: int, n: int, nonspanning_circuits, labels=None) -> Matroid:
 def graphic(n_vertices: int, edges, labels=None) -> Matroid:
     """Cycle matroid of a multigraph given as a list of vertex pairs."""
     ne = len(edges)
-    if ne == 0 or ne > 24:
-        raise BadParams("need between 1 and 24 edges")
+    if ne == 0 or ne > MAX_GROUND:
+        raise BadParams(f"need between 1 and {MAX_GROUND} edges")
 
     def ncomp(edge_idx):
         parent = list(range(n_vertices))
@@ -118,8 +118,8 @@ def wheel(r: int) -> Matroid:
     """Cycle matroid of the wheel with r spokes; elements s1..sr, r1..rr."""
     if r < 2:
         raise BadParams("wheel needs r >= 2")
-    if 2 * r > 24:
-        raise BadParams("wheel too large for the 24-element cap")
+    if 2 * r > MAX_GROUND:
+        raise BadParams(f"wheel too large for the {MAX_GROUND}-element cap")
     edges = [(0, i + 1) for i in range(r)]
     edges += [(i + 1, (i + 1) % r + 1) for i in range(r)]
     labels = [f"s{i+1}" for i in range(r)] + [f"r{i+1}" for i in range(r)]
@@ -157,8 +157,8 @@ def spike(r: int) -> Matroid:
     if r < 3:
         raise BadParams("spike needs r >= 3")
     n = 2 * r + 1
-    if n > 24:
-        raise BadParams("spike too large for the 24-element cap")
+    if n > MAX_GROUND:
+        raise BadParams(f"spike too large for the {MAX_GROUND}-element cap")
 
     def rank_of(ids):
         touched = set()
@@ -188,8 +188,8 @@ def spike(r: int) -> Matroid:
 def parallel_add(m: Matroid, e: int, label: str) -> Matroid:
     if m.is_loop(e):
         raise BadElement("cannot add an element parallel to a loop")
-    if m.n + 1 > 24:
-        raise BadParams("ground set would exceed 24 elements")
+    if m.n + 1 > MAX_GROUND:
+        raise BadParams(f"ground set would exceed {MAX_GROUND} elements")
     be, bn = bit(e), bit(m.n)
     bases = set(m.bases)
     bases |= {b ^ be | bn for b in m.bases if b & be}
@@ -202,19 +202,33 @@ def series_add(m: Matroid, e: int, label: str) -> Matroid:
     return parallel_add(m.dual(), e, label).dual()
 
 
+def _closure_all(tab: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Closure of every mask in `x` under the rank table `tab`."""
+    rx = tab[x]
+    out = x.copy()
+    for i in range(n):
+        out |= np.where(tab[x | (1 << i)] == rx, 1 << i, 0)
+    return out
+
+
+def _extended_bases(m: Matroid, off_cut) -> set[int]:
+    """Bases of m extended by a new element e = n: those of m, and I + e for
+    each independent (r-1)-set I whose closure, a hyperplane, is off the
+    modular cut, as `off_cut` tells for an array of hyperplanes."""
+    if m.n + 1 > MAX_GROUND:
+        raise BadParams(f"ground set would exceed {MAX_GROUND} elements")
+    t = m.table()
+    sets = _masks_of_size(m.n, m.rank - 1)
+    sets = sets[t[sets] == m.rank - 1]
+    new = sets[off_cut(_closure_all(t, sets, m.n))] | bit(m.n)
+    return set(m.bases) | set(new.tolist())
+
+
 def principal_extension(m: Matroid, f: int, label: str) -> Matroid:
     """Extend by one element freely placed on the flat f."""
     if m.closure(f) != f:
         raise NotAFlat(f"{m.fmt(f)} is not closed")
-    if m.n + 1 > 24:
-        raise BadParams("ground set would exceed 24 elements")
-    t = m._ranks()
-    bn = bit(m.n)
-    bases = set(m.bases)
-    for combo in itertools.combinations(range(m.n), m.rank - 1):
-        x = mask_of(combo)
-        if t[x] == m.rank - 1 and (m.closure(x) & f) != f:
-            bases.add(x | bn)
+    bases = _extended_bases(m, lambda hyps: (hyps & f) != f)
     return Matroid(m.n + 1, bases, m.labels + (label,))
 
 
@@ -237,8 +251,7 @@ def modular_cut_extension(m: Matroid, generating_flats, label: str) -> Matroid:
     if not gens:
         raise BadParams("need at least one generating flat")
     t = m._ranks()
-    flats = _all_flats(m)
-    cut = {f for f in flats if any(f & g == g for g in gens)}
+    cut = {f for f in _all_flats(m) if any(f & g == g for g in gens)}
     changed = True
     while changed:
         changed = False
@@ -246,14 +259,7 @@ def modular_cut_extension(m: Matroid, generating_flats, label: str) -> Matroid:
             if t[f] + t[g] == t[m.closure(f | g)] + t[f & g] and (f & g) not in cut:
                 cut.add(f & g)
                 changed = True
-    if m.n + 1 > 24:
-        raise BadParams("ground set would exceed 24 elements")
-    bn = bit(m.n)
-    bases = set(m.bases)
-    for combo in itertools.combinations(range(m.n), m.rank - 1):
-        x = mask_of(combo)
-        if t[x] == m.rank - 1 and m.closure(x) not in cut:
-            bases.add(x | bn)
+    bases = _extended_bases(m, lambda hyps: ~np.isin(hyps, list(cut)))
     try:
         return validate(bases, m.n + 1, m.labels + (label,))
     except AxiomViolation as exc:
@@ -269,15 +275,6 @@ def is_modular_flat(m: Matroid, f: int) -> bool:
     t = m._ranks()
     return all(t[f] + t[g] == t[m.closure(f | g)] + t[f & g]
                for g in _all_flats(m))
-
-
-def _closure_all(tab: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Closure of every mask in `x` under the rank table `tab`."""
-    rx = tab[x]
-    out = x.copy()
-    for i in range(n):
-        out |= np.where(tab[x | (1 << i)] == rx, 1 << i, 0)
-    return out
 
 
 def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
@@ -307,8 +304,9 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
     n1 = m1.n
     tail = [i for i in range(m2.n) if not (t2 >> i) & 1]
     n = n1 + len(tail)
-    if n > 24:
-        raise BadParams("glued ground set would exceed 24 elements")
+    if n > MAX_GROUND:
+        raise BadParams(
+            f"glued ground set would exceed {MAX_GROUND} elements")
     labels = list(m1.labels) + [m2.labels[i] for i in tail]
     if len(set(labels)) != n:
         raise RestrictionMismatch("non-T labels of the two sides collide")

@@ -27,8 +27,9 @@ from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
                        spike, spiked_fano, twisted_cube_matroid, uniform,
                        wheel, whirl, wye_delta)
 from .connectivity import _lambda_all, is_3_connected
-from .structures import (SIX_ELEMENT_DETECTORS, detect_spike_like, fans,
-                         flans, triads, triangles)
+from .structures import (SPECIAL_SEPARATORS, detect_spike_like,
+                         detect_twisted_cube_like, fans, flans, triads,
+                         triangles)
 from .minors import detachable_after_exchange, detachable_pairs
 from . import harness
 from .corpus import elongated_quad_glued, generate_corpus
@@ -227,12 +228,10 @@ def cmd_separators(args) -> int:
     for x in np.flatnonzero(seps).tolist():
         k = popcount(x)
         if k == 6:
-            for kind, det in SIX_ELEMENT_DETECTORS:
-                hit = det(m, x)
-                if hit is None and kind == "twisted-cube-like":
-                    hit = det(m.dual(), x)
-                    if hit is not None:
-                        kind = "twisted-cube-like-dual"
+            for kind, det, dual in (("twisted-cube-like",
+                                     detect_twisted_cube_like, False),
+                                    *SPECIAL_SEPARATORS):
+                hit = det(m.dual() if dual else m, x)
                 if hit is None:
                     continue
                 lab = hit.witness["labelling"]

@@ -15,9 +15,9 @@ from .core import (Matroid, MatroidError, _popcount_table, bit, elems,
 from .connectivity import (_k_separating, _lambda_all, is_3_connected,
                            is_connected, lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
-from .structures import (detect_elongated_quad, detect_skew_whiff,
-                         detect_spike_like, detect_twisted_cube_like,
-                         fans, flans, segments, triangles, triads)
+from .structures import (_flan_step, detect_spike_like,
+                         detect_twisted_cube_like, fans, flans, segments,
+                         special_separator, triangles, triads)
 from .minors import (HypothesisUnmet, all_triples_grounded,
                      detachable_after_exchange, detachable_pairs,
                      grounded_triangles, has_minor, labellings,
@@ -586,6 +586,17 @@ def check_two_separation_minor_side(m, n_mat):
         return 0, None
     if has_minor(m, n_mat) is None:
         return 0, None
+
+    def side_ok(u):
+        got = next(labellings(m, n_mat, survivor_cap=u), None)
+        if got is None:
+            return False
+        for e in elems(u):
+            for mm in (op(bit(e)) for op in (m.contract, m.delete)):
+                if is_connected(mm) and has_minor(mm, n_mat) is None:
+                    return False
+        return True
+
     exercised = 0
     seen = set()
     for x in np.flatnonzero(_k_separating(m, 2)).tolist():
@@ -594,20 +605,6 @@ def check_two_separation_minor_side(m, n_mat):
             continue
         seen.add(x)
         exercised += 1
-
-        def side_ok(u):
-            got = next(labellings(m, n_mat, survivor_cap=u), None)
-            if got is None:
-                return False
-            for e in elems(u):
-                mc = m.contract(bit(e))
-                if is_connected(mc) and has_minor(mc, n_mat) is None:
-                    return False
-                md = m.delete(bit(e))
-                if is_connected(md) and has_minor(md, n_mat) is None:
-                    return False
-            return True
-
         if not (side_ok(x) or side_ok(y)):
             return exercised, x
     return exercised, None
@@ -804,15 +801,10 @@ def _main_branch(m: Matroid, n_mat: Matroid) -> str | None:
 
 def _is_flan_ordering(m: Matroid, seq) -> bool:
     trds = set(triads(m))
-    if len(seq) < 4:
-        return False
-    for i in range(0, len(seq) - 2, 2):
-        if mask_of(seq[i:i + 3]) not in trds:
-            return False
-    for i in range(3, len(seq), 2):
-        if not _in_cl(m, mask_of(seq[:i]), seq[i]):
-            return False
-    return True
+    step = _flan_step(m, trds)
+    return (len(seq) >= 4 and mask_of(seq[:3]) in trds
+            and all(seq[i] in step(seq[:i], mask_of(seq[:i]))
+                    for i in range(3, len(seq))))
 
 
 def verify_flan_corollary(m: Matroid, n_mat: Matroid, d: int,
@@ -848,13 +840,7 @@ def _flan_branch(m: Matroid, n_mat: Matroid, p: int) -> str | None:
         return "detachable-pair"
     if lambda_(m, p) != 2:
         return None
-    if detect_skew_whiff(m, p):
-        return "skew-whiff"
-    if detect_elongated_quad(m, p):
-        return "elongated-quad"
-    if detect_twisted_cube_like(m.dual(), p):
-        return "twisted-cube-like-dual"
-    return None
+    return special_separator(m, p)
 
 
 def _is_cyclic_triple(m: Matroid, x: int, z: int, y: int) -> bool:
@@ -925,10 +911,7 @@ def _qualifying_x(m: Matroid, n_mat: Matroid, bd: int, md: Matroid,
                 xm = m.compress(x, bd)
                 for c in elems(m.expand(md.coclosure(xm) & ~xm, bd)):
                     p = x | bit(c) | bd
-                    if lambda_(m, p) == 2 and (
-                            detect_elongated_quad(m, p)
-                            or detect_skew_whiff(m, p)
-                            or detect_twisted_cube_like(m.dual(), p)):
+                    if lambda_(m, p) == 2 and special_separator(m, p):
                         return "special-separator"
             if all(is_3_connected(md.delete(be).cosimplify()[0])
                    and is_3_connected(md.contract(be))

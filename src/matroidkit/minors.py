@@ -292,20 +292,15 @@ def detachable_after_exchange(m: Matroid, n_mat: Matroid | None,
     """Run the pair search on every single delta-wye or wye-delta exchange
     of m, tagging results with the exchanged triple."""
     out = []
-    for tri in triangles(m):
-        m2 = delta_wye(m, tri)
-        for res in detachable_pairs(m2, n_mat, first_only=first_only):
-            out.append(DetachableResult(res.pair, res.mode,
-                                        "after-delta-wye", tri, res.labelling))
-            if first_only:
-                return out
-    for trd in triads(m):
-        m2 = wye_delta(m, trd)
-        for res in detachable_pairs(m2, n_mat, first_only=first_only):
-            out.append(DetachableResult(res.pair, res.mode,
-                                        "after-wye-delta", trd, res.labelling))
-            if first_only:
-                return out
+    for triples, exchange, stage in ((triangles, delta_wye, "after-delta-wye"),
+                                     (triads, wye_delta, "after-wye-delta")):
+        for x in triples(m):
+            for res in detachable_pairs(exchange(m, x), n_mat,
+                                        first_only=first_only):
+                out.append(DetachableResult(res.pair, res.mode, stage, x,
+                                            res.labelling))
+                if first_only:
+                    return out
     return out
 
 

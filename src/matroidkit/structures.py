@@ -1,5 +1,9 @@
 """Detection of named substructures: triangles, triads, segments, quads,
-fans, flans, and the four special exactly-3-separating configurations."""
+fans, flans, and the four special exactly-3-separating configurations.
+
+Fan and flan orderings come from one depth-first search under a step rule.
+The six-element separators are rows of one table, `_TEMPLATES`: the circuits
+and cocircuits inside P in a labelling's names, read by one matcher."""
 
 from __future__ import annotations
 
@@ -126,52 +130,47 @@ def cosegments(m: Matroid) -> list[int]:
 # ---------------------------------------------------------------------------
 # fans
 
-def _fan_orderings(m: Matroid):
-    """DFS over alternating triangle/triad orderings; yields every dead-end
-    (non-extendable) ordering together with its starting-triple kind."""
-    tris = set(triangles(m))
-    trds = set(triads(m))
-    seeds = [(x, "triangle") for x in sorted(tris)] + \
-            [(x, "triad") for x in sorted(trds)]
-    results = []
+def _dead_ends(triples, step, min_len: int) -> list[tuple[int, ...]]:
+    """Every ordering of at least `min_len` elements that no element allowed
+    by `step(seq, mask)` extends, depth-first from each order of a triple."""
+    out = []
 
-    def extend(seq, mask, next_kind):
-        fam = tris if next_kind == "triangle" else trds
-        moved = False
-        a, b = seq[-2], seq[-1]
-        for e in range(m.n):
-            be = bit(e)
-            if mask & be:
-                continue
-            if (bit(a) | bit(b) | be) in fam:
-                moved = True
-                extend(seq + [e], mask | be,
-                       "triad" if next_kind == "triangle" else "triangle")
-        if not moved:
-            results.append(tuple(seq))
+    def extend(seq, mask):
+        nxt = step(seq, mask)
+        for e in nxt:
+            extend(seq + (e,), mask | bit(e))
+        if not nxt and len(seq) >= min_len:
+            out.append(seq)
 
-    for x, kind in seeds:
-        for perm in itertools.permutations(elems(x)):
-            extend(list(perm), x, "triad" if kind == "triangle" else "triangle")
-    return results
+    for x in sorted(triples):
+        for seq in itertools.permutations(elems(x)):
+            extend(seq, x)
+    return out
 
 
-def _first_triple_kind(m: Matroid, seq) -> str:
-    first = mask_of(seq[:3])
-    return "triangle" if is_triangle(m, first) else "triad"
+def _step(m: Matroid, fams):
+    """Step rule: after a prefix of length k, the elements that complete a
+    triple of fams[k % 2] with its last two, or its closure if that is None."""
+    def step(seq, mask):
+        fam = fams[len(seq) % 2]
+        if fam is None:
+            return elems(m.closure(mask) & ~mask)
+        ends = bit(seq[-2]) | bit(seq[-1])
+        return [e for e in range(m.n)
+                if not mask >> e & 1 and ends | bit(e) in fam]
+    return step
 
 
 def _fan_types(m: Matroid, seq) -> tuple:
     k = len(seq)
     if k < 4:
         return (None,) * k
-    start = _first_triple_kind(m, seq)
+    # odd positions are spokes when the first triple is a triangle
+    tri_first = is_triangle(m, mask_of(seq[:3]))
     positions = range(1, k + 1) if k >= 5 else (1, k)
     types = [None] * k
     for i in positions:
-        odd = i % 2 == 1
-        spoke = (start == "triangle" and odd) or (start == "triad" and not odd)
-        types[i - 1] = "spoke" if spoke else "rim"
+        types[i - 1] = "spoke" if (i % 2 == 1) == tri_first else "rim"
     return tuple(types)
 
 
@@ -180,8 +179,13 @@ def fans(m: Matroid) -> list[FanRecord]:
     (lexicographically least) ordering."""
     if not is_3_connected(m):
         raise NotThreeConnected("fan detection needs a 3-connected matroid")
+    tris = set(triangles(m))
+    trds = set(triads(m))
+    # the consecutive triples alternate, from either kind of start
+    orderings = (_dead_ends(tris, _step(m, (tris, trds)), 3)
+                 + _dead_ends(trds, _step(m, (trds, tris)), 3))
     return [FanRecord(seq, _fan_types(m, seq), True)
-            for seq in _maximal_supports(_fan_orderings(m))]
+            for seq in _maximal_supports(orderings)]
 
 
 def _maximal_supports(orderings) -> list[tuple[int, ...]]:
@@ -201,34 +205,10 @@ def _maximal_supports(orderings) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # flans
 
-def _flan_orderings(m: Matroid):
-    trds = set(triads(m))
-    results = []
-
-    def extend(seq, mask):
-        pos = len(seq) + 1
-        moved = False
-        if pos % 2 == 0 and pos >= 4:
-            ext = m.closure(mask) & ~mask
-            for e in elems(ext):
-                moved = True
-                extend(seq + [e], mask | bit(e))
-        else:
-            a, b = seq[-2], seq[-1]
-            for e in range(m.n):
-                be = bit(e)
-                if mask & be:
-                    continue
-                if (bit(a) | bit(b) | be) in trds:
-                    moved = True
-                    extend(seq + [e], mask | be)
-        if not moved and len(seq) >= 4:
-            results.append(tuple(seq))
-
-    for x in sorted(trds):
-        for perm in itertools.permutations(elems(x)):
-            extend(list(perm), x)
-    return results
+def _flan_step(m: Matroid, trds: set[int]):
+    """A flan ordering starts with a triad of `trds`; then an element of the
+    prefix's closure alternates with one that completes a triad."""
+    return _step(m, (trds, None))
 
 
 def flans(m: Matroid) -> list[FlanRecord]:
@@ -236,7 +216,8 @@ def flans(m: Matroid) -> list[FlanRecord]:
     to be 3-separating."""
     if not is_3_connected(m):
         raise NotThreeConnected("flan detection needs a 3-connected matroid")
-    orderings = _flan_orderings(m)
+    trds = set(triads(m))
+    orderings = _dead_ends(trds, _flan_step(m, trds), 4)
     for seq in orderings:
         for i in range(1, len(seq) + 1):
             if lambda_(m, mask_of(seq[:i])) > 2 and i < m.n:
@@ -283,91 +264,95 @@ def detect_spike_like(m: Matroid, p: int):
     return StructureReport("spike-like", p, {"legs": tuple(legs)})
 
 
-def _kind_lists(m: Matroid, p: int):
+# kind: (labelling order, circuits inside P, cocircuits inside P, pairs whose
+# ids ascend); a set of both kinds is spelt alike in both.  The ascending
+# pairs keep at least one labelling of each orbit under the kind's
+# symmetries, so no structure is missed.
+_TEMPLATES = {
+    "elongated-quad": (
+        "p1 p2 q1 q2 q3 q4",
+        ("q1 q2 q3 q4", "p1 p2 q1 q2", "p1 p2 q3 q4"),
+        ("q1 q2 q3 q4", "p1 p2 q1 q3", "p1 p2 q2 q4"),
+        ("p1 p2", "q1 q2", "q1 q3", "q1 q4")),
+    "skew-whiff": (
+        "s1 s2 t1 t2 u1 u2",
+        ("s1 s2 t2 u1", "s1 t1 t2 u2", "s2 t1 u1 u2"),
+        ("s1 s2 t1 t2", "s1 s2 u1 u2", "t1 t2 u1 u2"), ()),
+    "twisted-cube-like": (
+        "p1 p2 q1 q2 s1 s2",
+        ("p1 p2 s1 s2", "q1 q2 s1 s2", "p1 p2 q1 q2"),
+        ("p1 q1 s1 s2", "p2 q2 s1 s2", "p1 p2 q1 q2 s1", "p1 p2 q1 q2 s2"),
+        ("p1 p2", "s1 s2")),
+}
+
+
+def _match(m: Matroid, p: int, kind: str) -> StructureReport | None:
+    """The report of the first labelling of the 6-set P that matches the
+    `kind` row of `_TEMPLATES`, or None."""
+    names, circuits, cocircuits, ascending = _TEMPLATES[kind]
+    if popcount(p) != 6:
+        raise BadSize(f"{kind} detection needs |P| = 6")
+    _require_exact3(m, p)
     circ = _inner_circuits(m, p)
     cocirc = _inner_circuits(m.dual(), p)
-    return circ, cocirc
+    # a labelling carries the sets that are both kinds onto such sets
+    if [len(circ), len(cocirc), len(circ & cocirc)] != [
+            len(circuits), len(cocircuits), len({*circuits} & {*cocircuits})]:
+        return None
+    names = names.split()
+    circuits, cocircuits, ascending = (
+        [[names.index(x) for x in s.split()] for s in sets]
+        for sets in (circuits, cocircuits, ascending))
+    # permutations of an ascending list come in lex order
+    for perm in itertools.permutations(elems(p)):
+        if any(perm[i] > perm[j] for i, j in ascending):
+            continue
+        if (all(mask_of(perm[i] for i in c) in circ for c in circuits)
+                and all(mask_of(perm[i] for i in c) in cocirc
+                        for c in cocircuits)):
+            return StructureReport(kind, p,
+                                   {"labelling": dict(zip(names, perm))})
+    return None
 
 
 def detect_elongated_quad(m: Matroid, p: int):
     """Quad Q plus a pair {p1,p2}; the circuits inside P are exactly Q,
     {p1,p2,q1,q2}, {p1,p2,q3,q4} and the cocircuits exactly Q,
     {p1,p2,q1,q3}, {p1,p2,q2,q4}."""
-    if popcount(p) != 6:
-        raise BadSize("elongated-quad detection needs |P| = 6")
-    _require_exact3(m, p)
-    circ, cocirc = _kind_lists(m, p)
-    for pair_ids in itertools.combinations(elems(p), 2):
-        pp = mask_of(pair_ids)
-        q = p ^ pp
-        if not is_quad(m, q):
-            continue
-        for q1, q2, q3, q4 in itertools.permutations(elems(q)):
-            if q1 > q2 or q3 > q4 or q1 > q3:
-                continue
-            want_c = {q, pp | bit(q1) | bit(q2), pp | bit(q3) | bit(q4)}
-            want_cc = {q, pp | bit(q1) | bit(q3), pp | bit(q2) | bit(q4)}
-            if circ == want_c and cocirc == want_cc:
-                p1, p2 = pair_ids
-                return StructureReport(
-                    "elongated-quad", p,
-                    {"quad": q, "pair": pp,
-                     "labelling": {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
-                                   "q3": q3, "q4": q4}})
-    return None
+    rep = _match(m, p, "elongated-quad")
+    if rep is not None:
+        lab = rep.witness["labelling"]
+        pair = bit(lab["p1"]) | bit(lab["p2"])
+        rep.witness.update(quad=p ^ pair, pair=pair)
+    return rep
 
 
 def detect_skew_whiff(m: Matroid, p: int):
     """Labelling {s1,s2,t1,t2,u1,u2} with circuits inside P exactly
     {s1,s2,t2,u1}, {s1,t1,t2,u2}, {s2,t1,u1,u2} and cocircuits exactly
     {s1,s2,t1,t2}, {s1,s2,u1,u2}, {t1,t2,u1,u2}."""
-    if popcount(p) != 6:
-        raise BadSize("skew-whiff detection needs |P| = 6")
-    _require_exact3(m, p)
-    circ, cocirc = _kind_lists(m, p)
-    if len(circ) != 3 or len(cocirc) != 3:
-        return None
-    for s1, s2, t1, t2, u1, u2 in itertools.permutations(elems(p)):
-        want_c = {mask_of([s1, s2, t2, u1]), mask_of([s1, t1, t2, u2]),
-                  mask_of([s2, t1, u1, u2])}
-        want_cc = {mask_of([s1, s2, t1, t2]), mask_of([s1, s2, u1, u2]),
-                   mask_of([t1, t2, u1, u2])}
-        if circ == want_c and cocirc == want_cc:
-            return StructureReport(
-                "skew-whiff", p,
-                {"labelling": {"s1": s1, "s2": s2, "t1": t1, "t2": t2,
-                               "u1": u1, "u2": u2}})
-    return None
+    return _match(m, p, "skew-whiff")
 
 
 def detect_twisted_cube_like(m: Matroid, p: int):
     """Labelling {p1,p2,q1,q2,s1,s2} with circuits inside P exactly
     {p1,p2,s1,s2}, {q1,q2,s1,s2}, {p1,p2,q1,q2} and cocircuits exactly
     {p1,q1,s1,s2}, {p2,q2,s1,s2}, {p1,p2,q1,q2,s1}, {p1,p2,q1,q2,s2}."""
-    if popcount(p) != 6:
-        raise BadSize("twisted cube-like detection needs |P| = 6")
-    _require_exact3(m, p)
-    circ, cocirc = _kind_lists(m, p)
-    if len(circ) != 3 or len(cocirc) != 4:
-        return None
-    for p1, p2, q1, q2, s1, s2 in itertools.permutations(elems(p)):
-        if p1 > p2 or s1 > s2:
-            continue
-        want_c = {mask_of([p1, p2, s1, s2]), mask_of([q1, q2, s1, s2]),
-                  mask_of([p1, p2, q1, q2])}
-        pq = mask_of([p1, p2, q1, q2])
-        want_cc = {mask_of([p1, q1, s1, s2]), mask_of([p2, q2, s1, s2]),
-                   pq | bit(s1), pq | bit(s2)}
-        if circ == want_c and cocirc == want_cc:
-            return StructureReport(
-                "twisted-cube-like", p,
-                {"labelling": {"p1": p1, "p2": p2, "q1": q1, "q2": q2,
-                               "s1": s1, "s2": s2}})
-    return None
+    return _match(m, p, "twisted-cube-like")
 
 
-SIX_ELEMENT_DETECTORS = (
-    ("elongated-quad", detect_elongated_quad),
-    ("skew-whiff", detect_skew_whiff),
-    ("twisted-cube-like", detect_twisted_cube_like),
+# The paper's special 3-separators, tried in order: (kind, detector, whether
+# it reads M*).  No 6-set is two of them: only an elongated quad has a circuit
+# inside P that is a cocircuit, and only the third has four circuits there.
+SPECIAL_SEPARATORS = (
+    ("elongated-quad", detect_elongated_quad, False),
+    ("skew-whiff", detect_skew_whiff, False),
+    ("twisted-cube-like-dual", detect_twisted_cube_like, True),
 )
+
+
+def special_separator(m: Matroid, p: int) -> str | None:
+    """The kind of the first of `SPECIAL_SEPARATORS` that the exactly
+    3-separating 6-set P is, or None."""
+    return next((kind for kind, detect, dual in SPECIAL_SEPARATORS
+                 if detect(m.dual() if dual else m, p) is not None), None)

@@ -165,6 +165,19 @@ class TestPrincipalExtension:
             principal_extension(base, 0b0000011, "z")   # line minus a point
 
 
+class TestRankZeroExtension:
+    # on a rank-0 matroid the new element is a loop: U(0, n+1)
+    def test_principal(self):
+        base = uniform(0, 3)
+        m = principal_extension(base, base.full, "z")
+        assert m.labels == ("a", "b", "c", "z") and m.bases == (0,)
+
+    def test_modular_cut(self):
+        base = uniform(0, 3)
+        m = modular_cut_extension(base, [base.full], "z")
+        assert m.labels == ("a", "b", "c", "z") and m.bases == (0,)
+
+
 class TestModularCutExtension:
     def test_single_flat_agrees_with_principal(self):
         base = fano()

@@ -140,6 +140,16 @@ class TestCommands:
         assert err.startswith("error=AxiomViolation detail=exchange fails")
         assert wall < 2.0, f"{wall:.1f} s"
 
+    def test_construct_extensions_of_rank_zero(self, tmp_path, capsys):
+        assert main(["construct", "uniform 0 3"]) == 0
+        u03 = tmp_path / "u03.mtx"
+        u03.write_text(capsys.readouterr().out)
+        for recipe in (f"principalext {u03} {{a,b,c}} z",
+                       f"modularcutext {u03} z {{a,b,c}}"):
+            assert main(["construct", recipe]) == 0
+            _, m = parse(capsys.readouterr().out)
+            assert m.labels == ("a", "b", "c", "z") and m.rank == 0
+
     def test_construct_dual_and_exchange(self, tmp_path, capsys):
         assert main(["construct", "wheel 3"]) == 0
         w = tmp_path / "w3.mtx"

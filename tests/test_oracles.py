@@ -459,8 +459,7 @@ class TestValidateOracle:
                 got = False
             assert got == want, fam
 
-    @settings(max_examples=80, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_witness_is_a_real_violation(self, data):
         fixed = [0b00011, 0b01100, 0b11000]
@@ -533,8 +532,7 @@ class TestTableKernelOracle:
     pairwise exchange, and the stride-based `circuits` against the
     definition, on matroids and non-matroids."""
 
-    @settings(max_examples=80, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_validate_and_circuits_agree(self, data):
         n, bases = _draw_family(data)
@@ -570,8 +568,7 @@ class TestRankTableOracle:
     against the definition and against the all-blocks kernel, on matroids
     and non-matroids."""
 
-    @settings(max_examples=80, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_agrees_with_the_definition(self, data):
         n = data.draw(st.integers(3, 10))
@@ -640,8 +637,7 @@ class TestMinorGatherOracle:
                     assert not tab.flags.writeable
                     assert not np.shares_memory(tab, m.table())
 
-    @settings(max_examples=60, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=60)
     @given(st.data())
     def test_minor_identities_on_sparse_paving(self, data):
         n = data.draw(st.integers(3, 9))
@@ -663,8 +659,7 @@ class TestMinorGatherOracle:
         again = Matroid(minor.n, minor.bases, minor.labels)
         assert again == minor and hash(again) == hash(minor)
 
-    @settings(max_examples=80, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_compress_and_expand(self, data):
         n = data.draw(st.integers(2, 12))
@@ -688,8 +683,7 @@ class TestReorderOracle:
     """`Matroid.reorder`, which permutes the table's axes, against
     rebuilding every basis: the same labels and a bit-identical table."""
 
-    @settings(max_examples=80, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_random_permutations(self, data):
         n = data.draw(st.integers(1, 10))
@@ -815,8 +809,7 @@ class TestTrianglesOracle:
     """The table-wide triangle scan against the per-3-set test: the same
     masks in the same order, for M and M*."""
 
-    @settings(max_examples=80, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=80)
     @given(st.data())
     def test_sparse_paving(self, data):
         n = data.draw(st.integers(3, 10))
@@ -905,8 +898,7 @@ class TestFromVectorsOracle:
     """`from_vectors`, one batched Bareiss pass over every r-subset, against
     a Fraction elimination per r-subset."""
 
-    @settings(max_examples=120, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=120)
     @given(st.data())
     def test_agrees_with_fraction_elimination(self, data):
         # rank at most r in d = r..r+2 coordinates: each coordinate past
