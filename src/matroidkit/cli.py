@@ -264,12 +264,10 @@ def cmd_verify(args) -> int:
         corpus = generate_corpus(args.seed, max_n=args.max_n)
         verdicts = harness.run_lemma_registry(corpus)
         summary = harness.registry_summary(verdicts)
-        for check in sorted(summary):
-            s = summary[check]
-            print(f"check={check} pass={s['pass']} vacuous={s['vacuous']} "
-                  f"fail={s['fail']} exercised={s['exercised']}")
-            if s["fail"]:
-                rc = 1
+        for line in harness.summary_lines(summary):
+            print(line)
+        if any(s["fail"] for s in summary.values()):
+            rc = 1
         for v in verdicts:
             if v.outcome == "fail":
                 print(v.line())

@@ -497,74 +497,69 @@ def validate(bases, n: int, labels=None) -> Matroid:
 # isomorphism
 
 
-def _element_profile(m: Matroid, use_circuits: bool):
-    deg = [0] * m.n
-    for b in m.bases:
-        for i in elems(b):
-            deg[i] += 1
-    if not use_circuits:
-        return [(d,) for d in deg]
-    profs = [[] for _ in range(m.n)]
-    for c in m.circuits():
-        k = popcount(c)
-        for i in elems(c):
-            profs[i].append(k)
-    return [(deg[i], tuple(sorted(profs[i]))) for i in range(m.n)]
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, a fixed bijection of uint64 (wrapping)."""
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xbf58476d1ce4e5b9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94d049bb133111eb)
+    return x ^ x >> np.uint64(31)
+
+
+_HUES = _mix(np.arange(MAX_GROUND, dtype=np.uint64))  # mixed colour ids
 
 
 def is_isomorphic(m1: Matroid, m2: Matroid):
     """Search for a ground-set bijection carrying bases onto bases.
 
-    Returns the mapping as a list (image of each id of m1) or None.
-    Pruned by rank, basis count, basis-degree profile and, on small ground
-    sets, the circuit-size profile per element.
+    Returns the mapping as a list (image of each id of m1) or None, by
+    individualise-and-refine (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014) on one family of r-sets on both sides: the
+    bases, or the non-basis r-sets when fewer (U(12, 24) has none).  A set
+    hashes to the sum of its elements' mixed colours; an element keeps its
+    colour in the high bits, so no cell merges, plus its sets' hash sum.
+    These are isomorphism-invariant and computed alike on both sides, so a
+    collision only leaves a cell coarser; each leaf is checked on the table.
     """
-    if (m1.n, m1.rank, len(m1.bases)) != (m2.n, m2.rank, len(m2.bases)):
+    n, r = m1.n, m1.rank
+    if (n, r) != (m2.n, m2.rank):
         return None
-    n = m1.n
-    if m1.rank == 0:
-        return list(range(n))
-    use_circ = n <= 12
-    p1 = _element_profile(m1, use_circ)
-    p2 = _element_profile(m2, use_circ)
-    if sorted(p1) != sorted(p2):
+    sets = _masks_of_size(n, r)
+    is_b = np.stack([m.table()[sets] == r for m in (m1, m2)])
+    count = is_b.sum(1)
+    if count[0] != count[1]:
         return None
-    cands = [[j for j in range(n) if p2[j] == p1[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    pos = {e: k for k, e in enumerate(order)}
-    done_at = [[] for _ in range(n)]
-    for b in m1.bases:
-        done_at[max(pos[i] for i in elems(b))].append(b)
-    bset2 = set(m2.bases)
-    t1, t2 = m1._ranks(), m2._ranks()
-    img = [-1] * n
-    used = [False] * n
+    want = 2 * count[0] <= len(sets)
+    fam = np.stack([sets[row == want] for row in is_b]).astype(np.uint64)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    inc = fam[..., None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)
+    t2 = m2.table()
 
-    def place(k: int) -> bool:
+    def search(col, k):
+        while True:  # refine the k colours of both sides until stable
+            h = _mix(inc @ _HUES[col][..., None]).transpose(0, 2, 1) @ inc
+            u, col = np.unique(col << 40 | (h[:, 0] >> np.uint64(24)).view(
+                np.int64), return_inverse=True)
+            col = col.reshape(2, n)
+            if not np.array_equal(*np.sort(col, axis=1)):
+                return None
+            k, old = len(u), k
+            if k in (old, n):
+                break
         if k == n:
-            return True
-        e = order[k]
-        be = 1 << e
-        for f in cands[e]:
-            if used[f]:
-                continue
-            bf = 1 << f
-            ok = True
-            for e0 in order[:k]:
-                if t1[be | (1 << e0)] != t2[bf | (1 << img[e0])]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[e] = f
-            used[f] = True
-            if all(mask_of(img[i] for i in elems(b)) in bset2
-                   for b in done_at[k]) and place(k + 1):
-                return True
-            used[f] = False
-            img[e] = -1
-        return False
+            img = np.empty(n, dtype=np.int64)
+            img[np.argsort(col[0])] = np.argsort(col[1])
+            ok = (t2[inc[0] @ bits[img]] == r) == want
+            return img.tolist() if ok.all() else None
+        # try m1's first element of its smallest non-singleton cell on each
+        # element of that cell on m2's side
+        size = np.bincount(col[0])
+        cell = np.argmin(np.where(size > 1, size, n))
+        e = np.flatnonzero(col[0] == cell)[0]
+        for f in np.flatnonzero(col[1] == cell):
+            nxt = col.copy()
+            nxt[0, e] = nxt[1, f] = k
+            found = search(nxt, k + 1)
+            if found is not None:
+                return found
+        return None
 
-    if place(0):
-        return list(img)
-    return None
+    return search(np.zeros((2, n), dtype=np.int64), 1)

@@ -725,6 +725,14 @@ def registry_summary(verdicts) -> dict:
     return agg
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """The `registry_summary` as `verify registry` prints it: one line per
+    check, sorted by check."""
+    return [f"check={c} pass={s['pass']} vacuous={s['vacuous']} "
+            f"fail={s['fail']} exercised={s['exercised']}"
+            for c, s in sorted(summary.items())]
+
+
 # ---------------------------------------------------------------------------
 # theorem verifiers
 

@@ -18,7 +18,8 @@ from matroidkit.core import _popcount_table, validate
 from matroidkit.cli import main, parse, serialize
 from matroidkit.corpus import generate_corpus
 from matroidkit.harness import (registry_summary, run_lemma_registry,
-                                splitter_check, sweep_foundation,
+                                splitter_check, summary_lines,
+                                sweep_foundation,
                                 sweep_theorem_triangles,
                                 verify_construction_spike,
                                 verify_construction_twisted)
@@ -85,10 +86,8 @@ def test_criterion_2_lemma_registry(corpus):
     summary = registry_summary(verdicts)
     for check in REQUIRED_NONZERO:
         assert summary[check]["exercised"] > 0, check
-    lines = [f"check={c} pass={s['pass']} vacuous={s['vacuous']} "
-             f"fail={s['fail']} exercised={s['exercised']}"
-             for c, s in sorted(summary.items())]
-    lines += frozen(v for v in verdicts if v.outcome != "vacuous")
+    lines = summary_lines(summary) + frozen(
+        v for v in verdicts if v.outcome != "vacuous")
     assert lines == golden("registry.txt")
     _report(2, "registry pass-or-vacuous with coverage", t0, 300)
 

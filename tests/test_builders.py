@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from matroidkit.core import (AxiomViolation, Matroid, bit, elems,
@@ -185,6 +186,17 @@ class TestModularCutExtension:
         a = principal_extension(base, line, "z")
         b = modular_cut_extension(base, [line], "z")
         assert a == b
+
+    def test_meet_of_a_modular_pair_closes_upward(self):
+        # two Fano lines through a are a modular pair, so the cut holds {a}
+        # and every flat above it: the new point is parallel to a
+        base = fano()
+        lines = [base.set_of("abc"), base.set_of("ade")]
+        m = modular_cut_extension(base, lines, "z")
+        p = principal_extension(base, base.set_of("a"), "z")
+        assert m == p
+        assert np.array_equal(m.table(), p.table())
+        assert m.rank_of(m.set_of("az")) == 1
 
     def test_paving8_extension_lies_on_three_lines(self):
         m = paving8_ext()

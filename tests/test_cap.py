@@ -3,21 +3,26 @@
 One seeded rank-4 sparse paving matroid on 24 elements goes through
 `validate`, `circuits`, `triangles`, `triads` and `is_3_connected`, and a
 24-element family that breaks basis exchange only at its last (r-1)-set
-must fail `validate`.  The rank table has 2^24 entries, so a single
+must fail `validate`.  `is_isomorphic` must decide seeded sparse paving
+matroids of ranks 4, 8 and 9 against relabelled copies and their duals,
+and U(4, 24) and U(12, 24) against relabelled copies.  The rank table has 2^24 entries, so a single
 table-sized int64 array is 128 MiB; the bound below admits a few
 int8/bool tables and arrays over the sets of one size, but not a
 table-sized int32 or int64 array or a Python-list copy of a table.
 """
 
+import itertools
 import math
 import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from matroidkit.connectivity import is_3_connected
-from matroidkit.core import (MAX_GROUND, AxiomViolation, _masks_of_size,
+from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
+                             _masks_of_size, _popcount_table, is_isomorphic,
                              popcount, validate)
 from matroidkit.corpus import random_sparse_paving
 from matroidkit.structures import triads, triangles
@@ -93,3 +98,81 @@ def check_exchange_failure_within_bounds(r):
 
 def test_exchange_failure_within_time_and_memory_bounds():
     check_exchange_failure_within_bounds(4)
+
+
+def shuffled(m, seed):
+    labels = list(m.labels)
+    random.Random(seed).shuffle(labels)
+    return m.reorder(labels)
+
+
+def carries_bases(m1, m2, img):
+    """Whether the bijection `img` maps every basis of m1 to one of m2,
+    decided on the tables."""
+    r_sets = _masks_of_size(m1.n, m1.rank)
+    b1 = r_sets[m1.table()[r_sets] == m1.rank]
+    out = np.zeros_like(b1)
+    for i, f in enumerate(img):
+        out |= (b1 >> i & 1) << f
+    return bool((m2.table()[out] == m2.rank).all())
+
+
+def self_dual_sparse_paving(m):
+    """Whether the sparse paving m is isomorphic to its dual, decided
+    without `is_isomorphic`: the dual's circuit-hyperplanes are the
+    complements of m's, and an element bijection carries one family onto
+    the other iff, for some order of the families, the elements'
+    incidence columns agree as multisets."""
+    r_sets = _masks_of_size(m.n, m.rank)
+    hyp = r_sets[m.table()[r_sets] < m.rank].tolist()
+
+    def columns(fam):
+        return sorted(tuple(x >> e & 1 for x in fam) for e in range(m.n))
+
+    target = columns([m.full ^ x for x in hyp])
+    if sorted(map(sum, columns(hyp))) != sorted(map(sum, target)):
+        return False
+    return any(columns(p) == target for p in itertools.permutations(hyp))
+
+
+def check_isomorphism_within_bounds(pairs):
+    """`is_isomorphic` on each (m1, m2, isomorphic?) triple gives that
+    verdict, and a bijection carrying bases onto bases when it finds one,
+    all within WALL_S and PEAK_MIB."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        found = [is_isomorphic(m1, m2) for m1, m2, _ in pairs]
+        wall = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    for (m1, m2, iso), img in zip(pairs, found):
+        assert (img is not None) == iso
+        if iso:
+            assert sorted(img) == list(range(m1.n))
+            assert carries_bases(m1, m2, img)
+    assert peak <= PEAK_MIB, f"tracemalloc peak {peak:.0f} MiB"
+    assert wall <= WALL_S, f"{wall:.1f} s"
+
+
+@pytest.mark.parametrize("r,n", [(4, 24), (8, 16), (9, 18)])
+def test_isomorphism_of_sparse_paving_within_bounds(r, n):
+    # every pair of elements has rank 2, which once left the backtracking
+    # search unpruned until r elements were placed
+    pairs = []
+    for seed in range(4):
+        m = random_sparse_paving(random.Random(seed), n, r)
+        pairs.append((m, shuffled(m, seed), True))
+        if n == 2 * r:
+            pairs.append((m, m.dual(), self_dual_sparse_paving(m)))
+    check_isomorphism_within_bounds(pairs)
+
+
+@pytest.mark.parametrize("r", [4, 12])
+def test_isomorphism_of_uniform_within_bounds(r):
+    # built from its table: U(12, 24) has 2,704,156 bases
+    n = MAX_GROUND
+    u = Matroid._from_table(np.minimum(_popcount_table(n), r),
+                            [f"e{i}" for i in range(n)])
+    check_isomorphism_within_bounds([(u, shuffled(u, r), True)])

@@ -1,6 +1,7 @@
 """File format round-trips and command behaviour, including the three
 documented examples pinned byte-for-byte."""
 
+import random
 import time
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from matroidkit.cli import ParseError, main, parse, serialize
 from matroidkit.core import Matroid, is_isomorphic
 from matroidkit.builders import paving8, uniform
-from matroidkit.corpus import generate_corpus
+from matroidkit.corpus import generate_corpus, random_sparse_paving
 
 WHIRL3_TEXT = """\
 name whirl3
@@ -138,6 +139,20 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error=AxiomViolation detail=exchange fails")
+        assert wall < 2.0, f"{wall:.1f} s"
+
+    def test_analyze_decides_self_duality_of_sparse_paving(self, tmp_path,
+                                                           capsys):
+        # a rank-8 sparse paving matroid on 16 elements: every pair of
+        # elements has rank 2, and it is not isomorphic to its dual
+        m = random_sparse_paving(random.Random(0), 16, 8)
+        path = tmp_path / "sp8.mtx"
+        path.write_text(serialize(m, "sp8"))
+        t0 = time.perf_counter()
+        rc = main(["analyze", str(path)])
+        wall = time.perf_counter() - t0
+        assert rc == 0
+        assert "self-dual no" in capsys.readouterr().out.splitlines()
         assert wall < 2.0, f"{wall:.1f} s"
 
     def test_construct_extensions_of_rank_zero(self, tmp_path, capsys):

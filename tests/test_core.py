@@ -6,13 +6,15 @@ bitmask machinery) and then frozen.
 """
 
 import itertools
+import random
 
 import pytest
 
 from matroidkit.core import (AxiomViolation, CardinalityMismatch, EmptyFamily,
                              GroundSetExhausted, Matroid, bit, elems,
                              is_isomorphic, mask_of, popcount, validate)
-from matroidkit.builders import fano, uniform, wheel
+from matroidkit.builders import (fano, graphic, nonfano, uniform, wheel,
+                                 whirl)
 
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
               (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -275,19 +277,57 @@ class TestSimplify:
         assert is_3_connected(co)
 
 
+def assert_carries_bases(m1, m2, w):
+    """w is a bijection of the ground set carrying bases onto bases."""
+    assert sorted(w) == list(range(m1.n))
+    assert {mask_of(w[i] for i in elems(b)) for b in m1.bases} == \
+        set(m2.bases)
+
+
+def shuffled(m, seed):
+    labels = list(m.labels)
+    random.Random(seed).shuffle(labels)
+    return m.reorder(labels)
+
+
 class TestIsomorphism:
     def test_fano_relabelled(self):
         m = fano_raw()
         perm = [3, 0, 5, 1, 6, 2, 4]
         other = Matroid(7, [mask_of(perm[i] for i in elems(b))
                             for b in m.bases])
-        w = is_isomorphic(m, other)
-        assert w is not None
-        assert {mask_of(w[i] for i in elems(b)) for b in m.bases} == \
-            set(other.bases)
+        assert_carries_bases(m, other, is_isomorphic(m, other))
+
+    # pairs whose elements refinement cannot tell apart: every cell stays
+    # whole until an element is individualised
+
+    @pytest.mark.parametrize("r,n", [(0, 4), (1, 5), (2, 6), (3, 7),
+                                     (4, 8), (5, 5)])
+    def test_uniform_relabelled(self, r, n):
+        u = uniform(r, n)
+        other = shuffled(u, n)
+        assert_carries_bases(u, other, is_isomorphic(u, other))
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_wheel_against_whirl(self, r):
+        assert is_isomorphic(wheel(r), whirl(r)) is None
+        assert is_isomorphic(whirl(r), wheel(r)) is None
+        for m in (wheel(r), whirl(r)):
+            other = shuffled(m, r)
+            assert_carries_bases(m, other, is_isomorphic(m, other))
+
+    def test_k4_against_w3(self):
+        k4 = graphic(4, list(itertools.combinations(range(4), 2)))
+        w3 = shuffled(wheel(3), 3)
+        assert_carries_bases(k4, w3, is_isomorphic(k4, w3))
+
+    def test_fano_and_nonfano_relabelled(self):
+        for m in (fano(), nonfano()):
+            other = shuffled(m, 7)
+            assert_carries_bases(m, other, is_isomorphic(m, other))
+        assert is_isomorphic(fano(), shuffled(nonfano(), 7)) is None
 
     def test_fano_vs_nonfano(self):
-        from matroidkit.builders import nonfano
         assert is_isomorphic(fano(), nonfano()) is None
 
     def test_wheel3_vs_dual(self):

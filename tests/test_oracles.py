@@ -44,6 +44,71 @@ def brute_isomorphic(m1, m2):
     return False
 
 
+def _element_profile(m, use_circuits):
+    deg = [0] * m.n
+    for b in m.bases:
+        for i in elems(b):
+            deg[i] += 1
+    if not use_circuits:
+        return [(d,) for d in deg]
+    profs = [[] for _ in range(m.n)]
+    for c in m.circuits():
+        k = popcount(c)
+        for i in elems(c):
+            profs[i].append(k)
+    return [(deg[i], tuple(sorted(profs[i]))) for i in range(m.n)]
+
+
+def ref_is_isomorphic(m1, m2):
+    """The backtracking search `is_isomorphic` used before refinement:
+    elements placed in order of fewest candidates, pruned by the basis
+    degree (and, for n <= 12, circuit-size) profile, by the ranks of
+    element pairs and by the bases whose last element is placed."""
+    if (m1.n, m1.rank, len(m1.bases)) != (m2.n, m2.rank, len(m2.bases)):
+        return None
+    n = m1.n
+    if m1.rank == 0:
+        return list(range(n))
+    use_circ = n <= 12
+    p1 = _element_profile(m1, use_circ)
+    p2 = _element_profile(m2, use_circ)
+    if sorted(p1) != sorted(p2):
+        return None
+    cands = [[j for j in range(n) if p2[j] == p1[i]] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (len(cands[i]), i))
+    pos = {e: k for k, e in enumerate(order)}
+    done_at = [[] for _ in range(n)]
+    for b in m1.bases:
+        done_at[max(pos[i] for i in elems(b))].append(b)
+    bset2 = set(m2.bases)
+    t1, t2 = m1._ranks(), m2._ranks()
+    img = [-1] * n
+    used = [False] * n
+
+    def place(k):
+        if k == n:
+            return True
+        e = order[k]
+        be = 1 << e
+        for f in cands[e]:
+            if used[f]:
+                continue
+            bf = 1 << f
+            if any(t1[be | 1 << e0] != t2[bf | 1 << img[e0]]
+                   for e0 in order[:k]):
+                continue
+            img[e] = f
+            used[f] = True
+            if all(mask_of(img[i] for i in elems(b)) in bset2
+                   for b in done_at[k]) and place(k + 1):
+                return True
+            used[f] = False
+            img[e] = -1
+        return False
+
+    return list(img) if place(0) else None
+
+
 def brute_has_minor(m, n_mat):
     # all disjoint (C, D) of the right total size, no reduced-form shortcut
     gap = m.n - n_mat.n
@@ -400,6 +465,37 @@ class TestIsomorphismOracle:
         b = wheel(3)
         assert is_isomorphic(a, b) is None
         assert not brute_isomorphic(a, b)
+
+    CORPUS = [e.matroid for e in generate_corpus(0, max_n=10)]
+
+    def check_against_references(self, m1, m2):
+        got = is_isomorphic(m1, m2)
+        want = ref_is_isomorphic(m1, m2) is not None
+        assert (got is not None) == want
+        if m1.n <= 8:
+            assert brute_isomorphic(m1, m2) == want
+        if got is not None:
+            assert sorted(got) == list(range(m1.n))
+            assert {mask_of(got[i] for i in elems(b)) for b in m1.bases} \
+                == set(m2.bases)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_random_relabellings(self, data):
+        m = data.draw(st.sampled_from(self.CORPUS))
+        perm = data.draw(st.permutations(range(m.n)))
+        self.check_against_references(m, m.reorder(
+            [m.labels[i] for i in perm]))
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_random_equal_size_pairs(self, data):
+        m1 = data.draw(st.sampled_from(self.CORPUS))
+        m2 = data.draw(st.sampled_from(
+            [m for m in self.CORPUS if m.n == m1.n]))
+        perm = data.draw(st.permutations(range(m2.n)))
+        self.check_against_references(m1, m2.reorder(
+            [m2.labels[i] for i in perm]))
 
 
 class TestMinorOracle:
@@ -767,6 +863,56 @@ def _exchanges(m):
     return [_outcome(op, m, x)
             for op, xs in ((delta_wye, triangles(m)), (wye_delta, triads(m)))
             for x in xs]
+
+
+def ref_modular_cut_extension(m, gens, label):
+    # the flats as closures of every set, the cut grown one modular meet
+    # at a time and closed upward after each, and the bases of M plus I + e
+    # for each independent (r-1)-set I whose closure is off the cut
+    flats = {m.closure(x) for x in range(1 << m.n)}
+    t = m._ranks()
+    cut = {f for f in flats if any(f & g == g for g in gens)}
+    while True:
+        meet = next((f & g for f in cut for g in cut
+                     if t[f] + t[g] == t[f | g] + t[f & g]
+                     and f & g not in cut), None)
+        if meet is None:
+            break
+        cut |= {f for f in flats if f & meet == meet}
+    new = [i | bit(m.n)
+           for i in map(mask_of, itertools.combinations(range(m.n),
+                                                          m.rank - 1))
+           if t[i] == m.rank - 1 and m.closure(i) not in cut]
+    return Matroid(m.n + 1, list(m.bases) + new, m.labels + (label,))
+
+
+class TestFlatsOracle:
+    SMALL = [e.matroid for e in generate_corpus(0, max_n=8)]
+
+    def test_all_flats_are_the_closures(self):
+        for m in self.SMALL:
+            assert builders._all_flats(m).tolist() == \
+                sorted({m.closure(x) for x in range(1 << m.n)})
+
+    def test_modular_flats(self):
+        for m in self.SMALL:
+            t = m._ranks()
+            flats = {m.closure(x) for x in range(1 << m.n)}
+            for f in flats:
+                assert builders.is_modular_flat(m, f) == all(
+                    t[f] + t[g] == t[f | g] + t[f & g] for g in flats)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_modular_cut_extension(self, data):
+        m = data.draw(st.sampled_from(
+            [m for m in self.SMALL if m.rank > 0]))
+        flats = sorted({m.closure(x) for x in range(1 << m.n)})
+        gens = data.draw(st.lists(st.sampled_from(flats), min_size=1,
+                                  max_size=3))
+        got = builders.modular_cut_extension(m, gens, "z")
+        assert_same(got, ref_modular_cut_extension(m, gens, "z"))
+        validate(got.bases, got.n)
 
 
 class TestParallelConnectionOracle:
