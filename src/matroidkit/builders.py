@@ -72,10 +72,10 @@ def paving(r: int, n: int, nonspanning_circuits, labels=None) -> Matroid:
         if popcount(m) != r:
             raise BadParams("listed circuits must have exactly r elements")
         circm.append(m)
-    forbidden = set(circm)
-    bases = [mask_of(c) for c in itertools.combinations(range(n), r)
-             if mask_of(c) not in forbidden]
-    return validate(bases, n, labels)
+    if not 1 <= n <= MAX_GROUND:
+        raise BadParams(f"ground set size {n} outside 1..{MAX_GROUND}")
+    sets = _masks_of_size(n, r)
+    return validate(sets[~np.isin(sets, circm)].tolist(), n, labels)
 
 
 def graphic(n_vertices: int, edges, labels=None) -> Matroid:

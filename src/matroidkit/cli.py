@@ -14,13 +14,13 @@ File grammar (one directive per line, '#' starts a comment):
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _popcount_table, bit,
-                   is_isomorphic, lex_key, mask_of, popcount, validate)
+from .core import (Matroid, MatroidError, _down_closed, _masks_of_size,
+                   _popcount_table, bit, is_isomorphic, lex_key, popcount,
+                   validate)
 from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
                        parallel_add, parallel_connection, paving, paving8,
                        paving8_ext, principal_extension, relax, series_add,
@@ -113,19 +113,18 @@ def parse(text: str) -> tuple[str, Matroid]:
 
 
 def _from_circuits(circuits, n, labels) -> Matroid:
-    circuits = [c for c in circuits]
-
-    def independent(x):
-        return not any(c and c & x == c for c in circuits)
-
+    """The matroid whose independent sets hold no listed non-empty set:
+    greedy rank, then the r-sets that hold none.  X holds C exactly when
+    E - X lies inside E - C, so the dependent sets are the table of
+    `_down_closed` over the complements, reversed."""
+    full = (1 << n) - 1
+    dep = _down_closed(n, [full ^ c for c in circuits if c])[::-1]
     ind = 0
     for e in range(n):
-        if independent(ind | bit(e)):
+        if not dep[ind | bit(e)]:
             ind |= bit(e)
-    r = popcount(ind)
-    bases = [mask_of(c) for c in itertools.combinations(range(n), r)
-             if independent(mask_of(c))]
-    return validate(bases, n, labels)
+    sets = _masks_of_size(n, popcount(ind))
+    return validate(sets[~dep[sets]].tolist(), n, labels)
 
 
 def serialize(m: Matroid, name: str) -> str:

@@ -93,18 +93,42 @@ def _report(m: Matroid, x: int, k: int, lam: int) -> SeparationReport:
     return SeparationReport(x, k, lam, exact, vertical, cyclic, guts, coguts)
 
 
+# Masks per step of `_is_k_connected`: small enough that its temporaries
+# stay in cache, large enough that numpy's per-call cost is noise.
+_BLOCK = 1 << 16
+
+
+def _is_k_connected(m: Matroid, k: int) -> bool:
+    """Whether lambda(X) >= min(|X|, |E - X|, k - 1) for every X, that is,
+    M has no j-separation with j < k.
+
+    Both sides of the test are unchanged by X -> E - X, so only the X
+    without element n - 1, the first half of the table, are scanned:
+    lambda(X) = t[X] + t[::-1][X] - r(M) there.  The scan goes in blocks
+    of `_BLOCK` masks and stops at the first block holding a violation, so
+    no table-sized temporary is built.
+    """
+    n, t = m.n, m.table()
+    pc, rev = _popcount_table(n), t[::-1]
+    for s in range(0, 1 << (n - 1), _BLOCK):
+        e = s + _BLOCK
+        size = pc[s:e]
+        need = np.minimum(np.minimum(size, n - size), k - 1)
+        if (t[s:e] + rev[s:e] - m.rank < need).any():
+            return False
+    return True
+
+
 def is_connected(m: Matroid) -> bool:
-    return not bool(_k_separating(m, 1).any())
+    """No 1-separation, by the half-lattice scan of `_is_k_connected`."""
+    return _is_k_connected(m, 2)
 
 
 def is_3_connected(m: Matroid) -> bool:
+    """No 1- or 2-separation, by the half-lattice scan of
+    `_is_k_connected`; the verdict is cached on the matroid."""
     if m._is3conn is None:
-        lam = _lambda_all(m)
-        pc = _popcount_table(m.n)
-        n = m.n
-        viol = (lam <= 0) & (pc >= 1) & (pc <= n - 1)
-        viol |= (lam <= 1) & (pc >= 2) & (pc <= n - 2)
-        m._is3conn = not bool(viol.any())
+        m._is3conn = _is_k_connected(m, 3)
     return m._is3conn
 
 

@@ -20,12 +20,17 @@ pairs X without i with X plus i, and every such pass goes through
 `_halves`.  On a short axis (bit i below 4) the two halves, taken as
 blocks, have rows of only 2^i elements, and a ufunc over them runs one
 tiny inner loop per row; so there `_halves` hands out one pair of long
-strided columns per offset instead.
+strided columns per offset instead.  The OR pass of `rank_table`, which
+marks every subset of a member (`_down_closed`), runs on the table packed
+64 masks to a machine word: the six axes inside a word take one shift and
+mask each, and the others are passes over whole words.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -143,24 +148,49 @@ def _halves(a: np.ndarray, i: int):
         yield v[:, :s], v[:, s:]
 
 
+# _LOWER[i] keeps the bits of a 64-bit word at the positions p with bit i
+# of p clear: the masks X without i inside a word of 64 masks.
+_LOWER = np.array([0x5555555555555555, 0x3333333333333333,
+                   0x0F0F0F0F0F0F0F0F, 0x00FF00FF00FF00FF,
+                   0x0000FFFF0000FFFF, 0x00000000FFFFFFFF], dtype=np.uint64)
+
+
+def _down_closed(n: int, masks) -> np.ndarray:
+    """Bool over every mask X < 2^n: X lies inside some member of `masks`.
+
+    The OR pass that marks every subset of a member runs on the table
+    packed 64 masks to a word (mask X at bit X % 64 of word X // 64).  On
+    the axes i < 6 both halves share a word, so one shift and `_LOWER[i]`
+    pass the word's X + i bits down to its X bits; on the axes i >= 6 the
+    halves are whole words, paired by `_halves` on axis i - 6.  The flags
+    are padded to at least one word, so every n takes the same path.
+    """
+    size = 1 << n
+    flags = np.zeros(max(size, 64), dtype=bool)
+    flags[np.fromiter(masks, dtype=np.int64)] = True
+    w = np.packbits(flags, bitorder="little").view("<u8")
+    for i in range(min(n, 6)):
+        w |= w >> np.uint64(1 << i) & _LOWER[i]
+    for i in range(6, n):
+        for lo, hi in _halves(w, i - 6):
+            lo |= hi
+    return np.unpackbits(w.view(np.uint8), bitorder="little",
+                         count=size).view(bool)
+
+
 def rank_table(n: int, bases) -> np.ndarray:
     """Full 2^n rank table of the independence system spanned by `bases`.
 
     rank[X] = size of the largest subset of X contained in some member of
     `bases`.  Valid for arbitrary equicardinal families, which is what lets
-    the axiom checker use it before matroidness is known.  Both passes, the
-    OR that marks every subset of a member and the max that carries |I| up
-    to each superset, go along each axis through `_halves`, so the short
-    axes run column by column.
+    the axiom checker use it before matroidness is known.  The independent
+    sets, every subset of a member, come from the packed OR pass of
+    `_down_closed`; the max pass that carries |I| up to each superset goes
+    along each axis through `_halves`, so its short axes run column by
+    column.
     """
-    size = 1 << n
-    pc = _popcount_table(n)
-    indep = np.zeros(size, dtype=bool)
-    indep[np.fromiter(bases, dtype=np.int64)] = True
-    for i in range(n):
-        for lo, hi in _halves(indep, i):
-            lo |= hi
-    g = np.where(indep, pc, np.int8(0))
+    g = _down_closed(n, bases).view(np.int8)
+    g *= _popcount_table(n)
     for i in range(n):
         for lo, hi in _halves(g, i):
             np.maximum(hi, lo, out=hi)
@@ -194,7 +224,11 @@ class Matroid:
     def __init__(self, n: int, bases, labels=None):
         if not 1 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size {n} outside 1..{MAX_GROUND}")
-        bases = tuple(sorted(set(bases)))
+        # repeats are dropped after the sort, as a hash set of U(12, 24)'s
+        # 2.7 M bases would outweigh the bases themselves
+        bases = sorted(bases)
+        bases = tuple(itertools.compress(
+            bases, map(operator.ne, bases, itertools.chain([None], bases))))
         if not bases:
             raise EmptyFamily("no bases given")
         _check_family(n, bases)

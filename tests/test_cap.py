@@ -5,10 +5,15 @@ One seeded rank-4 sparse paving matroid on 24 elements goes through
 24-element family that breaks basis exchange only at its last (r-1)-set
 must fail `validate`.  `is_isomorphic` must decide seeded sparse paving
 matroids of ranks 4, 8 and 9 against relabelled copies and their duals,
-and U(4, 24) and U(12, 24) against relabelled copies.  The rank table has 2^24 entries, so a single
-table-sized int64 array is 128 MiB; the bound below admits a few
-int8/bool tables and arrays over the sets of one size, but not a
-table-sized int32 or int64 array or a Python-list copy of a table.
+and U(4, 24) and U(12, 24) against relabelled copies.  A `circuits` file
+and `paving` must build 24-element matroids, U(12, 24) among them.
+
+The rank table has 2^24 entries, so a single table-sized int64 array is
+128 MiB; the bound below admits a few int8/bool tables and arrays over
+the sets of one size, but not a table-sized int32 or int64 array or a
+Python-list copy of a table.  `rank_table` itself stays within three
+table sizes, and the connectivity scan within 1 MiB, so it builds no
+table-sized temporary.
 """
 
 import itertools
@@ -20,15 +25,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matroidkit.builders import paving
+from matroidkit.cli import parse
 from matroidkit.connectivity import is_3_connected
 from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, _popcount_table, is_isomorphic,
-                             popcount, validate)
+                             popcount, rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
 from matroidkit.structures import triads, triangles
 
 PEAK_MIB = 256
 WALL_S = 10.0
+TABLE_MIB = (1 << MAX_GROUND) / 2 ** 20
 
 
 def test_cap_kernels_within_time_and_memory_bounds():
@@ -57,6 +65,73 @@ def test_cap_kernels_within_time_and_memory_bounds():
     assert (tris, trds, conn) == ([], [], True)
     assert peak <= PEAK_MIB, f"tracemalloc peak {peak:.0f} MiB"
     assert wall <= WALL_S, f"{wall:.1f} s"
+
+
+def test_connectivity_scan_builds_no_table_sized_temporary():
+    n = MAX_GROUND
+    src = random_sparse_paving(random.Random(24), n, 4)
+    _popcount_table(n)  # shared per n, so built before tracing
+    tracemalloc.start()
+    try:
+        tab = rank_table(n, src.bases)
+        table_peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        m = Matroid._from_table(tab, src.labels)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        conn = is_3_connected(m)
+        scan_peak = (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert tab.tobytes() == src.table().tobytes()
+    assert table_peak <= 3 * TABLE_MIB, f"rank_table peak {table_peak:.0f} MiB"
+    assert scan_peak <= 1, f"is_3_connected peak {scan_peak:.2f} MiB"
+    # every single-element minor of a rank-4 sparse paving matroid on 24
+    # elements is 3-connected, so each scan runs over the whole half table
+    t0 = time.perf_counter()
+    minors = [is_3_connected(f(1 << e)) for e in (0, n - 1)
+              for f in (m.delete, m.contract)]
+    wall = time.perf_counter() - t0
+    assert conn and all(minors)
+    assert wall <= WALL_S, f"{wall:.1f} s"
+
+
+def within_time_and_memory_bounds(build):
+    """build(), after checking that it runs within WALL_S and that its
+    traced allocations peak within PEAK_MIB.  It runs twice, the timed run
+    first and untraced: tracemalloc's cost per Python object would swamp
+    the time of a build that makes millions of them.  So the traced run
+    finds the shared per-n mask arrays already built."""
+    t0 = time.perf_counter()
+    out = build()
+    wall = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_MIB, f"tracemalloc peak {peak:.0f} MiB"
+    assert wall <= WALL_S, f"{wall:.1f} s"
+    return out
+
+
+def test_circuits_file_parses_within_bounds():
+    n = MAX_GROUND
+    src = random_sparse_paving(random.Random(24), n, 4)
+    circs = [src.fmt(c) for c in src.circuits()]
+    text = "name cap\nelements " + " ".join(src.labels) + "\n" + "".join(
+        "circuits " + " ".join(circs[i:i + 8]) + "\n"
+        for i in range(0, len(circs), 8))
+    _, m = within_time_and_memory_bounds(lambda: parse(text))
+    assert (m.labels, m.bases) == (src.labels, src.bases)
+
+
+def test_paving_builds_uniform_12_24_within_bounds():
+    n = MAX_GROUND
+    m = within_time_and_memory_bounds(lambda: paving(12, n, []))
+    assert (m.n, m.rank) == (n, 12)
+    assert len(m.bases) == math.comb(n, 12)
+    assert m.table().tobytes() == np.minimum(_popcount_table(n), 12).tobytes()
 
 
 def uniform_minus_last_two(r, n):

@@ -4,6 +4,7 @@ Each oracle here re-solves the same question by unpruned enumeration and
 must agree with the production path exactly.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,19 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidkit import builders, minors
+from matroidkit import builders, cli, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
-                             _popcount_table, bit, elems, is_isomorphic,
-                             lex_key, mask_of, popcount, rank_table,
-                             submasks, validate)
+                             _masks_of_size, _popcount_table, bit, elems,
+                             is_isomorphic, lex_key, mask_of, popcount,
+                             rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
                                  series_add, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl,
                                  wye_delta)
-from matroidkit.connectivity import (cyclic_3_separations, is_3_connected,
-                                     vertical_3_separations)
+from matroidkit.connectivity import (_k_separating, _lambda_all,
+                                     cyclic_3_separations, is_3_connected,
+                                     is_connected, vertical_3_separations)
 from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
                                from_vectors, generate_corpus,
                                random_sparse_paving)
@@ -194,7 +196,7 @@ def assert_real_exchange_failure(witness, bases):
         witness
 
 
-def ref_rank_table(n, bases):
+def brute_rank_table(n, bases):
     # the definition: r(X) = max over the members B of |X & B|
     idx = np.arange(1 << n)
     pc = _popcount_table(n)
@@ -204,9 +206,12 @@ def ref_rank_table(n, bases):
     return out
 
 
-def ref_rank_table_blocks(n, bases):
-    # the per-axis passes with both halves taken as blocks on every axis,
-    # short ones included
+def ref_rank_table(n, bases):
+    """The two-pass kernel `rank_table` ran before its OR pass was packed:
+    a bool OR pass marking every subset of a member, then the int8 max
+    pass, both along every axis with the two halves taken as blocks (the
+    production kernel went column by column on the short axes, which
+    changes the speed, not the bytes)."""
     indep = np.zeros(1 << n, dtype=bool)
     indep[np.fromiter(bases, dtype=np.int64)] = True
     for i in range(n):
@@ -219,6 +224,21 @@ def ref_rank_table_blocks(n, bases):
         v = g.reshape(-1, 2 * s)
         np.maximum(v[:, s:], v[:, :s], out=v[:, s:])
     return g
+
+
+def ref_is_connected(m):
+    # no 1-separation, over the full lambda table
+    return not bool(_k_separating(m, 1).any())
+
+
+def ref_is_3_connected(m):
+    # no 1- or 2-separation, over the full lambda table
+    lam = _lambda_all(m)
+    pc = _popcount_table(m.n)
+    n = m.n
+    viol = (lam <= 0) & (pc >= 1) & (pc <= n - 1)
+    viol |= (lam <= 1) & (pc >= 2) & (pc <= n - 2)
+    return not bool(viol.any())
 
 
 def ref_circuits(m):
@@ -674,15 +694,102 @@ class TestRankTableOracle:
                                data.draw(st.sampled_from(FAMILY_KINDS)))
         got = rank_table(n, bases)
         assert got.dtype == np.int8
+        assert got.tobytes() == brute_rank_table(n, bases).tobytes()
         assert got.tobytes() == ref_rank_table(n, bases).tobytes()
-        assert got.tobytes() == ref_rank_table_blocks(n, bases).tobytes()
 
     @pytest.mark.parametrize("n", [20, 24])
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_large_tables_match_the_blocks_kernel(self, n, kind):
         bases = _random_family(random.Random(n), n, 4, kind)
         got = rank_table(n, bases)
-        assert got.tobytes() == ref_rank_table_blocks(n, bases).tobytes()
+        assert got.tobytes() == ref_rank_table(n, bases).tobytes()
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_packed_kernel_matches_the_two_pass_kernel(self, data):
+        # any equicardinal family, not only matroids; rank 0 is the empty
+        # set as the only basis, and n < 6 pads the table to one word
+        n = data.draw(st.integers(1, 14))
+        r = data.draw(st.integers(0, n))
+        bases = data.draw(st.lists(
+            st.sampled_from(_masks_of_size(n, r).tolist()),
+            min_size=1, max_size=60, unique=True))
+        got = rank_table(n, bases)
+        assert got.dtype == np.int8
+        assert got.tobytes() == ref_rank_table(n, bases).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_single_members_and_uniform_families(self, n):
+        for r in range(n + 1):
+            sets = _masks_of_size(n, r).tolist()
+            for bases in ([sets[0]], [sets[-1]], sets):
+                got = rank_table(n, bases)
+                assert got.tobytes() == ref_rank_table(n, bases).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cap_tables_are_pinned(self, seed):
+        m = random_sparse_paving(random.Random(seed), 24, 4)
+        digest = hashlib.sha256(rank_table(24, m.bases).tobytes())
+        assert digest.hexdigest() == CAP_TABLE_SHA256[seed]
+
+    def test_uniform_12_24_table_is_pinned(self):
+        table = rank_table(24, _masks_of_size(24, 12).tolist())
+        digest = hashlib.sha256(table.tobytes())
+        assert digest.hexdigest() == CAP_TABLE_SHA256["U(12,24)"]
+
+
+# sha256 of the rank tables of random_sparse_paving(random.Random(seed), 24,
+# 4) and of U(12, 24), as the two-pass kernel built them
+CAP_TABLE_SHA256 = {
+    0: "000e58c61eb3899bbfd59ec4d9d6a7162fc1ff556ed54fb93ca33c8375933c8c",
+    1: "5b26d04042a25ed721aaeb756d0d94068552273570edb8f65be2a75165bcb1d2",
+    2: "3075bf10d2688f701958f2474724fd62c79c05820227cfb5ab8fdf82a9118836",
+    3: "9d864fc49caf8a37453e5bbbd4ede535b91a26bc9918e8324fad8721c489ef15",
+    "U(12,24)":
+        "35ad8ac2edf0ba8d5043a3f7afd918b5b4384bb315fb009a8fb146277ca16a3d",
+}
+
+
+def _corpus_single_element_minors():
+    for entry in generate_corpus(0, max_n=12):
+        m = entry.matroid
+        for e in range(m.n if m.n > 1 else 0):
+            yield m.delete(1 << e)
+            yield m.contract(1 << e)
+
+
+LOOP, PARALLEL = 1 << 16, 1 << 15 | 1 << 16
+
+
+class TestConnectivityOracle:
+    """The blockwise half-lattice scans of `is_connected` and
+    `is_3_connected` against full-table expressions."""
+
+    def test_corpus_single_element_minors(self):
+        for m in _corpus_single_element_minors():
+            assert is_connected(m) == ref_is_connected(m), m
+            assert is_3_connected(m) == ref_is_3_connected(m), m
+
+    @pytest.mark.parametrize("r,n,want", [
+        (0, 1, (True, True)), (1, 1, (True, True)), (1, 2, (True, True)),
+        (2, 4, (True, True)), (0, 2, (False, False)),
+        (2, 2, (False, False))])
+    def test_tiny_ground_sets(self, r, n, want):
+        m = uniform(r, n)
+        got = (is_connected(m), is_3_connected(m))
+        assert got == want == (ref_is_connected(m), ref_is_3_connected(m))
+
+    @pytest.mark.parametrize("r,keep,want", [
+        (3, lambda b: not b & LOOP, (False, False)),
+        (3, lambda b: b & PARALLEL != PARALLEL, (True, False)),
+        (4, lambda b: b & LOOP, (False, False))],
+        ids=["loop-16", "parallel-15-16", "coloop-16"])
+    def test_separations_past_the_first_block(self, r, keep, want):
+        # every separating set that misses element 17 holds element 16, so
+        # a scan of X without 17 finds them only past the first 2^16 masks
+        m = Matroid(18, filter(keep, _masks_of_size(18, r).tolist()))
+        got = (is_connected(m), is_3_connected(m))
+        assert got == want == (ref_is_connected(m), ref_is_3_connected(m))
 
 
 class TestRandomSparsePaving:
@@ -857,6 +964,55 @@ def _outcome(build, *args):
     except MatroidError as exc:
         return type(exc)
     return g.bases, g.labels
+
+
+def ref_from_circuits(circuits, n, labels):
+    # greedy rank, then every r-set tested against every listed set
+    def independent(x):
+        return not any(c and c & x == c for c in circuits)
+
+    ind = 0
+    for e in range(n):
+        if independent(ind | bit(e)):
+            ind |= bit(e)
+    return validate([mask_of(c) for c in
+                     itertools.combinations(range(n), popcount(ind))
+                     if independent(mask_of(c))], n, labels)
+
+
+def ref_paving(r, n, circuits):
+    forbidden = set(circuits)
+    return validate([mask_of(c) for c in itertools.combinations(range(n), r)
+                     if mask_of(c) not in forbidden], n)
+
+
+class TestBodyBuildersOracle:
+    """The `circuits` body builder and `paving`, which take their r-sets
+    from `_masks_of_size`, against r-set loops, on matroids' circuit
+    families and on arbitrary families."""
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_circuits_body(self, data):
+        n = data.draw(st.integers(1, 8))
+        fams = st.lists(st.integers(0, (1 << n) - 1), max_size=12)
+        if n >= 3 and data.draw(st.booleans()):
+            m = random_sparse_paving(data.draw(st.randoms(
+                use_true_random=False)), n, data.draw(st.integers(1, n - 1)))
+            fams = st.just(list(m.circuits()))
+        circuits = data.draw(fams)
+        assert _outcome(cli._from_circuits, circuits, n, None) \
+            == _outcome(ref_from_circuits, circuits, n, None)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_paving(self, data):
+        n = data.draw(st.integers(1, 8))
+        r = data.draw(st.integers(0, n))
+        circuits = data.draw(st.lists(
+            st.sampled_from(_masks_of_size(n, r).tolist()), max_size=8))
+        assert _outcome(builders.paving, r, n, circuits) \
+            == _outcome(ref_paving, r, n, circuits)
 
 
 def _exchanges(m):
