@@ -54,10 +54,9 @@ class NotATriad(MatroidError):
 def uniform(r: int, n: int, labels=None) -> Matroid:
     if not 0 <= r <= n:
         raise BadParams(f"uniform({r},{n}) needs 0 <= r <= n")
-    if r == 0:
-        return Matroid(n, [0], labels)
-    bases = [mask_of(c) for c in itertools.combinations(range(n), r)]
-    return Matroid(n, bases, labels)
+    if not 1 <= n <= MAX_GROUND:
+        raise BadParams(f"ground set size {n} outside 1..{MAX_GROUND}")
+    return Matroid(n, _masks_of_size(n, r).tolist(), labels)
 
 
 def paving(r: int, n: int, nonspanning_circuits, labels=None) -> Matroid:

@@ -217,8 +217,8 @@ class Matroid:
     The constructor takes a basis family and checks only that it is
     equicardinal and inside the ground set; use `validate` to check the
     basis axioms as well.  Minors and duals are built from the parent's
-    table.  Derived data (rank table, bases, dual, circuits) is cached on
-    first use; treat instances as read-only values.
+    table.  Derived data (rank table, bases, dual, circuits, quads) is
+    cached on first use; treat instances as read-only values.
     """
 
     def __init__(self, n: int, bases, labels=None):
@@ -259,6 +259,7 @@ class Matroid:
         self._tab_view = None
         self._dual = None
         self._circuits = None
+        self._quads = None
         self._is3conn = None
 
     @property
@@ -507,7 +508,8 @@ def validate(bases, n: int, labels=None) -> Matroid:
         return m
     tab = m.table()
     sets = _masks_of_size(n, r - 1)
-    ind = sets[tab[sets] == r - 1]
+    # every mask fits int32 at n <= 24, which halves these arrays
+    ind = sets[tab[sets] == r - 1].astype(np.int32)
     # ext[I] collects the elements i with I + i a basis
     ext = np.zeros_like(ind)
     for i in range(n):

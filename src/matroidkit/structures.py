@@ -1,14 +1,18 @@
 """Detection of named substructures: triangles, triads, segments, quads,
 fans, flans, and the four special exactly-3-separating configurations.
 
-Fan and flan orderings come from one depth-first search under a step rule.
-The six-element separators are rows of one table, `_TEMPLATES`: the circuits
-and cocircuits inside P in a labelling's names, read by one matcher."""
+Triangles and quads are gathered from the rank table over every 3- or
+4-subset at once; the quads are cached on the matroid, and spike-like
+detection reads its legs from them.  Fan and flan orderings come from one
+depth-first search under a step rule.  The six-element separators are rows
+of one table, `_TEMPLATES`: the circuits and cocircuits inside P in a
+labelling's names, read by one matcher."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +68,30 @@ def is_triad(m: Matroid, x: int) -> bool:
 
 
 @functools.cache
-def _triple_bits(n: int) -> np.ndarray:
-    """Read-only (C(n,3), 3) array of the single-bit masks of each 3-subset
-    of 0..n-1, rows in lex order; shared per n."""
-    combos = list(itertools.combinations(range(n), 3))
-    bits = (1 << np.array(combos, dtype=np.int32)).reshape(len(combos), 3)
+def _subset_bits(n: int, k: int) -> np.ndarray:
+    """Read-only (C(n,k), k) array of the single-bit masks of each k-subset
+    of 0..n-1, rows in lex order; shared per (n, k)."""
+    combos = list(itertools.combinations(range(n), k))
+    bits = (1 << np.array(combos, dtype=np.int32)).reshape(len(combos), k)
     bits.flags.writeable = False
     return bits
+
+
+def _gather_circuits(t: np.ndarray, bits: np.ndarray):
+    """The masks X of the rows of `bits` (single-bit columns) and whether
+    each is a circuit on the table t: r(X) = |X| - 1 = r(X - e), e in X."""
+    x = bits.sum(1, dtype=np.int32)
+    k = bits.shape[1]
+    ok = t[x] == k - 1
+    for j in range(k):
+        ok &= t[x ^ bits[:, j]] == k - 1
+    return x, ok
 
 
 def triangles(m: Matroid) -> list[int]:
     """Triangle masks in lex order: 3-sets X with r(X) = 2 and every
     2-subset independent."""
-    bits = _triple_bits(m.n)
-    x = bits.sum(1, dtype=np.int32)
-    t = m.table()
-    ok = t[x] == 2
-    for j in range(3):
-        ok &= t[x ^ bits[:, j]] == 2
+    x, ok = _gather_circuits(m.table(), _subset_bits(m.n, 3))
     return x[ok].tolist()
 
 
@@ -94,9 +104,21 @@ def is_quad(m: Matroid, x: int) -> bool:
             and _is_circuit(m.dual(), x))
 
 
-def quads(m: Matroid) -> list[int]:
-    return [mask_of(c) for c in itertools.combinations(range(m.n), 4)
-            if is_quad(m, mask_of(c))]
+def quads(m: Matroid) -> tuple[int, ...]:
+    """Quad masks in lex order, computed once per matroid: 4-circuits X
+    that are cocircuits.  As r*(Y) = |Y| - r + r(E - Y), X is a cocircuit
+    when r(E - X) = r - 1 and r(E - X + e) = r for every e in X, so M's
+    table answers both."""
+    if m._quads is None:
+        bits = _subset_bits(m.n, 4)
+        t = m.table()
+        x, ok = _gather_circuits(t, bits)
+        co = m.full ^ x
+        ok &= t[co] == m.rank - 1
+        for j in range(4):
+            ok &= t[co | bits[:, j]] == m.rank
+        m._quads = tuple(x[ok].tolist())
+    return m._quads
 
 
 def segments(m: Matroid) -> list[int]:
@@ -239,10 +261,17 @@ def _inner_circuits(m: Matroid, p: int) -> set[int]:
 
 
 def detect_spike_like(m: Matroid, p: int):
-    """Partition p into >= 3 pairs with every pair-union a quad."""
+    """Partition p into >= 3 pairs with every pair-union a quad.
+
+    The unions of two of the k/2 legs are C(k/2, 2) distinct quads inside
+    p, so with fewer quads there no search runs; otherwise legs are paired
+    up depth-first, ascending, against the set of quads inside p."""
     _require_exact3(m, p)
     k = popcount(p)
     if k < 6 or k % 2:
+        return None
+    inside = {q for q in quads(m) if not q & ~p}
+    if len(inside) < math.comb(k // 2, 2):
         return None
     ids = elems(p)
 
@@ -252,7 +281,7 @@ def detect_spike_like(m: Matroid, p: int):
         e = rest[0]
         for f in rest[1:]:
             leg = bit(e) | bit(f)
-            if all(is_quad(m, leg | other) for other in legs):
+            if all(leg | other in inside for other in legs):
                 got = pair_up([x for x in rest[1:] if x != f], legs + [leg])
                 if got:
                     return got

@@ -30,6 +30,10 @@ class TestUniform:
     def test_bad_params(self):
         with pytest.raises(BadParams):
             uniform(5, 4)
+        # checked before any table over the 2^n masks is built
+        for r, n in ((0, 0), (0, 25), (3, 25)):
+            with pytest.raises(BadParams, match=f"ground set size {n} "):
+                uniform(r, n)
 
 
 class TestPaving:

@@ -6,7 +6,8 @@ One seeded rank-4 sparse paving matroid on 24 elements goes through
 must fail `validate`.  `is_isomorphic` must decide seeded sparse paving
 matroids of ranks 4, 8 and 9 against relabelled copies and their duals,
 and U(4, 24) and U(12, 24) against relabelled copies.  A `circuits` file
-and `paving` must build 24-element matroids, U(12, 24) among them.
+and `paving` and `uniform` must build 24-element matroids, U(12, 24)
+among them, and `separators` must run on a 24-element file.
 
 The rank table has 2^24 entries, so a single table-sized int64 array is
 128 MiB; the bound below admits a few int8/bool tables and arrays over
@@ -25,14 +26,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matroidkit.builders import paving
-from matroidkit.cli import parse
+from matroidkit.builders import paving, uniform
+from matroidkit.cli import main, parse, serialize
 from matroidkit.connectivity import is_3_connected
 from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, _popcount_table, is_isomorphic,
                              popcount, rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
-from matroidkit.structures import triads, triangles
+from matroidkit.structures import quads, triads, triangles
 
 PEAK_MIB = 256
 WALL_S = 10.0
@@ -132,6 +133,26 @@ def test_paving_builds_uniform_12_24_within_bounds():
     assert (m.n, m.rank) == (n, 12)
     assert len(m.bases) == math.comb(n, 12)
     assert m.table().tobytes() == np.minimum(_popcount_table(n), 12).tobytes()
+
+
+def test_uniform_12_24_within_bounds():
+    n = MAX_GROUND
+    m = within_time_and_memory_bounds(lambda: uniform(12, n))
+    assert m.bases == tuple(_masks_of_size(n, 12).tolist())
+
+
+def test_separators_at_the_cap_within_bounds(tmp_path, capsys):
+    # in a rank-4 sparse paving matroid on 24 elements the exactly
+    # 3-separating sets of at least six elements are the complements of
+    # the 276 pairs; there are no quads, so no spike-like search runs
+    n = MAX_GROUND
+    src = random_sparse_paving(random.Random(24), n, 4)
+    path = tmp_path / "cap24.mtx"
+    path.write_text(serialize(src, "cap24"))
+    rc = within_time_and_memory_bounds(lambda: main(["separators", str(path)]))
+    assert rc == 0
+    assert capsys.readouterr().out == "none\n" * 2
+    assert quads(src) == ()
 
 
 def uniform_minus_last_two(r, n):

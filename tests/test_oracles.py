@@ -4,8 +4,10 @@ Each oracle here re-solves the same question by unpruned enumeration and
 must agree with the production path exactly.
 """
 
+import functools
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +35,9 @@ from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
 from matroidkit.minors import (NLabelling, all_triples_grounded,
                                grounded_triads, grounded_triangles, has_minor,
                                labellings)
-from matroidkit.structures import is_triangle, triads, triangles
+from matroidkit.structures import (StructureReport, detect_spike_like,
+                                   is_quad, is_triangle, quads, triads,
+                                   triangles)
 
 
 def brute_isomorphic(m1, m2):
@@ -378,6 +382,38 @@ def ref_triangles(m):
     # every 3-set tested on its own through the scalar rank lookups
     return [mask_of(c) for c in itertools.combinations(range(m.n), 3)
             if is_triangle(m, mask_of(c))]
+
+
+def ref_quads(m):
+    # every 4-set tested on its own through the scalar rank lookups of M
+    # and of M*
+    return [mask_of(c) for c in itertools.combinations(range(m.n), 4)
+            if is_quad(m, mask_of(c))]
+
+
+def ref_detect_spike_like(m, p):
+    # legs paired up depth-first, ascending, each union of two legs tested
+    # by `is_quad`; p is taken to be exactly 3-separating
+    k = popcount(p)
+    if k < 6 or k % 2:
+        return None
+
+    def pair_up(rest, legs):
+        if not rest:
+            return legs
+        e = rest[0]
+        for f in rest[1:]:
+            leg = bit(e) | bit(f)
+            if all(is_quad(m, leg | other) for other in legs):
+                got = pair_up([x for x in rest[1:] if x != f], legs + [leg])
+                if got:
+                    return got
+        return None
+
+    legs = pair_up(elems(p), [])
+    if not legs:
+        return None
+    return StructureReport("spike-like", p, {"legs": tuple(legs)})
 
 
 def ref_all_triples_grounded(m, n_mat):
@@ -1146,6 +1182,83 @@ class TestTrianglesOracle:
             for mat in (m, m.dual()):
                 assert triangles(mat) == ref_triangles(mat)
         assert triangles(m)
+
+
+def _exact_even_sets(m):
+    # every even, exactly 3-separating set of at least six elements
+    pc = _popcount_table(m.n)
+    return np.flatnonzero((_lambda_all(m) == 2) & (pc >= 6)
+                          & (pc % 2 == 0)).tolist()
+
+
+def _check_spike_like(m):
+    """`quads` and `detect_spike_like` on M against the scalar references;
+    how many sets are spike-like."""
+    assert quads(m) == tuple(ref_quads(m))
+    hits = 0
+    for p in _exact_even_sets(m):
+        got = detect_spike_like(m, p)
+        assert got == ref_detect_spike_like(m, p), (m, m.fmt(p))
+        hits += got is not None
+    return hits
+
+
+@functools.cache
+def _corpus12():
+    return tuple(e.matroid for e in generate_corpus(0, max_n=12))
+
+
+class TestSpikeLikeOracle:
+    """The quad table and the spike-like search that reads it against the
+    per-4-set `is_quad` scan and the per-pair `is_quad` recursion: the
+    same quads in the same order, and the same reports, legs included."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_corpus(self, data):
+        # a new element order changes the search order, so the legs too
+        m = data.draw(st.sampled_from(_corpus12()))
+        m = m.reorder(data.draw(st.permutations(m.labels)))
+        for mat in (m, m.dual()):
+            _check_spike_like(mat)
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_spikes(self, r):
+        m = spike(r)
+        # the unions of j legs, 3 <= j < r; all r legs miss only the tip,
+        # which is 2-separating
+        want = sum(math.comb(r, j) for j in range(3, r))
+        assert _check_spike_like(m) == _check_spike_like(m.dual()) == want
+        assert len(quads(m)) == math.comb(r, 2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_sparse_paving(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(6, 12)
+        # in rank 4 on 8 elements, a circuit-hyperplane whose complement
+        # is one too is a quad
+        for m in (random_sparse_paving(rng, n, rng.randint(2, n - 2)),
+                  random_sparse_paving(random.Random(seed), 8, 4)):
+            for mat in (m, m.dual()):
+                _check_spike_like(mat)
+
+    def test_enough_quads_but_no_legs(self):
+        # U(3,6) on b..g plus U(1,2) on a, h: P = {a,...,f} is exactly
+        # 3-separating, the five 4-sets of {b,...,f} are quads inside it,
+        # but none holds a, so a pairs with nothing
+        bases = [mask_of(c) | 1 << x for c in itertools.combinations(
+            range(6), 3) for x in (6, 7)]
+        m = Matroid(8, bases, "bcdefgah")
+        p = m.set_of("abcdef")
+        inside = [q for q in quads(m) if not q & ~p]
+        assert _lambda_all(m)[p] == 2
+        assert len(inside) == 5 >= math.comb(3, 2)
+        assert detect_spike_like(m, p) is ref_detect_spike_like(m, p) is None
+        _check_spike_like(m)
+
+    def test_cached_per_matroid(self):
+        m = spike(4)
+        assert quads(m) is quads(m)
 
 
 class TestGroundingOracle:
