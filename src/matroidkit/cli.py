@@ -45,8 +45,7 @@ class ParseError(MatroidError):
 # ---------------------------------------------------------------------------
 # parse / serialize
 
-def _parse_sets(tokens, labels, lineno):
-    idx = {lab: i for i, lab in enumerate(labels)}
+def _parse_sets(tokens, idx, lineno):
     out = []
     for tok in tokens:
         if not (tok.startswith("{") and tok.endswith("}")):
@@ -85,6 +84,7 @@ def parse(text: str) -> tuple[str, Matroid]:
             if len(set(rest)) != len(rest):
                 raise ParseError(lineno, "duplicate labels")
             labels = rest
+            idx = {lab: i for i, lab in enumerate(labels)}
         elif key == "rank":
             if len(rest) != 1 or not rest[0].isdigit():
                 raise ParseError(lineno, "rank takes one integer")
@@ -95,7 +95,7 @@ def parse(text: str) -> tuple[str, Matroid]:
             if body_kind not in (None, key):
                 raise ParseError(lineno, "mixed body kinds")
             body_kind = key
-            sets.extend(_parse_sets(rest, labels, lineno))
+            sets.extend(_parse_sets(rest, idx, lineno))
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
     if name is None or labels is None or body_kind is None:
@@ -324,10 +324,12 @@ _RECIPES = {
 }
 
 
+def _sets_of(m: Matroid, tokens) -> list[int]:
+    return _parse_sets(tokens, {lab: i for i, lab in enumerate(m.labels)}, 0)
+
+
 def cmd_construct(args) -> int:
-    tokens = args.recipe.split()
-    head = tokens[0]
-    rest = tokens[1:]
+    head, *rest = args.recipe.split() or [""]
     if head in _RECIPES and not rest:
         name, m = _RECIPES[head](None)
     elif head == "uniform" and len(rest) == 2:
@@ -337,17 +339,15 @@ def cmd_construct(args) -> int:
         r = int(rest[0])
         m = {"wheel": wheel, "whirl": whirl, "spike": spike}[head](r)
         name = f"{head}{r}"
-    elif head in ("dual", "relax", "deltawye", "wyedelta") and rest:
+    elif head == "dual" and len(rest) == 1:
         base_name, m0 = _load(rest[0])
-        if head == "dual":
-            name, m = f"{base_name}-dual", m0.dual()
-        else:
-            sets = _parse_sets(rest[1:2], m0.labels, 0)
-            tgt = sets[0]
-            op = {"relax": relax, "deltawye": delta_wye,
-                  "wyedelta": wye_delta}[head]
-            m = op(m0, tgt)
-            name = f"{base_name}-{head}"
+        name, m = f"{base_name}-dual", m0.dual()
+    elif head in ("relax", "deltawye", "wyedelta") and len(rest) == 2:
+        base_name, m0 = _load(rest[0])
+        op = {"relax": relax, "deltawye": delta_wye,
+              "wyedelta": wye_delta}[head]
+        m = op(m0, _sets_of(m0, rest[1:])[0])
+        name = f"{base_name}-{head}"
     elif head in ("paralleladd", "seriesadd") and len(rest) == 3:
         base_name, m0 = _load(rest[0])
         op = parallel_add if head == "paralleladd" else series_add
@@ -355,12 +355,12 @@ def cmd_construct(args) -> int:
         name = f"{base_name}-{head}"
     elif head == "principalext" and len(rest) == 3:
         base_name, m0 = _load(rest[0])
-        flat = _parse_sets(rest[1:2], m0.labels, 0)[0]
+        flat = _sets_of(m0, rest[1:2])[0]
         m = principal_extension(m0, flat, rest[2])
         name = f"{base_name}-ext"
     elif head == "modularcutext" and len(rest) >= 3:
         base_name, m0 = _load(rest[0])
-        flats = _parse_sets(rest[2:], m0.labels, 0)
+        flats = _sets_of(m0, rest[2:])
         m = modular_cut_extension(m0, flats, rest[1])
         name = f"{base_name}-ext"
     elif head == "parallelconn" and len(rest) == 3:

@@ -1,12 +1,14 @@
 """Executable property checks: a registry of structural facts verified
-exhaustively over the corpus, theorem-level verifiers, and replays of the
-two counterexample constructions."""
+exhaustively over the corpus (each fact's hypotheses are cells of its table
+row, with a reason for each non-default cell), theorem-level verifiers, and
+replays of the two counterexample constructions."""
 
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,10 +92,8 @@ def _in_cocl(m: Matroid, s: int, e: int) -> bool:
 def is_wheel_or_whirl(m: Matroid) -> bool:
     if m.n != 2 * m.rank or m.rank < 2:
         return False
-    w = wheel(m.rank)
-    if is_isomorphic(m, w) is not None:
-        return True
-    return is_isomorphic(m, whirl(m.rank)) is not None
+    return any(is_isomorphic(m, build(m.rank)) is not None
+               for build in (wheel, whirl))
 
 
 def _u3k_planes(m: Matroid, k: int):
@@ -109,10 +109,7 @@ def _u3k_planes(m: Matroid, k: int):
 
 def _fan_ends(m: Matroid):
     """(fan, end, the end's type) for both ends of every maximal fan of at
-    least four elements; none unless M is 3-connected, has at least four
-    elements and is neither a wheel nor a whirl."""
-    if not is_3_connected(m) or m.n < 4 or is_wheel_or_whirl(m):
-        return
+    least four elements."""
     for rec in fans(m):
         if len(rec.elements) >= 4:
             for i in (0, -1):
@@ -123,8 +120,6 @@ def _fan_ends(m: Matroid):
 # matroid-level checks.  Each returns (exercised, witness-or-None).
 
 def check_uncrossing(m):
-    if not is_3_connected(m):
-        return 0, None
     lam = _lambda_all(m)
     pc = _popcount_table(m.n).astype(np.int16)
     sep = np.nonzero(lam <= 2)[0]
@@ -165,8 +160,6 @@ def check_closure_complement_swap(m):
 
 
 def check_step_extension(m):
-    if not is_3_connected(m):
-        return 0, None
     lam = _lambda_all(m)
     exercised = 0
     for x in np.flatnonzero(lam == 2).tolist():
@@ -180,8 +173,6 @@ def check_step_extension(m):
 
 
 def check_boundary_attachment(m):
-    if not is_3_connected(m):
-        return 0, None
     lam = _lambda_all(m)
     exercised = 0
     for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
@@ -193,8 +184,6 @@ def check_boundary_attachment(m):
 
 
 def check_guts_coguts_step(m):
-    if not is_3_connected(m):
-        return 0, None
     lam = _lambda_all(m)
     exercised = 0
     for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
@@ -211,8 +200,6 @@ def check_guts_coguts_step(m):
 
 
 def check_contraction_vertical_split(m):
-    if not is_3_connected(m) or m.n < 4:
-        return 0, None
     trips = vertical_3_separations(m)
     with_z = {z for (_, z, _) in trips}
     exercised = 0
@@ -237,7 +224,7 @@ def _simple_cosimple(m):
 
 
 def check_full_closure_two_separation(m):
-    if not is_connected(m) or m.n < 4 or not _simple_cosimple(m):
+    if not _simple_cosimple(m):
         return 0, None
     lam = _lambda_all(m)
     exercised = 0
@@ -251,8 +238,6 @@ def check_full_closure_two_separation(m):
 
 
 def check_guts_coguts_disjoint(m):
-    if not is_3_connected(m):
-        return 0, None
     lam = _lambda_all(m)
 
     def violates(x):
@@ -269,8 +254,6 @@ def check_guts_coguts_disjoint(m):
 
 
 def check_segment_deletion(m):
-    if not is_3_connected(m):
-        return 0, None
     exercised = 0
     for s in segments(m):
         if popcount(s) < 4:
@@ -283,8 +266,6 @@ def check_segment_deletion(m):
 
 
 def check_one_side_stays_connected(m):
-    if not is_3_connected(m) or m.n < 4:
-        return 0, None
     exercised = 0
     for e in range(m.n):
         exercised += 1
@@ -294,27 +275,21 @@ def check_one_side_stays_connected(m):
 
 
 def check_triangle_deletion_triad(m):
-    if not is_3_connected(m) or m.n < 4:
-        return 0, None
     trds = triads(m)
     exercised = 0
     for t in triangles(m):
-        ids = elems(t)
-        for a in ids:
-            for b in ids:
-                if b == a:
-                    continue
-                if is_3_connected(m.delete(bit(a))) or \
-                        is_3_connected(m.delete(bit(b))):
-                    continue
-                exercised += 1
-                c = (t ^ bit(a) ^ bit(b)).bit_length() - 1
-                ok = any((td >> a & 1) and
-                         (td >> b & 1) != (td >> c & 1) and
-                         ((td >> b & 1) or (td >> c & 1))
-                         for td in trds)
-                if not ok:
-                    return exercised, (t, a, b)
+        for a, b in itertools.permutations(elems(t), 2):
+            if is_3_connected(m.delete(bit(a))) or \
+                    is_3_connected(m.delete(bit(b))):
+                continue
+            exercised += 1
+            c = (t ^ bit(a) ^ bit(b)).bit_length() - 1
+            ok = any((td >> a & 1) and
+                     (td >> b & 1) != (td >> c & 1) and
+                     ((td >> b & 1) or (td >> c & 1))
+                     for td in trds)
+            if not ok:
+                return exercised, (t, a, b)
     return exercised, None
 
 
@@ -324,23 +299,13 @@ def _rank3_cocircuits(m):
 
 
 def check_rank3_cocircuit_contraction(m):
-    if not is_3_connected(m) or m.n < 5:
-        return 0, None
-    t = m._ranks()
     exercised = 0
     for cstar in _rank3_cocircuits(m):
         for x in elems(cstar):
-            s = m.closure(cstar) ^ bit(x)
             bx = bit(x)
-            has_tri = False
-            for combo in itertools.combinations(elems(s), 3):
-                tri = mask_of(combo)
-                if t[tri | bx] == 3 and all(
-                        t[mask_of(pq) | bx] == 3
-                        for pq in itertools.combinations(combo, 2)):
-                    has_tri = True
-                    break
-            if not has_tri:
+            s = m.compress(m.closure(cstar) ^ bx, bx)
+            # some triangle of M/x lies in cl(C*) - x
+            if not any(tri & s == tri for tri in triangles(m.contract(bx))):
                 continue
             exercised += 1
             if not is_3_connected(_si(m, x)):
@@ -349,8 +314,6 @@ def check_rank3_cocircuit_contraction(m):
 
 
 def check_rank3_cocircuit_deletion(m):
-    if not is_3_connected(m) or m.rank < 4:
-        return 0, None
     t = m._ranks()
     exercised = 0
     for cstar in _rank3_cocircuits(m):
@@ -364,8 +327,6 @@ def check_rank3_cocircuit_deletion(m):
 
 
 def check_closure_meets_once(m):
-    if not is_3_connected(m):
-        return 0, None
     lam = _lambda_all(m)
 
     def violates(x):
@@ -409,8 +370,6 @@ def check_maximal_fan_end_removal(m):
 
 
 def check_quad_cocircuit_contraction(m):
-    if not is_3_connected(m) or m.n < 5:
-        return 0, None
     tris = triangles(m)
     in_tri = 0
     for t in tris:
@@ -428,8 +387,6 @@ def check_quad_cocircuit_contraction(m):
 
 
 def check_plane_external_deletion(m):
-    if not is_3_connected(m):
-        return 0, None
     exercised = 0
     for p in _u3k_planes(m, 5):
         for e in elems(m.closure(p) ^ p):
@@ -440,8 +397,6 @@ def check_plane_external_deletion(m):
 
 
 def check_plane_with_triad_deletion(m):
-    if not is_3_connected(m) or m.n < 6:
-        return 0, None
     trds = triads(m)
     exercised = 0
     for p in _u3k_planes(m, 5):
@@ -456,8 +411,6 @@ def check_plane_with_triad_deletion(m):
 
 
 def check_hinged_plane_deletion_pairs(m):
-    if not is_3_connected(m):
-        return 0, None
     trds = triads(m)
     tris = triangles(m)
     exercised = 0
@@ -486,10 +439,6 @@ def check_hinged_plane_deletion_pairs(m):
 
 
 def check_six_point_plane_pairs(m):
-    # stated for a U_{3,6}-restriction with triangle-free closure; the
-    # degenerate case E(M) = P is excluded (see decisions ledger)
-    if not is_3_connected(m) or m.n < 7:
-        return 0, None
     tris = triangles(m)
     exercised = 0
     for p in _u3k_planes(m, 6):
@@ -505,8 +454,6 @@ def check_six_point_plane_pairs(m):
 
 
 def check_flan_contraction(m):
-    if not is_3_connected(m):
-        return 0, None
     tris = triangles(m)
     in_tri = 0
     for t in tris:
@@ -538,29 +485,62 @@ def check_flan_contraction(m):
     return exercised, None
 
 
+class Check(NamedTuple):
+    """A registry row: a check, its size cap and its hypotheses on M."""
+    fn: Callable
+    cap: int = 12
+    conn: int = 3               # M is connected (2) or 3-connected (3)
+    least_n: int = 0
+    least_rank: int = 0
+    wheels: bool = True         # wheels and whirls admitted
+
+    @property
+    def name(self) -> str:
+        return self.fn.__name__.removeprefix("check_").replace("_", "-")
+
+    def admits(self, m: Matroid, *n_mat: Matroid) -> bool:
+        """M, and N for a pair check, meet the row's hypotheses."""
+        return (m.n >= self.least_n and m.rank >= self.least_rank
+                and (self.conn != 2 or is_connected(m))
+                and (self.conn != 3 or is_3_connected(m))
+                and (self.wheels or not is_wheel_or_whirl(m))
+                and all(is_3_connected(n) and has_minor(m, n) is not None
+                        for n in n_mat))
+
+
+# The hypotheses of each check, applied once by `_check_verdict`; a pair
+# check also needs N 3-connected and a minor of M.  Non-default cells:
+# - cap: bounds the running time; the plane checks reach the 13-element
+#   hinged planes of the corpus.
+# - conn=0: e is in cl(X) exactly when it is not in cl*(E - X - e), in any M.
+# - conn=2: the check reads the 2-separations of a connected M (whether M is
+#   also simple and cosimple is asked inside full-closure-two-separation).
+# - least_n, least_rank: the size and rank bounds of the lemmas; for
+#   six-point-plane-pairs, n >= 7 excludes the degenerate case E(M) = P.
+# - wheels=False: the fan-end lemmas exclude wheels and whirls.
 MATROID_CHECKS = [
-    ("uncrossing", check_uncrossing, 11),
-    ("closure-complement-swap", check_closure_complement_swap, 11),
-    ("step-extension", check_step_extension, 12),
-    ("boundary-attachment", check_boundary_attachment, 12),
-    ("guts-coguts-step", check_guts_coguts_step, 12),
-    ("contraction-vertical-split", check_contraction_vertical_split, 12),
-    ("full-closure-two-separation", check_full_closure_two_separation, 12),
-    ("guts-coguts-disjoint", check_guts_coguts_disjoint, 12),
-    ("segment-deletion", check_segment_deletion, 12),
-    ("one-side-stays-connected", check_one_side_stays_connected, 12),
-    ("triangle-deletion-triad", check_triangle_deletion_triad, 12),
-    ("rank3-cocircuit-contraction", check_rank3_cocircuit_contraction, 12),
-    ("rank3-cocircuit-deletion", check_rank3_cocircuit_deletion, 12),
-    ("closure-meets-once", check_closure_meets_once, 12),
-    ("fan-end-removal", check_fan_end_removal, 12),
-    ("maximal-fan-end-removal", check_maximal_fan_end_removal, 12),
-    ("quad-cocircuit-contraction", check_quad_cocircuit_contraction, 12),
-    ("plane-external-deletion", check_plane_external_deletion, 13),
-    ("plane-with-triad-deletion", check_plane_with_triad_deletion, 13),
-    ("hinged-plane-deletion-pairs", check_hinged_plane_deletion_pairs, 13),
-    ("six-point-plane-pairs", check_six_point_plane_pairs, 12),
-    ("flan-contraction", check_flan_contraction, 12),
+    Check(check_uncrossing, cap=11),
+    Check(check_closure_complement_swap, cap=11, conn=0),
+    Check(check_step_extension),
+    Check(check_boundary_attachment),
+    Check(check_guts_coguts_step),
+    Check(check_contraction_vertical_split, least_n=4),
+    Check(check_full_closure_two_separation, conn=2, least_n=4),
+    Check(check_guts_coguts_disjoint),
+    Check(check_segment_deletion),
+    Check(check_one_side_stays_connected, least_n=4),
+    Check(check_triangle_deletion_triad, least_n=4),
+    Check(check_rank3_cocircuit_contraction, least_n=5),
+    Check(check_rank3_cocircuit_deletion, least_rank=4),
+    Check(check_closure_meets_once),
+    Check(check_fan_end_removal, least_n=4, wheels=False),
+    Check(check_maximal_fan_end_removal, least_n=4, wheels=False),
+    Check(check_quad_cocircuit_contraction, least_n=5),
+    Check(check_plane_external_deletion, cap=13),
+    Check(check_plane_with_triad_deletion, cap=13, least_n=6),
+    Check(check_hinged_plane_deletion_pairs, cap=13),
+    Check(check_six_point_plane_pairs, least_n=7),
+    Check(check_flan_contraction),
 ]
 
 
@@ -568,10 +548,6 @@ MATROID_CHECKS = [
 # (M, N) checks
 
 def check_grounded_triangle_contraction(m, n_mat):
-    if not (is_3_connected(m) and is_3_connected(n_mat)):
-        return 0, None
-    if n_mat.n < 4 or has_minor(m, n_mat) is None:
-        return 0, None
     exercised = 0
     for t in grounded_triangles(m, n_mat):
         for x in elems(t):
@@ -582,11 +558,6 @@ def check_grounded_triangle_contraction(m, n_mat):
 
 
 def check_two_separation_minor_side(m, n_mat):
-    if not is_connected(m) or not is_3_connected(n_mat):
-        return 0, None
-    if has_minor(m, n_mat) is None:
-        return 0, None
-
     def side_ok(u):
         got = next(labellings(m, n_mat, survivor_cap=u), None)
         if got is None:
@@ -611,10 +582,6 @@ def check_two_separation_minor_side(m, n_mat):
 
 
 def check_cyclic_separation_labels(m, n_mat):
-    if not (is_3_connected(m) and is_3_connected(n_mat)):
-        return 0, None
-    if n_mat.n < 4 or has_minor(m, n_mat) is None:
-        return 0, None
     exercised = 0
     for xa, z, ya in cyclic_3_separations(m):
         for x, y in ((xa, ya), (ya, xa)):
@@ -644,11 +611,7 @@ def check_cyclic_separation_labels(m, n_mat):
 
 
 def check_parallel_label_switch(m, n_mat):
-    if n_mat.n < 4 or not (is_3_connected(m) and is_3_connected(n_mat)):
-        return 0, None
     lab = has_minor(m, n_mat)
-    if lab is None:
-        return 0, None
     t = m._ranks()
     exercised = 0
     for c in elems(lab.contract):
@@ -671,10 +634,10 @@ def check_parallel_label_switch(m, n_mat):
 
 
 PAIR_CHECKS = [
-    ("grounded-triangle-contraction", check_grounded_triangle_contraction, 12),
-    ("two-separation-minor-side", check_two_separation_minor_side, 10),
-    ("cyclic-separation-labels", check_cyclic_separation_labels, 11),
-    ("parallel-label-switch", check_parallel_label_switch, 12),
+    Check(check_grounded_triangle_contraction),
+    Check(check_two_separation_minor_side, cap=10, conn=2),
+    Check(check_cyclic_separation_labels, cap=11),
+    Check(check_parallel_label_switch),
 ]
 
 
@@ -687,32 +650,33 @@ def run_lemma_registry(corpus=None, seed: int = 0,
     if corpus is None:
         corpus = generate_corpus(seed, max_n=16)
     out = []
-    for name, fn, cap in MATROID_CHECKS:
+    for row in MATROID_CHECKS:
         for entry in corpus:
-            if entry.matroid.n > cap:
+            if entry.matroid.n > row.cap:
                 continue
-            out.append(_check_verdict(name, entry.name, fn, entry.matroid))
+            out.append(_check_verdict(row, entry.name, entry.matroid))
     small = [e for e in corpus if e.matroid.n <= max_n]
-    for name, fn, cap in PAIR_CHECKS:
+    for row in PAIR_CHECKS:
         for em in small:
-            if em.matroid.n > cap:
+            if em.matroid.n > row.cap:
                 continue
             for en in small:
                 if en.matroid.n < 4 or en.matroid.n > em.matroid.n:
                     continue
                 if en.matroid.n == em.matroid.n and en.name != em.name:
                     continue
-                out.append(_check_verdict(name, f"{em.name}|{en.name}", fn,
+                out.append(_check_verdict(row, f"{em.name}|{en.name}",
                                           em.matroid, en.matroid))
     return out
 
 
-def _check_verdict(check, instance, fn, *args) -> Verdict:
-    """The verdict of a registry check `fn` on `args`, timed."""
-    (exercised, witness), ms = _timed(fn, *args)
+def _check_verdict(row: Check, instance, *args) -> Verdict:
+    """The verdict of `row` on `args`, timed; vacuous off its hypotheses."""
+    (exercised, witness), ms = _timed(
+        lambda: row.fn(*args) if row.admits(*args) else (0, None))
     outcome = ("fail" if witness is not None
                else "pass" if exercised else "vacuous")
-    return Verdict(check, instance, outcome, exercised, witness, ms)
+    return Verdict(row.name, instance, outcome, exercised, witness, ms)
 
 
 def registry_summary(verdicts) -> dict:

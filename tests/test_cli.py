@@ -238,6 +238,9 @@ class TestCommands:
         ["construct", "uniform a b"],
         ["construct", "paralleladd {dir}/F7.mtx zz new"],
         ["analyze", "{dir}/missing.mtx"],
+        ["construct", ""],
+        ["construct", "relax {dir}/F7.mtx"],
+        ["construct", "deltawye {dir}/F7.mtx"],
     ])
     def test_bad_input_is_one_error_line(self, argv, construction_files,
                                          tmp_path, capsys):

@@ -6,18 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from matroidkit.core import bit
+from matroidkit.core import Matroid, bit
 
-from matroidkit.builders import (fano, twisted_cube_matroid, uniform,
+from matroidkit.builders import (fano, relax, twisted_cube_matroid, uniform,
                                  wheel, whirl)
-from matroidkit.corpus import elongated_quad_glued, generate_corpus
+from matroidkit.connectivity import is_3_connected, is_connected
+from matroidkit.corpus import elongated_quad_glued, generate_corpus, two_sum
 from matroidkit.harness import (MATROID_CHECKS, PAIR_CHECKS, Verdict,
+                                _check_verdict,
                                 is_wheel_or_whirl, run_lemma_registry,
                                 sweep_theorem_triangles,
                                 verify_flan_corollary, verify_foundation,
                                 verify_theorem_main,
                                 verify_theorem_triangles)
-from matroidkit.minors import HypothesisUnmet
+from matroidkit.minors import HypothesisUnmet, has_minor
+from matroidkit.structures import triangles
 from matroidkit.cli import serialize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,10 +73,68 @@ class TestCorpus:
         assert not is_wheel_or_whirl(twisted_cube_matroid())
 
 
+def _failed_columns(row, m):
+    """The hypothesis columns of registry row `row` that M fails."""
+    conn_ok = {0: True, 2: is_connected(m), 3: is_3_connected(m)}[row.conn]
+    return {col for col, ok in (
+        ("conn", conn_ok), ("least_n", m.n >= row.least_n),
+        ("least_rank", m.rank >= row.least_rank),
+        ("wheels", row.wheels or not is_wheel_or_whirl(m))) if not ok}
+
+
+def _column_breakers(row):
+    """(column, M) for each hypothesis column of `row`, with M failing that
+    column: a 2-sum for 3-connectivity, U(2,4) plus a coloop for
+    connectivity, a uniform matroid below the least size, U(3,6) below the
+    least rank, and the rank-4 wheel and whirl."""
+    u24 = uniform(2, 4)
+    if row.conn == 3:
+        yield "conn", two_sum(wheel(3), "s1", u24, "a")
+    if row.conn == 2:
+        yield "conn", Matroid(5, [b | bit(4) for b in u24.bases])
+    if row.least_n:
+        yield "least_n", uniform(2, row.least_n - 1)
+    if row.least_rank:
+        yield "least_rank", uniform(3, 6)
+    if not row.wheels:
+        yield "wheels", wheel(4)
+        yield "wheels", whirl(4)
+
+
 class TestRegistryPlumbing:
     def test_every_check_has_unique_name(self):
-        names = [c[0] for c in MATROID_CHECKS] + [c[0] for c in PAIR_CHECKS]
+        names = [row.name for row in MATROID_CHECKS + PAIR_CHECKS]
         assert len(names) == len(set(names)) == 26
+
+    @pytest.mark.parametrize(
+        "row", [r for r in MATROID_CHECKS + PAIR_CHECKS
+                if r.name != "closure-complement-swap"],
+        ids=lambda r: r.name)
+    def test_each_hypothesis_column_makes_vacuous(self, row):
+        # every other column holds, and for a pair check N = U(2,4) is a
+        # 3-connected minor of M, so the one failed column is the cause
+        pair = [uniform(2, 4)] if row in PAIR_CHECKS else []
+        breakers = list(_column_breakers(row))
+        assert breakers
+        for col, m in breakers:
+            assert _failed_columns(row, m) == {col}
+            assert all(has_minor(m, n) is not None for n in pair)
+            v = _check_verdict(row, "m", m, *pair)
+            assert (v.outcome, v.exercised) == ("vacuous", 0), (col, v)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: fan-end-removal and plane-with-triad-deletion "
+        "fail on relax(whirl(3), t), a 6-element matroid outside the "
+        "corpus"))
+    def test_roadmap_item_1_witness(self):
+        w = whirl(3)
+        rows = [r for r in MATROID_CHECKS if r.name in
+                ("fan-end-removal", "plane-with-triad-deletion")]
+        assert len(rows) == 2
+        for t in triangles(w):
+            m = relax(w, t)
+            for row in rows:
+                assert _check_verdict(row, "m", m).outcome != "fail"
 
     def test_vacuous_reported_distinctly(self):
         small = generate_corpus(0, max_n=6)
