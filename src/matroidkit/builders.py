@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 
 from .core import (MAX_GROUND, AxiomViolation, Matroid, MatroidError,
-                   _masks_of_size, bit, elems, mask_of, popcount, validate)
-from .structures import is_triad, is_triangle
+                   _masks_of_size, bit, mask_of, popcount, validate)
+from .structures import _is_circuit, is_triad, is_triangle
 
 
 class BadParams(MatroidError):
@@ -128,11 +128,9 @@ def rim(r: int) -> int:
 
 def relax(m: Matroid, x: int) -> Matroid:
     """Promote a circuit-hyperplane to a basis."""
-    t = m._ranks()
-    if t[x] != popcount(x) - 1 or any(t[x ^ bit(e)] != popcount(x) - 1
-                                      for e in elems(x)):
+    if not _is_circuit(m, x):
         raise NotCircuitHyperplane(f"{m.fmt(x)} is not a circuit")
-    if t[x] != m.rank - 1 or m.closure(x) != x:
+    if m.rank_of(x) != m.rank - 1 or m.closure(x) != x:
         raise NotCircuitHyperplane(f"{m.fmt(x)} is not a hyperplane")
     return Matroid(m.n, m.bases + (x,), m.labels)
 

@@ -123,6 +123,16 @@ def _masks_of_size(n: int, k: int) -> np.ndarray:
     return masks
 
 
+@functools.cache
+def _combos(n: int, k: int) -> np.ndarray:
+    """Read-only (C(n, k), k) array of the k-subsets of range(n), rows in
+    lex order; shared per (n, k)."""
+    combos = list(itertools.combinations(range(n), k))
+    pos = np.array(combos, dtype=np.int32).reshape(len(combos), k)
+    pos.flags.writeable = False
+    return pos
+
+
 # Below this half-width a pass goes column by column: numpy puts the
 # size-2^i axis of a block innermost, so each ufunc would run 2^n / 2^(i+1)
 # inner loops of 2^i elements, which costs far more than the arithmetic.

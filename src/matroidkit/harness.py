@@ -1,7 +1,13 @@
 """Executable property checks: a registry of structural facts verified
-exhaustively over the corpus (each fact's hypotheses are cells of its table
-row, with a reason for each non-default cell), theorem-level verifiers, and
-replays of the two counterexample constructions."""
+exhaustively over the corpus, theorem-level verifiers, and replays of the
+two counterexample constructions.
+
+Each registry fact is a row of a table: its check and its hypotheses as
+cells, with a reason for each non-default cell.  A check is a generator
+that yields once per case it exercises: None where the conclusion holds,
+or a witness where it fails.  One runner, `_check_verdict`, applies the
+hypotheses, counts the cases, stops at the first witness and times the
+run."""
 
 from __future__ import annotations
 
@@ -12,12 +18,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _popcount_table, bit, elems,
-                   is_isomorphic, mask_of, popcount, submasks)
+from .core import (Matroid, MatroidError, _combos, _popcount_table, bit,
+                   elems, is_isomorphic, mask_of, popcount, submasks)
 from .connectivity import (_k_separating, _lambda_all, is_3_connected,
                            is_connected, lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
-from .structures import (_flan_step, detect_spike_like,
+from .structures import (_flan_step, _subset_bits, detect_spike_like,
                          detect_twisted_cube_like, fans, flans, segments,
                          special_separator, triangles, triads)
 from .minors import (HypothesisUnmet, all_triples_grounded,
@@ -96,15 +102,13 @@ def is_wheel_or_whirl(m: Matroid) -> bool:
                for build in (wheel, whirl))
 
 
-def _u3k_planes(m: Matroid, k: int):
+def _u3k_planes(m: Matroid, k: int) -> list[int]:
     """The k-sets P, in lex order, with M|P = U_{3,k}: r(P) = 3 and every
     3-subset of P is a basis."""
-    t = m._ranks()
-    for combo in itertools.combinations(range(m.n), k):
-        p = mask_of(combo)
-        if t[p] == 3 and all(t[mask_of(c)] == 3
-                             for c in itertools.combinations(combo, 3)):
-            yield p
+    t, bits = m.table(), _subset_bits(m.n, k)
+    p = bits.sum(1, dtype=np.int32)
+    ok = (t[p] == 3) & (t[bits[:, _combos(k, 3)].sum(2)] == 3).all(1)
+    return p[ok].tolist()
 
 
 def _fan_ends(m: Matroid):
@@ -117,35 +121,30 @@ def _fan_ends(m: Matroid):
 
 
 # ---------------------------------------------------------------------------
-# matroid-level checks.  Each returns (exercised, witness-or-None).
+# matroid-level checks.  Each is a generator that yields once per exercised
+# case: None when the conclusion holds there, or a witness when it fails.
 
 def check_uncrossing(m):
     lam = _lambda_all(m)
     pc = _popcount_table(m.n).astype(np.int16)
     sep = np.nonzero(lam <= 2)[0]
-    n = m.n
-    exercised = 0
     for x in sep:
-        inter = pc[sep & x]
-        union = sep | x
-        c1 = inter >= 2
-        exercised += int(c1.sum())
-        if bool((c1 & (lam[union] > 2)).any()):
-            y = int(sep[np.nonzero(c1 & (lam[union] > 2))[0][0]])
-            return exercised, (int(x), y, "union")
-        c2 = (n - pc[union]) >= 2
-        exercised += int(c2.sum())
-        if bool((c2 & (lam[sep & x] > 2)).any()):
-            y = int(sep[np.nonzero(c2 & (lam[sep & x] > 2))[0][0]])
-            return exercised, (int(x), y, "intersection")
-    return exercised, None
+        inter, union = sep & x, sep | x
+        # each kind's cases in bulk: passes, then the witness if one fails
+        for kind, case, other in (("union", pc[inter] >= 2, union),
+                                  ("intersection", m.n - pc[union] >= 2,
+                                   inter)):
+            bad = case & (lam[other] > 2)
+            hit = bool(bad.any())
+            yield from itertools.repeat(None, int(case.sum()) - hit)
+            if hit:
+                yield int(x), int(sep[bad.argmax()]), kind
 
 
 def check_closure_complement_swap(m):
     dual = m.dual()
     t = m._ranks()
     td = dual._ranks()
-    exercised = 0
     for e in range(m.n):
         be = bit(e)
         rest = m.full ^ be
@@ -153,62 +152,44 @@ def check_closure_complement_swap(m):
             y = rest ^ x
             in_cl = t[x | be] == t[x]
             in_cocl = td[y | be] == td[y]
-            exercised += 1
-            if in_cl == in_cocl:
-                return exercised, (e, x)
-    return exercised, None
+            yield (e, x) if in_cl == in_cocl else None
 
 
 def check_step_extension(m):
     lam = _lambda_all(m)
-    exercised = 0
     for x in np.flatnonzero(lam == 2).tolist():
         for e in elems(m.full ^ x):
-            exercised += 1
             grows = lam[x | bit(e)] <= 2
             attached = _in_cl(m, x, e) or _in_cocl(m, x, e)
-            if grows != attached:
-                return exercised, (x, e)
-    return exercised, None
+            yield (x, e) if grows != attached else None
 
 
 def check_boundary_attachment(m):
     lam = _lambda_all(m)
-    exercised = 0
     for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
         for e in elems(x):
-            exercised += 1
-            if not (_in_cl(m, x ^ bit(e), e) or _in_cocl(m, x ^ bit(e), e)):
-                return exercised, (x, e)
-    return exercised, None
+            ok = _in_cl(m, x ^ bit(e), e) or _in_cocl(m, x ^ bit(e), e)
+            yield None if ok else (x, e)
 
 
 def check_guts_coguts_step(m):
     lam = _lambda_all(m)
-    exercised = 0
     for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
         y = m.full ^ x
         for e in elems(x):
             rest = x ^ bit(e)
-            exercised += 1
             step_exact = lam[rest] == 2
             guts = _in_cl(m, rest, e) and _in_cl(m, y, e)
             coguts = _in_cocl(m, rest, e) and _in_cocl(m, y, e)
-            if step_exact != (guts or coguts):
-                return exercised, (x, e)
-    return exercised, None
+            yield (x, e) if step_exact != (guts or coguts) else None
 
 
 def check_contraction_vertical_split(m):
     trips = vertical_3_separations(m)
     with_z = {z for (_, z, _) in trips}
-    exercised = 0
     for z in range(m.n):
-        exercised += 1
         si_ok = is_3_connected(_si(m, z))
-        if (z in with_z) == si_ok:
-            return exercised, z
-    return exercised, None
+        yield z if (z in with_z) == si_ok else None
 
 
 def _simple_cosimple(m):
@@ -225,16 +206,13 @@ def _simple_cosimple(m):
 
 def check_full_closure_two_separation(m):
     if not _simple_cosimple(m):
-        return 0, None
+        return
     lam = _lambda_all(m)
-    exercised = 0
     for x in np.flatnonzero(_k_separating(m, 2)).tolist():
-        exercised += 1
         f = full_closure(m, x)
         rest = m.full ^ f
-        if lam[f] > 1 or popcount(f) < 2 or popcount(rest) < 2:
-            return exercised, x
-    return exercised, None
+        bad = lam[f] > 1 or popcount(f) < 2 or popcount(rest) < 2
+        yield x if bad else None
 
 
 def check_guts_coguts_disjoint(m):
@@ -245,52 +223,37 @@ def check_guts_coguts_disjoint(m):
                 and m.n - popcount(x) >= 3
                 and m.closure(x) & m.coclosure(x) & (m.full ^ x))
 
-    exercised = 0
     for x in np.flatnonzero(_k_separating(m, 3)).tolist():
-        exercised += 1
-        if violates(x):
-            return exercised, shrink_mask(violates, x)
-    return exercised, None
+        yield shrink_mask(violates, x) if violates(x) else None
 
 
 def check_segment_deletion(m):
-    exercised = 0
     for s in segments(m):
         if popcount(s) < 4:
             continue
         for e in elems(s):
-            exercised += 1
-            if not is_3_connected(m.delete(bit(e))):
-                return exercised, (s, e)
-    return exercised, None
+            yield None if is_3_connected(m.delete(bit(e))) else (s, e)
 
 
 def check_one_side_stays_connected(m):
-    exercised = 0
     for e in range(m.n):
-        exercised += 1
-        if not (is_3_connected(_co(m, e)) or is_3_connected(_si(m, e))):
-            return exercised, e
-    return exercised, None
+        ok = is_3_connected(_co(m, e)) or is_3_connected(_si(m, e))
+        yield None if ok else e
 
 
 def check_triangle_deletion_triad(m):
     trds = triads(m)
-    exercised = 0
     for t in triangles(m):
         for a, b in itertools.permutations(elems(t), 2):
             if is_3_connected(m.delete(bit(a))) or \
                     is_3_connected(m.delete(bit(b))):
                 continue
-            exercised += 1
             c = (t ^ bit(a) ^ bit(b)).bit_length() - 1
             ok = any((td >> a & 1) and
                      (td >> b & 1) != (td >> c & 1) and
                      ((td >> b & 1) or (td >> c & 1))
                      for td in trds)
-            if not ok:
-                return exercised, (t, a, b)
-    return exercised, None
+            yield None if ok else (t, a, b)
 
 
 def _rank3_cocircuits(m):
@@ -299,7 +262,6 @@ def _rank3_cocircuits(m):
 
 
 def check_rank3_cocircuit_contraction(m):
-    exercised = 0
     for cstar in _rank3_cocircuits(m):
         for x in elems(cstar):
             bx = bit(x)
@@ -307,23 +269,16 @@ def check_rank3_cocircuit_contraction(m):
             # some triangle of M/x lies in cl(C*) - x
             if not any(tri & s == tri for tri in triangles(m.contract(bx))):
                 continue
-            exercised += 1
-            if not is_3_connected(_si(m, x)):
-                return exercised, (cstar, x)
-    return exercised, None
+            yield None if is_3_connected(_si(m, x)) else (cstar, x)
 
 
 def check_rank3_cocircuit_deletion(m):
     t = m._ranks()
-    exercised = 0
     for cstar in _rank3_cocircuits(m):
         for x in elems(cstar):
             if t[cstar] != t[cstar ^ bit(x)]:
                 continue
-            exercised += 1
-            if not is_3_connected(_co(m, x)):
-                return exercised, (cstar, x)
-    return exercised, None
+            yield None if is_3_connected(_co(m, x)) else (cstar, x)
 
 
 def check_closure_meets_once(m):
@@ -337,36 +292,24 @@ def check_closure_meets_once(m):
         b = x & m.coclosure(y)
         return a and b and (popcount(a) != 1 or popcount(b) != 1)
 
-    exercised = 0
     for x in np.flatnonzero(_k_separating(m, 3)).tolist():
         if x & m.closure(m.full ^ x) and x & m.coclosure(m.full ^ x):
-            exercised += 1
-            if violates(x):
-                return exercised, shrink_mask(violates, x)
-    return exercised, None
+            yield shrink_mask(violates, x) if violates(x) else None
 
 
 def check_fan_end_removal(m):
-    exercised = 0
     for fan, f, kind in _fan_ends(m):
-        exercised += 1
         if kind == "spoke":
             ok = is_3_connected(_co(m, f)) and not is_3_connected(_si(m, f))
         else:
             ok = is_3_connected(_si(m, f)) and not is_3_connected(_co(m, f))
-        if not ok:
-            return exercised, (fan, f)
-    return exercised, None
+        yield None if ok else (fan, f)
 
 
 def check_maximal_fan_end_removal(m):
-    exercised = 0
     for fan, f, kind in _fan_ends(m):
-        exercised += 1
         target = m.delete(bit(f)) if kind == "spoke" else m.contract(bit(f))
-        if not is_3_connected(target):
-            return exercised, (fan, f)
-    return exercised, None
+        yield None if is_3_connected(target) else (fan, f)
 
 
 def check_quad_cocircuit_contraction(m):
@@ -374,46 +317,35 @@ def check_quad_cocircuit_contraction(m):
     in_tri = 0
     for t in tris:
         in_tri |= t
-    exercised = 0
     for cstar in m.cocircuits():
         if popcount(cstar) != 4:
             continue
         if popcount(cstar & ~in_tri) < 2:
             continue
-        exercised += 1
-        if not any(is_3_connected(m.contract(bit(c))) for c in elems(cstar)):
-            return exercised, cstar
-    return exercised, None
+        ok = any(is_3_connected(m.contract(bit(c))) for c in elems(cstar))
+        yield None if ok else cstar
 
 
 def check_plane_external_deletion(m):
-    exercised = 0
     for p in _u3k_planes(m, 5):
         for e in elems(m.closure(p) ^ p):
-            exercised += 1
-            if not is_3_connected(m.delete(bit(e))):
-                return exercised, (p, e)
-    return exercised, None
+            yield None if is_3_connected(m.delete(bit(e))) else (p, e)
 
 
 def check_plane_with_triad_deletion(m):
     trds = triads(m)
-    exercised = 0
     for p in _u3k_planes(m, 5):
         for tstar in trds:
             if tstar & p != tstar:
                 continue
             for e in elems(p ^ tstar):
-                exercised += 1
-                if not is_3_connected(m.delete(bit(e))):
-                    return exercised, (p, tstar, e)
-    return exercised, None
+                ok = is_3_connected(m.delete(bit(e)))
+                yield None if ok else (p, tstar, e)
 
 
 def check_hinged_plane_deletion_pairs(m):
     trds = triads(m)
     tris = triangles(m)
-    exercised = 0
     for p in _u3k_planes(m, 5):
         clp = m.closure(p)
         if any(t & clp == t for t in tris):
@@ -423,7 +355,6 @@ def check_hinged_plane_deletion_pairs(m):
         for e in elems(p):
             if is_3_connected(m.delete(bit(e))):
                 continue
-            exercised += 1
             rest = elems(p ^ bit(e))
             ok = False
             for i in range(1, 4):
@@ -433,24 +364,19 @@ def check_hinged_plane_deletion_pairs(m):
                        for u in pair for v in other):
                     ok = True
                     break
-            if not ok:
-                return exercised, (p, e)
-    return exercised, None
+            yield None if ok else (p, e)
 
 
 def check_six_point_plane_pairs(m):
     tris = triangles(m)
-    exercised = 0
     for p in _u3k_planes(m, 6):
         clp = m.closure(p)
         if any(t & clp == t for t in tris):
             continue
         for xcombo in itertools.combinations(elems(p), 4):
-            exercised += 1
-            if not any(is_3_connected(m.delete(bit(x1) | bit(x2)))
-                       for x1, x2 in itertools.combinations(xcombo, 2)):
-                return exercised, (p, xcombo)
-    return exercised, None
+            ok = any(is_3_connected(m.delete(bit(x1) | bit(x2)))
+                     for x1, x2 in itertools.combinations(xcombo, 2))
+            yield None if ok else (p, xcombo)
 
 
 def check_flan_contraction(m):
@@ -458,7 +384,6 @@ def check_flan_contraction(m):
     in_tri = 0
     for t in tris:
         in_tri |= t
-    exercised = 0
     for rec in flans(m):
         seq = rec.elements
         t_len = len(seq)
@@ -472,17 +397,17 @@ def check_flan_contraction(m):
                 fj = seq[jpos]
                 if in_tri >> fj & 1:
                     continue
-                exercised += 1
                 pair = bit(fi) | bit(fj)
+                j_1based = jpos + 1
                 if not (is_3_connected(m.contract(bit(fi)))
                         and is_3_connected(m.contract(bit(fj)))
                         and is_3_connected(m.contract(pair).simplify()[0])):
-                    return exercised, (seq, fi, fj, "si")
-                j_1based = jpos + 1
-                if (j_1based >= 7 or t_len == 5) and \
+                    yield seq, fi, fj, "si"
+                elif (j_1based >= 7 or t_len == 5) and \
                         not is_3_connected(m.contract(pair)):
-                    return exercised, (seq, fi, fj, "contract-pair")
-    return exercised, None
+                    yield seq, fi, fj, "contract-pair"
+                else:
+                    yield None
 
 
 class Check(NamedTuple):
@@ -548,13 +473,10 @@ MATROID_CHECKS = [
 # (M, N) checks
 
 def check_grounded_triangle_contraction(m, n_mat):
-    exercised = 0
     for t in grounded_triangles(m, n_mat):
         for x in elems(t):
-            exercised += 1
-            if has_minor(m.contract(bit(x)), n_mat) is not None:
-                return exercised, (t, x)
-    return exercised, None
+            kept = has_minor(m.contract(bit(x)), n_mat) is not None
+            yield (t, x) if kept else None
 
 
 def check_two_separation_minor_side(m, n_mat):
@@ -568,21 +490,16 @@ def check_two_separation_minor_side(m, n_mat):
                     return False
         return True
 
-    exercised = 0
     seen = set()
     for x in np.flatnonzero(_k_separating(m, 2)).tolist():
         y = m.full ^ x
         if y in seen:
             continue
         seen.add(x)
-        exercised += 1
-        if not (side_ok(x) or side_ok(y)):
-            return exercised, x
-    return exercised, None
+        yield None if side_ok(x) or side_ok(y) else x
 
 
 def check_cyclic_separation_labels(m, n_mat):
-    exercised = 0
     for xa, z, ya in cyclic_3_separations(m):
         for x, y in ((xa, ya), (ya, xa)):
             bz = bit(z)
@@ -590,47 +507,40 @@ def check_cyclic_separation_labels(m, n_mat):
             region = m.compress(x, bz)
             if next(labellings(mz, n_mat, survivor_cap=region), None) is None:
                 continue
-            exercised += 1
             cocly = m.coclosure(y)
             xp = x & ~cocly
             yp = cocly & ~bz
-            for e in elems(xp):
-                if has_minor(m.delete(bit(e)), n_mat) is None:
-                    return exercised, (x, z, "deletable", e)
+            undeletable = next((e for e in elems(xp) if has_minor(
+                m.delete(bit(e)), n_mat) is None), None)
             bad = [e for e in elems(m.coclosure(x) & ~bz)
                    if has_minor(m.contract(bit(e)), n_mat) is None]
-            if len(bad) > 1:
-                return exercised, (x, z, "contractible", tuple(bad))
-            if bad:
-                e = bad[0]
-                ok = (xp >> e & 1) and _in_cl(m, yp, e) and \
-                    _in_cocl(m, xp ^ bit(e), z)
-                if not ok:
-                    return exercised, (x, z, "exception-element", e)
-    return exercised, None
+            if undeletable is not None:
+                yield x, z, "deletable", undeletable
+            elif len(bad) > 1:
+                yield x, z, "contractible", tuple(bad)
+            elif bad and not ((xp >> bad[0] & 1) and _in_cl(m, yp, bad[0])
+                              and _in_cocl(m, xp ^ bit(bad[0]), z)):
+                yield x, z, "exception-element", bad[0]
+            else:
+                yield None
 
 
 def check_parallel_label_switch(m, n_mat):
     lab = has_minor(m, n_mat)
     t = m._ranks()
-    exercised = 0
-    for c in elems(lab.contract):
-        bc = bit(c)
-        for d, e in itertools.combinations(range(m.n), 2):
-            if d == c or e == c:
-                continue
-            if t[bit(d) | bit(e) | bc] - t[bc] != 1:
-                continue
-            exercised += 1
-            try:
-                switch_labels(m, n_mat, lab, d, e)
-            except HypothesisUnmet:
-                return exercised, (c, d, e, "hypothesis")
-            except MatroidError:
-                return exercised, (c, d, e, "invalid-switch")
-            if exercised >= 20:
-                return exercised, None
-    return exercised, None
+    cases = ((c, d, e) for c in elems(lab.contract)
+             for d, e in itertools.combinations(range(m.n), 2)
+             if c != d and c != e
+             and t[bit(d) | bit(e) | bit(c)] - t[bit(c)] == 1)
+    for c, d, e in itertools.islice(cases, 20):
+        try:
+            switch_labels(m, n_mat, lab, d, e)
+        except HypothesisUnmet:
+            yield c, d, e, "hypothesis"
+        except MatroidError:
+            yield c, d, e, "invalid-switch"
+        else:
+            yield None
 
 
 PAIR_CHECKS = [
@@ -671,9 +581,18 @@ def run_lemma_registry(corpus=None, seed: int = 0,
 
 
 def _check_verdict(row: Check, instance, *args) -> Verdict:
-    """The verdict of `row` on `args`, timed; vacuous off its hypotheses."""
-    (exercised, witness), ms = _timed(
-        lambda: row.fn(*args) if row.admits(*args) else (0, None))
+    """The verdict of `row` on `args`, timed.  The check's cases count up
+    to and including the first that yields a witness, which ends the run;
+    off the row's hypotheses no case runs and the verdict is vacuous."""
+    def run():
+        exercised, witness = 0, None
+        if row.admits(*args):
+            for exercised, witness in enumerate(row.fn(*args), 1):
+                if witness is not None:
+                    break
+        return exercised, witness
+
+    (exercised, witness), ms = _timed(run)
     outcome = ("fail" if witness is not None
                else "pass" if exercised else "vacuous")
     return Verdict(row.name, instance, outcome, exercised, witness, ms)

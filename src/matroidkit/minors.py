@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, bit, elems, is_isomorphic
+from .core import (Matroid, MatroidError, _combos, bit, elems,
+                   is_isomorphic)
 from .connectivity import is_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
@@ -64,12 +65,6 @@ _NEAR = 1
 # bound on the cells of each (C, basis), (D, basis), (C, D) and (survivor,
 # basis) matrix of the labelling search; only a single row can exceed it
 _CELLS = 1 << 16
-
-
-def _combos(n: int, k: int) -> np.ndarray:
-    """(comb(n, k), k) array of the k-subsets of range(n), in lex order."""
-    return np.array(list(itertools.combinations(range(n), k)),
-                    dtype=np.int32).reshape(math.comb(n, k), k)
 
 
 def _bits(masks: np.ndarray, n: int) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, bit, elems, lex_key, mask_of,
-                   popcount, submasks)
+from .core import (Matroid, MatroidError, _combos, bit, elems, lex_key,
+                   mask_of, popcount, submasks)
 from .connectivity import NotThreeConnected, is_3_connected, lambda_
 
 
@@ -69,10 +69,9 @@ def is_triad(m: Matroid, x: int) -> bool:
 
 @functools.cache
 def _subset_bits(n: int, k: int) -> np.ndarray:
-    """Read-only (C(n,k), k) array of the single-bit masks of each k-subset
-    of 0..n-1, rows in lex order; shared per (n, k)."""
-    combos = list(itertools.combinations(range(n), k))
-    bits = (1 << np.array(combos, dtype=np.int32)).reshape(len(combos), k)
+    """Read-only single-bit masks of the elements of `_combos(n, k)`, one
+    row per k-subset in lex order; shared per (n, k)."""
+    bits = 1 << _combos(n, k)
     bits.flags.writeable = False
     return bits
 

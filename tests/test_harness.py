@@ -12,7 +12,7 @@ from matroidkit.builders import (fano, relax, twisted_cube_matroid, uniform,
                                  wheel, whirl)
 from matroidkit.connectivity import is_3_connected, is_connected
 from matroidkit.corpus import elongated_quad_glued, generate_corpus, two_sum
-from matroidkit.harness import (MATROID_CHECKS, PAIR_CHECKS, Verdict,
+from matroidkit.harness import (MATROID_CHECKS, PAIR_CHECKS, Check,
                                 _check_verdict,
                                 is_wheel_or_whirl, run_lemma_registry,
                                 sweep_theorem_triangles,
@@ -101,6 +101,21 @@ def _column_breakers(row):
         yield "wheels", whirl(4)
 
 
+def _yielding(*cases):
+    """A registry check that yields `cases` on any M."""
+    def check_synthetic(m):
+        yield from cases
+    return check_synthetic
+
+
+def check_resumed_after_witness(m):
+    """A registry check whose second case fails, and that raises if it is
+    run on past that witness."""
+    yield None
+    yield "w"
+    raise AssertionError("resumed after its witness")
+
+
 class TestRegistryPlumbing:
     def test_every_check_has_unique_name(self):
         names = [row.name for row in MATROID_CHECKS + PAIR_CHECKS]
@@ -143,9 +158,29 @@ class TestRegistryPlumbing:
         assert "vacuous" in outcomes and "fail" not in outcomes
 
     def test_fail_carries_witness(self):
-        # a deliberately broken "check" distinguishes outcome wiring
-        v = Verdict("x", "y", "fail", 1, ("w",), 0)
-        assert "witness" in v.line()
+        # the runner counts the cases up to and including the first witness
+        v = _check_verdict(Check(_yielding(None, None, ("w",)), conn=0),
+                           "m", uniform(2, 4))
+        assert (v.check, v.outcome, v.exercised, v.witness) == \
+            ("synthetic", "fail", 3, ("w",))
+        assert " witness=('w',) " in v.line()
+
+    def test_runner_stops_at_first_witness(self):
+        with pytest.raises(AssertionError, match="resumed"):
+            list(check_resumed_after_witness(None))
+        v = _check_verdict(Check(check_resumed_after_witness, conn=0), "m",
+                           uniform(2, 4))
+        assert (v.outcome, v.exercised, v.witness) == ("fail", 2, "w")
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_runner_counts_every_pass(self, k):
+        v = _check_verdict(Check(_yielding(*[None] * k), conn=0), "m",
+                           uniform(2, 4))
+        assert (v.outcome, v.exercised, v.witness) == ("pass", k, None)
+
+    def test_runner_no_case_is_vacuous(self):
+        v = _check_verdict(Check(_yielding(), conn=0), "m", uniform(2, 4))
+        assert (v.outcome, v.exercised, v.witness) == ("vacuous", 0, None)
 
     def test_witness_shrinker(self):
         from matroidkit.harness import shrink_mask

@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, cli, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
-                             _masks_of_size, _popcount_table, bit, elems,
+                             _combos, _masks_of_size, _popcount_table, bit, elems,
                              is_isomorphic, lex_key, mask_of, popcount,
                              rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
-                                 series_add, spike, spiked_fano,
+                                 relax, series_add, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl,
                                  wye_delta)
 from matroidkit.connectivity import (_k_separating, _lambda_all,
@@ -35,9 +35,10 @@ from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
 from matroidkit.minors import (NLabelling, all_triples_grounded,
                                grounded_triads, grounded_triangles, has_minor,
                                labellings)
-from matroidkit.structures import (StructureReport, detect_spike_like,
-                                   is_quad, is_triangle, quads, triads,
-                                   triangles)
+from matroidkit.harness import _u3k_planes
+from matroidkit.structures import (StructureReport, _subset_bits,
+                                   detect_spike_like, is_quad, is_triangle,
+                                   quads, triads, triangles)
 
 
 def brute_isomorphic(m1, m2):
@@ -1182,6 +1183,41 @@ class TestTrianglesOracle:
             for mat in (m, m.dual()):
                 assert triangles(mat) == ref_triangles(mat)
         assert triangles(m)
+
+
+def ref_u3k_planes(m, k):
+    """The k-sets in lex order whose rank, and every 3-subset's rank, is 3,
+    by a loop over `itertools.combinations`."""
+    t = m._ranks()
+    return [mask_of(c) for c in itertools.combinations(range(m.n), k)
+            if t[mask_of(c)] == 3 and all(t[mask_of(s)] == 3 for s in
+                                          itertools.combinations(c, 3))]
+
+
+class TestSubsetTableOracle:
+    """The shared lex-order k-subset table, its single-bit view, and the
+    U(3,k)-plane gather that reads both, against itertools loops."""
+
+    def test_combos_and_bits(self):
+        for n in range(9):
+            for k in range(n + 2):
+                want = list(itertools.combinations(range(n), k))
+                pos, bits = _combos(n, k), _subset_bits(n, k)
+                assert pos.shape == (len(want), k)
+                assert list(map(tuple, pos.tolist())) == want
+                assert np.array_equal(bits, 1 << pos)
+                assert not (pos.flags.writeable or bits.flags.writeable)
+
+    def test_u3k_planes(self):
+        ms = [m for m in _corpus12() if m.n <= 11]
+        ms += [uniform(3, 7), spiked_fano(4), relax(whirl(3), triangles(whirl(3))[0])]
+        found = 0
+        for m in ms:
+            for k in (5, 6):
+                got = _u3k_planes(m, k)
+                assert got == ref_u3k_planes(m, k), (m, k)
+                found += len(got)
+        assert found
 
 
 def _exact_even_sets(m):

@@ -1,0 +1,69 @@
+"""Static tidiness of the package, read from its source with `ast`: no
+module imports a name it never uses, and no private module-level helper
+is left without a reference."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matroidkit"
+TREES = {p.stem: ast.parse(p.read_text(), str(p))
+         for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _loaded(tree) -> set[str]:
+    """The bare names that `tree` reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store)}
+
+
+def _imported(tree) -> set[str]:
+    """The names that the module-level imports of `tree` bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "annotations":   # from __future__
+                    names.add(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+def _private_definitions(tree) -> set[str]:
+    """The module-level `_private` functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree) -> set[str]:
+    """The names that `tree` reads, bare or as an attribute."""
+    return _loaded(tree) | {node.attr for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("module", [m for m in TREES if m != "__init__"])
+def test_no_unused_import(module):
+    tree = TREES[module]
+    assert _imported(tree) - _loaded(tree) == set()
+
+
+def test_every_private_definition_is_referenced():
+    referenced = set().union(*map(_references, TREES.values()))
+    unused = {(module, name) for module, tree in TREES.items()
+              for name in _private_definitions(tree) - referenced}
+    assert unused == set()
+
+
+def test_checks_see_the_package():
+    # the two checks above pass vacuously on an empty or unreadable tree
+    assert {"core", "harness", "minors", "structures"} <= set(TREES)
+    assert "_combos" in _private_definitions(TREES["core"])
+    assert "np" in _imported(TREES["core"])
