@@ -197,6 +197,8 @@ def series_add(m: Matroid, e: int, label: str) -> Matroid:
 
 def _closure_all(tab: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """Closure of every mask in `x` under the rank table `tab`."""
+    # numpy gathers fastest at intp indices; `_masks_of_size` gives int32
+    x = x.astype(np.intp, copy=False)
     rx = tab[x]
     out = x.copy()
     for i in range(n):

@@ -18,9 +18,8 @@ import sys
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _down_closed, _masks_of_size,
-                   _popcount_table, bit, is_isomorphic, lex_key, popcount,
-                   validate)
+from .core import (Matroid, MatroidError, _down_closed, _masks_of_size, bit,
+                   is_isomorphic, lex_key, popcount, validate)
 from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
                        parallel_add, parallel_connection, paving, paving8,
                        paving8_ext, principal_extension, relax, series_add,
@@ -150,7 +149,8 @@ def cmd_analyze(args) -> int:
     tris = triangles(m)
     trds = triads(m)
     three = is_3_connected(m)
-    selfdual = is_isomorphic(m, m.dual()) is not None
+    # M and M* have ranks r and n - r, so only 2r = n needs the dual
+    selfdual = 2 * m.rank == m.n and is_isomorphic(m, m.dual()) is not None
 
     def fmtlist(ms):
         return " ".join(m.fmt(x) for x in ms) if ms else "none"
@@ -223,8 +223,8 @@ def cmd_separators(args) -> int:
     rec = args.format == "records"
     lines = []
     # every exact 3-separating set of at least six elements, ascending
-    seps = (_lambda_all(m) == 2) & (_popcount_table(m.n) >= 6)
-    for x in np.flatnonzero(seps).tolist():
+    seps = np.flatnonzero(_lambda_all(m) == 2)
+    for x in seps[np.bitwise_count(seps) >= 6].tolist():
         k = popcount(x)
         if k == 6:
             for kind, det, dual in (("twisted-cube-like",

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, _popcount_table, lex_key, popcount
+from .core import (Matroid, MatroidError, _PC16, _popcount_table, lex_key,
+                   popcount)
 
 
 class NotThreeConnected(MatroidError):
@@ -93,11 +94,6 @@ def _report(m: Matroid, x: int, k: int, lam: int) -> SeparationReport:
     return SeparationReport(x, k, lam, exact, vertical, cyclic, guts, coguts)
 
 
-# Masks per step of `_is_k_connected`: small enough that its temporaries
-# stay in cache, large enough that numpy's per-call cost is noise.
-_BLOCK = 1 << 16
-
-
 def _is_k_connected(m: Matroid, k: int) -> bool:
     """Whether lambda(X) >= min(|X|, |E - X|, k - 1) for every X, that is,
     M has no j-separation with j < k.
@@ -105,14 +101,16 @@ def _is_k_connected(m: Matroid, k: int) -> bool:
     Both sides of the test are unchanged by X -> E - X, so only the X
     without element n - 1, the first half of the table, are scanned:
     lambda(X) = t[X] + t[::-1][X] - r(M) there.  The scan goes in blocks
-    of `_BLOCK` masks and stops at the first block holding a violation, so
-    no table-sized temporary is built.
+    of up to 2^16 masks, |X| from the 2^16 popcount table, and stops at
+    the first block holding a violation, so no table-sized temporary is
+    built.
     """
     n, t = m.n, m.table()
-    pc, rev = _popcount_table(n), t[::-1]
-    for s in range(0, 1 << (n - 1), _BLOCK):
-        e = s + _BLOCK
-        size = pc[s:e]
+    rev, half = t[::-1], 1 << (n - 1)
+    step = min(half, _PC16.size)
+    for s in range(0, half, step):
+        e = s + step
+        size = _PC16[:step] + s.bit_count() if s else _PC16[:step]
         need = np.minimum(np.minimum(size, n - size), k - 1)
         if (t[s:e] + rev[s:e] - m.rank < need).any():
             return False

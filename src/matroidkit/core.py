@@ -10,10 +10,16 @@ derived from the table on first use.
 Every structural query is a rank lookup, so scans over all subsets stay
 cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
 table (`Matroid._ranks`), and the subset-lattice kernels (`rank_table`,
-`circuits`) work on strided views of the table, so no table-sized int64
-array or Python list is built even at n = 24.  Queries about the sets of
-one size k (the bases, `validate`'s independent (r-1)-sets) gather from
-the table at the shared, ascending mask array `_masks_of_size(n, k)`.
+`circuits`) work on strided views of the table.  Every popcount |X| comes
+from one read-only 2^16 table, `_PC16`, plus the popcount of the bits
+above 16, one block of 2^16 masks at a time (`_sizewise`), so at n = 24 a
+kernel allocates nothing table-sized beside the table it returns, and no
+table outlives its matroid in a cache or a reference cycle: a matroid
+holds its dual, the dual only a weak reference back.  Queries about the
+sets of one size k (the bases, `validate`'s independent (r-1)-sets)
+gather from the table at the shared, ascending int32 mask array
+`_masks_of_size(n, k)`, built from the 2^16 table without a pass over
+all 2^n masks.
 
 Each subset-lattice kernel is a pass along every axis of the lattice that
 pairs X without i with X plus i, and every such pass goes through
@@ -30,7 +36,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
+import weakref
 
 import numpy as np
 
@@ -104,21 +112,57 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-@functools.cache
-def _popcount_table(n: int) -> np.ndarray:
-    """Read-only |X| for every mask X < 2^n, shared per n."""
-    pc = np.zeros(1 << n, dtype=np.int8)
-    for i in range(n):
-        s = 1 << i
-        pc[s:2 * s] = pc[:s] + 1
+def _popcounts16() -> np.ndarray:
+    # doubling in place, so no 2^16 temporary is made at import
+    pc = np.zeros(1 << 16, dtype=np.int8)
+    for i in range(16):
+        pc[1 << i:2 << i] = pc[:1 << i] + 1
     pc.flags.writeable = False
     return pc
 
 
+# |X| for every mask X < 2^16, read-only; every popcount over a table is
+# this plus the popcount of the bits above 16, one block at a time
+_PC16 = _popcounts16()
+
+
+def _sizewise(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[X] = ufunc(a[X], |X|) for every mask X of the flat 2^n table `a`,
+    2^16 masks at a time, so no table-sized popcount array is built."""
+    step = _PC16.size
+    if a.size <= step:
+        return ufunc(a, _PC16[:a.size], out)
+    for s in range(0, a.size, step):
+        ufunc(a[s:s + step], _PC16 + s.bit_count(), out[s:s + step])
+    return out
+
+
+def _popcount_table(n: int) -> np.ndarray:
+    """int8 |X| for every mask X < 2^n: a read-only view of `_PC16` up to
+    n = 16, a new array beyond.  Not cached, so nothing table-sized
+    outlives its caller."""
+    if n <= 16:
+        return _PC16[:1 << n]
+    return np.add.outer(_PC16[:1 << (n - 16)], _PC16).reshape(-1)
+
+
 @functools.cache
 def _masks_of_size(n: int, k: int) -> np.ndarray:
-    """Read-only ascending masks X < 2^n with |X| = k, shared per (n, k)."""
-    masks = np.flatnonzero(_popcount_table(n) == k)
+    """Read-only ascending int32 masks X < 2^n with |X| = k, shared per
+    (n, k).  X splits into a high part h and a low part l of up to 16 bits,
+    and the l for each h are the masks of `_PC16` with k - |h| bits, so
+    nothing is built over all 2^n masks."""
+    low = min(n, 16)
+    # |h| runs from 0 to n - low, so only these sizes of l are needed
+    by_size = {j: np.flatnonzero(_PC16[:1 << low] == j)
+               for j in range(max(k - (n - low), 0), min(k, low) + 1)}
+    masks = np.empty(math.comb(n, k) if k >= 0 else 0, dtype=np.int32)
+    at = 0
+    for h in range(1 << (n - low)):
+        part = by_size.get(k - h.bit_count())
+        if part is not None:
+            np.bitwise_or(part, h << low, out=masks[at:at + part.size])
+            at += part.size
     masks.flags.writeable = False
     return masks
 
@@ -179,6 +223,7 @@ def _down_closed(n: int, masks) -> np.ndarray:
     flags = np.zeros(max(size, 64), dtype=bool)
     flags[np.fromiter(masks, dtype=np.int64)] = True
     w = np.packbits(flags, bitorder="little").view("<u8")
+    del flags  # so the unpacked table below takes its place
     for i in range(min(n, 6)):
         w |= w >> np.uint64(1 << i) & _LOWER[i]
     for i in range(6, n):
@@ -200,7 +245,7 @@ def rank_table(n: int, bases) -> np.ndarray:
     column.
     """
     g = _down_closed(n, bases).view(np.int8)
-    g *= _popcount_table(n)
+    _sizewise(np.multiply, g, g)
     for i in range(n):
         for lo, hi in _halves(g, i):
             np.maximum(hi, lo, out=hi)
@@ -374,14 +419,20 @@ class Matroid:
     # -- duality and minors --------------------------------------------------
 
     def dual(self) -> "Matroid":
-        if self._dual is None:
+        """M*, cached.  M holds its dual and the dual only a weak reference
+        back, so neither table outlives M's last reference in a cycle; a
+        dual whose M has gone builds a new one on request."""
+        d = self._dual
+        if isinstance(d, weakref.ref):
+            d = d()
+        if d is None:
             # r*(X) = |X| - r(E) + r(E - X)
-            tab = _popcount_table(self.n) - self.rank
-            tab += self.table()[::-1]
+            tab = self.table()[::-1] - self.rank
+            _sizewise(np.add, tab, tab)
             d = Matroid._from_table(tab, self.labels)
-            d._dual = self
+            d._dual = weakref.ref(self)
             self._dual = d
-        return self._dual
+        return d
 
     def delete(self, d: int) -> "Matroid":
         return self.minor(0, d)
@@ -408,7 +459,10 @@ class Matroid:
         # compressed masks
         at = tuple(1 if c >> i & 1 else 0 if d >> i & 1 else slice(None)
                    for i in range(n - 1, -1, -1))
-        tab = t.reshape((2,) * n)[at].reshape(-1) - t[c]
+        # flatten's copy owns its data, so the subtraction runs in place
+        # and the minor costs one table-sized allocation
+        tab = t.reshape((2,) * n)[at].flatten()
+        tab -= t[c]
         return Matroid._from_table(
             tab, [lab for i, lab in enumerate(self.labels)
                   if not (c | d) >> i & 1])
@@ -456,7 +510,8 @@ class Matroid:
         independent for every i in X.  One minimality pass per axis, through
         `_halves`, so the short axes go column by column."""
         if self._circuits is None:
-            dep = self.table() < _popcount_table(self.n)
+            t = self.table()
+            dep = _sizewise(np.less, t, np.empty(t.size, dtype=bool))
             mini = dep.copy()
             for i in range(self.n):
                 # a dependent X holding i is not minimal if X - i is dependent
@@ -507,8 +562,7 @@ def validate(bases, n: int, labels=None) -> Matroid:
     basis: its closure cl(I), I plus every y with I + y dependent, has
     rank r.  So only the independent (r-1)-sets are checked, with one
     gather per element over them; beyond building the table, which the
-    returned matroid keeps, nothing runs over all 2^n masks but the first
-    `_masks_of_size` call for each (n, k).  For the first
+    returned matroid keeps, nothing runs over all 2^n masks.  For the first
     failing I (in mask order) the witness is (B1, B2, x): the least basis
     B1 holding I, the least basis B2 inside cl(I), and x = B1 - I.
     """
@@ -518,8 +572,7 @@ def validate(bases, n: int, labels=None) -> Matroid:
         return m
     tab = m.table()
     sets = _masks_of_size(n, r - 1)
-    # every mask fits int32 at n <= 24, which halves these arrays
-    ind = sets[tab[sets] == r - 1].astype(np.int32)
+    ind = sets[tab[sets] == r - 1]
     # ext[I] collects the elements i with I + i a basis
     ext = np.zeros_like(ind)
     for i in range(n):
@@ -608,4 +661,8 @@ def is_isomorphic(m1: Matroid, m2: Matroid):
                 return found
         return None
 
-    return search(np.zeros((2, n), dtype=np.int64), 1)
+    found = search(np.zeros((2, n), dtype=np.int64), 1)
+    # `search` calls itself through its closure; unbinding it breaks that
+    # cycle, which would otherwise hold m2's table until the cyclic gc
+    del search
+    return found

@@ -1,12 +1,13 @@
 """Detection of named substructures: triangles, triads, segments, quads,
 fans, flans, and the four special exactly-3-separating configurations.
 
-Triangles and quads are gathered from the rank table over every 3- or
-4-subset at once; the quads are cached on the matroid, and spike-like
-detection reads its legs from them.  Fan and flan orderings come from one
-depth-first search under a step rule.  The six-element separators are rows
-of one table, `_TEMPLATES`: the circuits and cocircuits inside P in a
-labelling's names, read by one matcher."""
+Triangles, triads and quads are gathered from the matroid's own rank
+table over every 3- or 4-subset at once, so no dual is built; the quads
+are cached on the matroid, and spike-like detection reads its legs from
+them.  Fan and flan orderings come from one depth-first search under a
+step rule.  The six-element separators are rows of one table,
+`_TEMPLATES`: the circuits and cocircuits inside P in a labelling's
+names, read by one matcher."""
 
 from __future__ import annotations
 
@@ -87,6 +88,18 @@ def _gather_circuits(t: np.ndarray, bits: np.ndarray):
     return x, ok
 
 
+def _gather_cocircuits(m: Matroid, x: np.ndarray, bits: np.ndarray):
+    """Whether each mask X of `x`, with its single-bit columns in `bits`,
+    is a cocircuit, read from M's own table: as r*(Y) = |Y| - r + r(E - Y),
+    X is one when r(E - X) = r - 1 and r(E - X + e) = r for every e in X."""
+    t = m.table()
+    co = m.full ^ x
+    ok = t[co] == m.rank - 1
+    for j in range(bits.shape[1]):
+        ok &= t[co | bits[:, j]] == m.rank
+    return ok
+
+
 def triangles(m: Matroid) -> list[int]:
     """Triangle masks in lex order: 3-sets X with r(X) = 2 and every
     2-subset independent."""
@@ -95,7 +108,11 @@ def triangles(m: Matroid) -> list[int]:
 
 
 def triads(m: Matroid) -> list[int]:
-    return triangles(m.dual())
+    """Triad masks in lex order, the triangles of M*, read from M's table
+    so that no dual is built."""
+    bits = _subset_bits(m.n, 3)
+    x = bits.sum(1, dtype=np.int32)
+    return x[_gather_cocircuits(m, x, bits)].tolist()
 
 
 def is_quad(m: Matroid, x: int) -> bool:
@@ -105,17 +122,11 @@ def is_quad(m: Matroid, x: int) -> bool:
 
 def quads(m: Matroid) -> tuple[int, ...]:
     """Quad masks in lex order, computed once per matroid: 4-circuits X
-    that are cocircuits.  As r*(Y) = |Y| - r + r(E - Y), X is a cocircuit
-    when r(E - X) = r - 1 and r(E - X + e) = r for every e in X, so M's
-    table answers both."""
+    that are cocircuits, both read from M's table."""
     if m._quads is None:
         bits = _subset_bits(m.n, 4)
-        t = m.table()
-        x, ok = _gather_circuits(t, bits)
-        co = m.full ^ x
-        ok &= t[co] == m.rank - 1
-        for j in range(4):
-            ok &= t[co | bits[:, j]] == m.rank
+        x, ok = _gather_circuits(m.table(), bits)
+        ok &= _gather_cocircuits(m, x, bits)
         m._quads = tuple(x[ok].tolist())
     return m._quads
 
@@ -153,19 +164,20 @@ def cosegments(m: Matroid) -> list[int]:
 
 def _dead_ends(triples, step, min_len: int) -> list[tuple[int, ...]]:
     """Every ordering of at least `min_len` elements that no element allowed
-    by `step(seq, mask)` extends, depth-first from each order of a triple."""
+    by `step(seq, mask)` extends, depth-first from each order of a triple.
+    The search keeps an explicit stack, children pushed in reverse, so the
+    orderings come in the order of a recursive search, and no recursive
+    closure ties `step`'s matroid into a reference cycle."""
     out = []
-
-    def extend(seq, mask):
+    stack = [(seq, x) for x in sorted(triples)
+             for seq in itertools.permutations(elems(x))][::-1]
+    while stack:
+        seq, mask = stack.pop()
         nxt = step(seq, mask)
-        for e in nxt:
-            extend(seq + (e,), mask | bit(e))
-        if not nxt and len(seq) >= min_len:
+        if nxt:
+            stack += [(seq + (e,), mask | bit(e)) for e in reversed(nxt)]
+        elif len(seq) >= min_len:
             out.append(seq)
-
-    for x in sorted(triples):
-        for seq in itertools.permutations(elems(x)):
-            extend(seq, x)
     return out
 
 

@@ -12,9 +12,12 @@ among them, and `separators` must run on a 24-element file.
 The rank table has 2^24 entries, so a single table-sized int64 array is
 128 MiB; the bound below admits a few int8/bool tables and arrays over
 the sets of one size, but not a table-sized int32 or int64 array or a
-Python-list copy of a table.  `rank_table` itself stays within three
-table sizes, and the connectivity scan within 1 MiB, so it builds no
-table-sized temporary.
+Python-list copy of a table.  Tighter pins hold the n = 24 kernels to the
+table they return: `rank_table` stays within one table plus 4 MiB (the
+packed OR pass), a single-element minor within half a table plus 1 MiB,
+and `_masks_of_size(24, 3)` and the connectivity scan within 1 MiB each,
+as every popcount comes from one 2^16 table, block by block.  `triads`
+and the `analyze` path read M's own table and never build the dual.
 """
 
 import itertools
@@ -33,7 +36,7 @@ from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, _popcount_table, is_isomorphic,
                              popcount, rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
-from matroidkit.structures import quads, triads, triangles
+from matroidkit.structures import fans, flans, quads, triads, triangles
 
 PEAK_MIB = 256
 WALL_S = 10.0
@@ -71,7 +74,6 @@ def test_cap_kernels_within_time_and_memory_bounds():
 def test_connectivity_scan_builds_no_table_sized_temporary():
     n = MAX_GROUND
     src = random_sparse_paving(random.Random(24), n, 4)
-    _popcount_table(n)  # shared per n, so built before tracing
     tracemalloc.start()
     try:
         tab = rank_table(n, src.bases)
@@ -84,7 +86,7 @@ def test_connectivity_scan_builds_no_table_sized_temporary():
     finally:
         tracemalloc.stop()
     assert tab.tobytes() == src.table().tobytes()
-    assert table_peak <= 3 * TABLE_MIB, f"rank_table peak {table_peak:.0f} MiB"
+    assert table_peak <= TABLE_MIB + 4, f"rank_table peak {table_peak:.1f} MiB"
     assert scan_peak <= 1, f"is_3_connected peak {scan_peak:.2f} MiB"
     # every single-element minor of a rank-4 sparse paving matroid on 24
     # elements is 3-connected, so each scan runs over the whole half table
@@ -94,6 +96,61 @@ def test_connectivity_scan_builds_no_table_sized_temporary():
     wall = time.perf_counter() - t0
     assert conn and all(minors)
     assert wall <= WALL_S, f"{wall:.1f} s"
+
+
+def traced_mib(fn):
+    """(fn(), the peak of fn's traced allocations above those live before
+    it, in MiB)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_masks_of_size_builds_nothing_table_sized():
+    # the uncached function, so the shared array of other tests is kept
+    masks, peak = traced_mib(lambda: _masks_of_size.__wrapped__(24, 3))
+    assert masks.dtype == np.int32 and len(masks) == math.comb(24, 3)
+    assert peak <= 1, f"_masks_of_size(24, 3) peak {peak:.2f} MiB"
+
+
+def test_single_element_minor_makes_one_half_table():
+    m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    m.table()
+    # e = 2 puts the slice on a strided axis, e = 23 on the leading one
+    for e in (2, MAX_GROUND - 1):
+        for f in (m.delete, m.contract):
+            minor, peak = traced_mib(lambda: f(1 << e))
+            assert minor.table().nbytes == TABLE_MIB * 2 ** 19
+            assert peak <= TABLE_MIB / 2 + 1, f"minor peak {peak:.1f} MiB"
+
+
+def test_triads_and_analyze_build_no_dual(tmp_path, capsys, monkeypatch):
+    # r* = 20 differs from r = 4, so no dual is needed: triads are read
+    # from M's table, and self-duality is settled by the ranks
+    n = MAX_GROUND
+    src = random_sparse_paving(random.Random(24), n, 4)
+    m = Matroid(n, src.bases, src.labels)
+    m.table()
+    trds, peak = traced_mib(lambda: triads(m))
+    assert (trds, m._dual) == ([], None)
+    assert peak <= 1, f"triads peak {peak:.2f} MiB"
+    assert (triangles(m), is_3_connected(m)) == ([], True)
+    assert (fans(m), flans(m), m._dual) == ([], [], None)
+    path = tmp_path / "cap24.mtx"
+    path.write_text(serialize(src, "cap24"))
+
+    def no_dual(self):
+        raise AssertionError("analyze built a dual")
+
+    monkeypatch.setattr(Matroid, "dual", no_dual)
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "self-dual no\ntriangles none\ntriads none\n" in out
 
 
 def within_time_and_memory_bounds(build):

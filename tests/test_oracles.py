@@ -5,10 +5,12 @@ must agree with the production path exactly.
 """
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, cli, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
-                             _combos, _masks_of_size, _popcount_table, bit, elems,
-                             is_isomorphic, lex_key, mask_of, popcount,
-                             rank_table, submasks, validate)
+                             _combos, _masks_of_size, _popcount_table,
+                             _sizewise, bit, elems, is_isomorphic, lex_key,
+                             mask_of, popcount, rank_table, submasks,
+                             validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
@@ -37,8 +40,8 @@ from matroidkit.minors import (NLabelling, all_triples_grounded,
                                labellings)
 from matroidkit.harness import _u3k_planes
 from matroidkit.structures import (StructureReport, _subset_bits,
-                                   detect_spike_like, is_quad, is_triangle,
-                                   quads, triads, triangles)
+                                   detect_spike_like, fans, flans, is_quad,
+                                   is_triangle, quads, triads, triangles)
 
 
 def brute_isomorphic(m1, m2):
@@ -1183,6 +1186,102 @@ class TestTrianglesOracle:
             for mat in (m, m.dual()):
                 assert triangles(mat) == ref_triangles(mat)
         assert triangles(m)
+
+
+class TestTriadsOracle:
+    """`triads`, read from M's own table, against the triangles of M*: the
+    same masks in the same order, and no dual built on the way."""
+
+    @staticmethod
+    def check(m):
+        fresh = Matroid._from_table(m.table(), m.labels)
+        got = triads(fresh)
+        assert fresh._dual is None
+        assert got == triangles(fresh.dual()) == ref_triangles(m.dual()), m
+
+    def test_seed_0_corpus(self):
+        corpus = generate_corpus(0)
+        for entry in corpus:
+            self.check(entry.matroid)
+        assert any(triads(entry.matroid) for entry in corpus)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_minors_of_sparse_paving(self, data):
+        # minors bring loops, coloops and parallel and series pairs
+        n = data.draw(st.integers(3, 10))
+        r = data.draw(st.integers(1, n - 1))
+        m = random_sparse_paving(data.draw(st.randoms(use_true_random=False)),
+                                 n, r)
+        c = data.draw(st.integers(0, m.full))
+        d = data.draw(st.integers(0, m.full)) & ~c
+        self.check(m if c | d == m.full else m.minor(c, d))
+
+
+class TestPopcountBlocks:
+    """The popcounts built from the one 2^16 table, whole and blockwise,
+    and `_masks_of_size` against `int.bit_count` for every n <= 18, so past
+    the edge of the first 2^16 block."""
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_against_bit_count(self, n):
+        want = np.array([x.bit_count() for x in range(1 << n)],
+                        dtype=np.int8)
+        assert _popcount_table(n).tobytes() == want.tobytes()
+        zeros = np.zeros(1 << n, dtype=np.int8)
+        got = _sizewise(np.add, zeros, np.empty_like(zeros))
+        assert got.tobytes() == want.tobytes()
+        for k in range(-1, n + 2):
+            # the uncached function, so each (n, k) is built afresh here
+            masks = _masks_of_size.__wrapped__(n, k)
+            assert masks.dtype == np.int32 and not masks.flags.writeable
+            assert masks.tolist() == np.flatnonzero(want == k).tolist()
+
+
+class TestNoReferenceCycles:
+    """With the cyclic collector off, a matroid and its tables die with
+    the last reference to it, also after `fans`, `flans` and `dual`."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("build", [wheel, whirl])
+    def test_fans_and_flans(self, build):
+        m = build(4)
+        ref = weakref.ref(m)
+        assert fans(m) and flans(m)
+        del m
+        assert ref() is None
+
+    def test_dual_both_ways(self):
+        m = wheel(4)
+        d = m.dual()
+        assert d.dual() is m and m.dual() is d
+        refs = weakref.ref(m), weakref.ref(d)
+        del m, d
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_is_isomorphic(self):
+        m1 = wheel(4)
+        m2 = m1.reorder(m1.labels[::-1])
+        ref = weakref.ref(m2.table())
+        assert is_isomorphic(m1, m2) is not None
+        del m2
+        assert ref() is None
+
+    def test_dual_outlives_its_matroid(self):
+        # the dual holds M weakly; once M is gone it builds M afresh
+        m = wheel(4)
+        d, tab, ref = m.dual(), m.table().tobytes(), weakref.ref(m)
+        del m
+        assert ref() is None
+        again = d.dual()
+        assert again.table().tobytes() == tab and again.dual() is d
 
 
 def ref_u3k_planes(m, k):
