@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .core import (Matroid, MatroidError, _down_closed, _masks_of_size, bit,
                    is_isomorphic, lex_key, popcount, validate)
 from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
@@ -25,7 +23,7 @@ from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
                        paving8_ext, principal_extension, relax, series_add,
                        spike, spiked_fano, twisted_cube_matroid, uniform,
                        wheel, whirl, wye_delta)
-from .connectivity import _lambda_all, is_3_connected
+from .connectivity import _lambda_sets, is_3_connected
 from .structures import (SPECIAL_SEPARATORS, detect_spike_like,
                          detect_twisted_cube_like, fans, flans, triads,
                          triangles)
@@ -223,8 +221,7 @@ def cmd_separators(args) -> int:
     rec = args.format == "records"
     lines = []
     # every exact 3-separating set of at least six elements, ascending
-    seps = np.flatnonzero(_lambda_all(m) == 2)
-    for x in seps[np.bitwise_count(seps) >= 6].tolist():
+    for x in _lambda_sets(m, lambda lam, size: (lam == 2) & (size >= 6)):
         k = popcount(x)
         if k == 6:
             for kind, det, dual in (("twisted-cube-like",
@@ -375,8 +372,15 @@ def cmd_construct(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so it reaches `main` as one error line."""
+
+    def error(self, message):
+        raise MatroidError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="matroidkit",
         description="exact structure analysis for desk-scale matroids")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -395,17 +399,17 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run registry or theorem verifiers")
     p.add_argument("id")
     p.add_argument("files", nargs="*")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=int, default=12, dest="max_n")
 
     p = sub.add_parser("construct", help="emit a named construction as a file")
     p.add_argument("recipe")
 
     for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-n", type=int, default=12, dest="max_n")
         p.add_argument("--format", choices=("text", "records"), default="text")
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return {"analyze": cmd_analyze, "detachable": cmd_detachable,
                 "separators": cmd_separators, "verify": cmd_verify,
                 "construct": cmd_construct}[args.cmd](args)

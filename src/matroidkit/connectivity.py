@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _PC16, _popcount_table, lex_key,
-                   popcount)
+from .core import Matroid, MatroidError, _PC16, lex_key, popcount
 
 
 class NotThreeConnected(MatroidError):
@@ -48,19 +47,33 @@ def lambda_minus(m: Matroid, removed: int, x: int) -> int:
     return t[x] + t[ground ^ x] - t[ground]
 
 
-def _lambda_all(m: Matroid) -> np.ndarray:
-    """lambda(X) for every mask X, in int8 since lambda <= 2 r(M) <= 48."""
+def _lambda_blocks(m: Matroid, half: bool = False):
+    """(X0, lambda(X), |X|) for each block of up to 2^16 masks X from X0
+    on, in order, over the table or, with `half`, over the X without element
+    n - 1.  lambda is int8, as it is at most 2 r(M) <= 48, and |X| is
+    `_PC16` plus the popcount of X0, so nothing table-sized is built."""
     t = m.table()
-    lam = t + t[::-1]
-    lam -= m.rank
-    return lam
+    rev, end = t[::-1], 1 << (m.n - 1 if half else m.n)
+    step = min(end, _PC16.size)
+    for s in range(0, end, step):
+        lam = t[s:s + step] + rev[s:s + step]
+        lam -= m.rank
+        yield s, lam, _PC16[:step] + s.bit_count() if s else _PC16[:step]
 
 
-def _k_separating(m: Matroid, k: int) -> np.ndarray:
-    """Bool over every mask X: X is a side of a k-separation, that is
-    lambda(X) < k and both X and E - X have at least k elements."""
-    pc = _popcount_table(m.n)
-    return (_lambda_all(m) <= k - 1) & (pc >= k) & (pc <= m.n - k)
+def _lambda_sets(m: Matroid, keep) -> list[int]:
+    """The masks X, ascending, where keep(lambda block, |X| block) holds."""
+    out = []
+    for s, lam, size in _lambda_blocks(m):
+        out += (np.flatnonzero(keep(lam, size)) + s).tolist()
+    return out
+
+
+def _k_separating(m: Matroid, k: int) -> list[int]:
+    """The sides X of k-separations, ascending: lambda(X) < k and both X
+    and E - X have at least k elements."""
+    return _lambda_sets(m, lambda lam, size: (lam < k) & (size >= k)
+                        & (size <= m.n - k))
 
 
 def separations(m: Matroid, k: int) -> list[SeparationReport]:
@@ -71,11 +84,8 @@ def separations(m: Matroid, k: int) -> list[SeparationReport]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    ok = _k_separating(m, k)
-    ok &= (np.arange(1 << m.n) & 1).astype(bool)  # canonical side holds id 0
-    out = []
-    for x in np.flatnonzero(ok).tolist():
-        out.append(_report(m, x, k, lambda_(m, x)))
+    out = [_report(m, x, k, lambda_(m, x))
+           for x in _k_separating(m, k) if x & 1]  # canonical side holds id 0
     out.sort(key=lambda rep: lex_key(rep.side))
     return out
 
@@ -98,21 +108,12 @@ def _is_k_connected(m: Matroid, k: int) -> bool:
     """Whether lambda(X) >= min(|X|, |E - X|, k - 1) for every X, that is,
     M has no j-separation with j < k.
 
-    Both sides of the test are unchanged by X -> E - X, so only the X
-    without element n - 1, the first half of the table, are scanned:
-    lambda(X) = t[X] + t[::-1][X] - r(M) there.  The scan goes in blocks
-    of up to 2^16 masks, |X| from the 2^16 popcount table, and stops at
-    the first block holding a violation, so no table-sized temporary is
-    built.
+    Both sides of the test are unchanged by X -> E - X, so only the half
+    table of `_lambda_blocks` is scanned, stopping at the first block
+    holding a violation.
     """
-    n, t = m.n, m.table()
-    rev, half = t[::-1], 1 << (n - 1)
-    step = min(half, _PC16.size)
-    for s in range(0, half, step):
-        e = s + step
-        size = _PC16[:step] + s.bit_count() if s else _PC16[:step]
-        need = np.minimum(np.minimum(size, n - size), k - 1)
-        if (t[s:e] + rev[s:e] - m.rank < need).any():
+    for _, lam, size in _lambda_blocks(m, half=True):
+        if (lam < np.minimum(np.minimum(size, m.n - size), k - 1)).any():
             return False
     return True
 
@@ -135,7 +136,6 @@ def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
     in lex order, where X holds the lowest element other than z.  One
     numpy pass per z over every such X."""
     t = m.table()
-    pc = _popcount_table(m.n)
     masks = np.arange(1 << m.n, dtype=np.int32)
     out = []
     for z in range(m.n):
@@ -147,8 +147,9 @@ def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
         tx, ty = t[x], t[y]
         # z in cl(X) and cl(Y), so both flanking bipartitions have
         # lambda = r(X) + r(Y) - r(M)
-        ok = (pc[x] >= 3) & (pc[y] >= 3) & (tx >= 3) & (ty >= 3) \
-            & (t[x | bz] == tx) & (t[y | bz] == ty) & (tx + ty <= m.rank + 2)
+        ok = (np.bitwise_count(x) >= 3) & (np.bitwise_count(y) >= 3) \
+            & (tx >= 3) & (ty >= 3) & (t[x | bz] == tx) & (t[y | bz] == ty) \
+            & (tx + ty <= m.rank + 2)
         out += sorted(((side, z, rest ^ side) for side in x[ok].tolist()),
                       key=lambda triple: lex_key(triple[0]))
     return out

@@ -137,15 +137,6 @@ def _sizewise(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _popcount_table(n: int) -> np.ndarray:
-    """int8 |X| for every mask X < 2^n: a read-only view of `_PC16` up to
-    n = 16, a new array beyond.  Not cached, so nothing table-sized
-    outlives its caller."""
-    if n <= 16:
-        return _PC16[:1 << n]
-    return np.add.outer(_PC16[:1 << (n - 16)], _PC16).reshape(-1)
-
-
 @functools.cache
 def _masks_of_size(n: int, k: int) -> np.ndarray:
     """Read-only ascending int32 masks X < 2^n with |X| = k, shared per

@@ -18,9 +18,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _combos, _popcount_table, bit,
-                   elems, is_isomorphic, mask_of, popcount, submasks)
-from .connectivity import (_k_separating, _lambda_all, is_3_connected,
+from .core import (Matroid, MatroidError, _combos, bit, elems,
+                   is_isomorphic, mask_of, popcount, submasks)
+from .connectivity import (_k_separating, _lambda_sets, is_3_connected,
                            is_connected, lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
 from .structures import (_flan_step, _subset_bits, detect_spike_like,
@@ -125,16 +125,15 @@ def _fan_ends(m: Matroid):
 # case: None when the conclusion holds there, or a witness when it fails.
 
 def check_uncrossing(m):
-    lam = _lambda_all(m)
-    pc = _popcount_table(m.n).astype(np.int16)
-    sep = np.nonzero(lam <= 2)[0]
+    t = m.table()
+    sep = np.array(_lambda_sets(m, lambda lam, size: lam <= 2))
     for x in sep:
         inter, union = sep & x, sep | x
         # each kind's cases in bulk: passes, then the witness if one fails
-        for kind, case, other in (("union", pc[inter] >= 2, union),
-                                  ("intersection", m.n - pc[union] >= 2,
-                                   inter)):
-            bad = case & (lam[other] > 2)
+        for kind, case, other in (
+                ("union", np.bitwise_count(inter) >= 2, union),
+                ("intersection", m.n - np.bitwise_count(union) >= 2, inter)):
+            bad = case & (t[other] + t[m.full ^ other] - m.rank > 2)
             hit = bool(bad.any())
             yield from itertools.repeat(None, int(case.sum()) - hit)
             if hit:
@@ -156,29 +155,26 @@ def check_closure_complement_swap(m):
 
 
 def check_step_extension(m):
-    lam = _lambda_all(m)
-    for x in np.flatnonzero(lam == 2).tolist():
+    for x in _lambda_sets(m, lambda lam, size: lam == 2):
         for e in elems(m.full ^ x):
-            grows = lam[x | bit(e)] <= 2
+            grows = lambda_(m, x | bit(e)) <= 2
             attached = _in_cl(m, x, e) or _in_cocl(m, x, e)
             yield (x, e) if grows != attached else None
 
 
 def check_boundary_attachment(m):
-    lam = _lambda_all(m)
-    for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
+    for x in _lambda_sets(m, lambda lam, size: (lam == 2) & (size >= 3)):
         for e in elems(x):
             ok = _in_cl(m, x ^ bit(e), e) or _in_cocl(m, x ^ bit(e), e)
             yield None if ok else (x, e)
 
 
 def check_guts_coguts_step(m):
-    lam = _lambda_all(m)
-    for x in np.flatnonzero((lam == 2) & (_popcount_table(m.n) >= 3)).tolist():
+    for x in _lambda_sets(m, lambda lam, size: (lam == 2) & (size >= 3)):
         y = m.full ^ x
         for e in elems(x):
             rest = x ^ bit(e)
-            step_exact = lam[rest] == 2
+            step_exact = lambda_(m, rest) == 2
             guts = _in_cl(m, rest, e) and _in_cl(m, y, e)
             coguts = _in_cocl(m, rest, e) and _in_cocl(m, y, e)
             yield (x, e) if step_exact != (guts or coguts) else None
@@ -207,23 +203,20 @@ def _simple_cosimple(m):
 def check_full_closure_two_separation(m):
     if not _simple_cosimple(m):
         return
-    lam = _lambda_all(m)
-    for x in np.flatnonzero(_k_separating(m, 2)).tolist():
+    for x in _k_separating(m, 2):
         f = full_closure(m, x)
         rest = m.full ^ f
-        bad = lam[f] > 1 or popcount(f) < 2 or popcount(rest) < 2
+        bad = lambda_(m, f) > 1 or popcount(f) < 2 or popcount(rest) < 2
         yield x if bad else None
 
 
 def check_guts_coguts_disjoint(m):
-    lam = _lambda_all(m)
-
     def violates(x):
-        return (lam[x] <= 2 and popcount(x) >= 3
+        return (lambda_(m, x) <= 2 and popcount(x) >= 3
                 and m.n - popcount(x) >= 3
                 and m.closure(x) & m.coclosure(x) & (m.full ^ x))
 
-    for x in np.flatnonzero(_k_separating(m, 3)).tolist():
+    for x in _k_separating(m, 3):
         yield shrink_mask(violates, x) if violates(x) else None
 
 
@@ -282,17 +275,15 @@ def check_rank3_cocircuit_deletion(m):
 
 
 def check_closure_meets_once(m):
-    lam = _lambda_all(m)
-
     def violates(x):
-        if lam[x] > 2 or popcount(x) < 3 or m.n - popcount(x) < 3:
+        if lambda_(m, x) > 2 or popcount(x) < 3 or m.n - popcount(x) < 3:
             return False
         y = m.full ^ x
         a = x & m.closure(y)
         b = x & m.coclosure(y)
         return a and b and (popcount(a) != 1 or popcount(b) != 1)
 
-    for x in np.flatnonzero(_k_separating(m, 3)).tolist():
+    for x in _k_separating(m, 3):
         if x & m.closure(m.full ^ x) and x & m.coclosure(m.full ^ x):
             yield shrink_mask(violates, x) if violates(x) else None
 
@@ -491,7 +482,7 @@ def check_two_separation_minor_side(m, n_mat):
         return True
 
     seen = set()
-    for x in np.flatnonzero(_k_separating(m, 2)).tolist():
+    for x in _k_separating(m, 2):
         y = m.full ^ x
         if y in seen:
             continue
@@ -651,12 +642,9 @@ def _triangles_branch(m: Matroid, n_mat: Matroid) -> str | None:
 
 
 def _spike_branch(m: Matroid, n_mat: Matroid) -> bool:
-    lam = _lambda_all(m)
-    pc = _popcount_table(m.n)
-    cand = np.nonzero((lam == 2) & (pc >= 6) & (pc % 2 == 0)
-                      & (pc <= m.n - 1))[0]
+    cand = _lambda_sets(m, lambda lam, size: (lam == 2) & (size >= 6)
+                        & (size % 2 == 0) & (size <= m.n - 1))
     for p in cand:
-        p = int(p)
         if detect_spike_like(m, p) is None:
             continue
         outside = m.full ^ p
@@ -734,19 +722,6 @@ def _flan_branch(m: Matroid, n_mat: Matroid, p: int) -> str | None:
     return special_separator(m, p)
 
 
-def _is_cyclic_triple(m: Matroid, x: int, z: int, y: int) -> bool:
-    d = m.dual()
-    t = d._ranks()
-    bz = bit(z)
-    if x | y | bz != m.full or popcount(x) < 3 or popcount(y) < 3:
-        return False
-    if t[x] < 3 or t[y] < 3:
-        return False
-    if t[x] + t[y | bz] - d.rank > 2 or t[x | bz] + t[y] - d.rank > 2:
-        return False
-    return t[x | bz] == t[x] and t[y | bz] == t[y]
-
-
 def verify_foundation(m: Matroid, n_mat: Matroid, d: int, dp: int,
                       y: int, z: int) -> Verdict:
     """Main structural outcome: inside Y there is a 3-separating X of size
@@ -764,23 +739,26 @@ def verify_foundation(m: Matroid, n_mat: Matroid, d: int, dp: int,
         raise HypothesisUnmet("a triangle or triad is not grounded")
     if detachable_pairs(m, n_mat, first_only=True):
         raise HypothesisUnmet("M has an N-detachable pair")
-    return _foundation_outcome(m, n_mat, d, dp, y, z)
-
-
-def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, dp: int,
-                        y: int, z: int) -> Verdict:
-    """`verify_foundation` once the hypotheses on (M, N) hold: checks those
-    on the instance (d, d', Y), then decides the outcome."""
     bd = bit(d)
     md = m.delete(bd)
     if not is_3_connected(md):
         raise HypothesisUnmet("M \\ d is not 3-connected")
-    ym = m.compress(y, bd)
-    zm = m.compress(z, bd)
-    dpm = m.compress(bit(dp), bd).bit_length() - 1
-    if not _is_cyclic_triple(md, ym, dpm, zm) or popcount(y) < 4:
+    # the cyclic 3-separations of M\d as partitions of E - d, either way round
+    trips = {(m.expand(a, bd), m.expand(bit(c), bd), m.expand(b, bd))
+             for xa, c, ya in cyclic_3_separations(md)
+             for a, b in ((xa, ya), (ya, xa))}
+    if (y, bit(dp), z) not in trips or popcount(y) < 4:
         raise HypothesisUnmet("(Y, {d'}, Z) is not a cyclic 3-separation "
                               "of M \\ d with |Y| >= 4")
+    return _foundation_outcome(m, n_mat, d, dp, y)
+
+
+def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, dp: int,
+                        y: int) -> Verdict:
+    """`verify_foundation` once every hypothesis but the labelling one
+    holds: checks that one, then decides the outcome."""
+    bd = bit(d)
+    md = m.delete(bd)
     mdd = m.delete(bd | bit(dp))
     region = m.compress(y, bd | bit(dp))
     if next(labellings(mdd, n_mat, survivor_cap=region), None) is None:
@@ -925,8 +903,8 @@ def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
     |E(M)|, N a minor of M, every triangle and triad N-grounded, no
     N-detachable pair) are decided once per pair, and the cyclic
     3-separations of each 3-connected M\\d once per M, at the first N that
-    passes; only the hypotheses on each instance (d, d', Y) are checked
-    per instance."""
+    passes.  Each instance (d, d', Y) comes from that scan, so only its
+    labelling hypothesis is checked per instance."""
     out = []
     split_m = None
     for em, en in _minor_pairs(corpus, max_m, 1):
@@ -943,13 +921,12 @@ def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
             bd = bit(d)
             for xa, zz, ya in seps:
                 dp = m.expand(bit(zz), bd).bit_length() - 1
-                for ym, zm in ((xa, ya), (ya, xa)):
+                for ym in (xa, ya):
                     y = m.expand(ym, bd)
                     if popcount(y) < 4:
                         continue
                     try:
-                        v = _foundation_outcome(m, n_mat, d, dp, y,
-                                                m.expand(zm, bd))
+                        v = _foundation_outcome(m, n_mat, d, dp, y)
                     except HypothesisUnmet:
                         continue
                     v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"

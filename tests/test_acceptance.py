@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matroidkit.core import _popcount_table, validate
+from matroidkit.core import validate
 from matroidkit.cli import main, parse, serialize
 from matroidkit.corpus import generate_corpus
 from matroidkit.harness import (registry_summary, run_lemma_registry,
@@ -73,7 +73,7 @@ def test_criterion_1_axioms_and_calculus(corpus):
             tab = m.table().astype(np.int16)
             lam1 = tab + tab[::-1] - m.rank
             dtab = m.dual().table().astype(np.int16)
-            lam2 = tab + dtab - _popcount_table(m.n)
+            lam2 = tab + dtab - np.bitwise_count(np.arange(1 << m.n))
             assert bool((lam1 == lam2).all()), entry.name
     _report(1, "axioms, lambda formulas, dual involution", t0, 10)
 

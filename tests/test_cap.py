@@ -15,9 +15,11 @@ the sets of one size, but not a table-sized int32 or int64 array or a
 Python-list copy of a table.  Tighter pins hold the n = 24 kernels to the
 table they return: `rank_table` stays within one table plus 4 MiB (the
 packed OR pass), a single-element minor within half a table plus 1 MiB,
-and `_masks_of_size(24, 3)` and the connectivity scan within 1 MiB each,
-as every popcount comes from one 2^16 table, block by block.  `triads`
-and the `analyze` path read M's own table and never build the dual.
+and `_masks_of_size(24, 3)`, `is_3_connected` and `separations` within
+1 MiB each, as every popcount comes from one 2^16 table and every lambda
+scan runs block by block; `separators`, table build included, stays
+within one table plus 4 MiB.  `triads` and the `analyze` path read M's
+own table and never build the dual.
 """
 
 import itertools
@@ -31,16 +33,22 @@ import pytest
 
 from matroidkit.builders import paving, uniform
 from matroidkit.cli import main, parse, serialize
-from matroidkit.connectivity import is_3_connected
+from matroidkit.connectivity import is_3_connected, separations
 from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
-                             _masks_of_size, _popcount_table, is_isomorphic,
-                             popcount, rank_table, validate)
+                             _masks_of_size, is_isomorphic, popcount,
+                             rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
 from matroidkit.structures import fans, flans, quads, triads, triangles
 
 PEAK_MIB = 256
 WALL_S = 10.0
 TABLE_MIB = (1 << MAX_GROUND) / 2 ** 20
+
+
+def uniform_table(n, r):
+    """int8 min(|X|, r) for every mask X < 2^n: the rank table of U(r, n)."""
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
+    return np.minimum(sizes, r).astype(np.int8)
 
 
 def test_cap_kernels_within_time_and_memory_bounds():
@@ -189,7 +197,7 @@ def test_paving_builds_uniform_12_24_within_bounds():
     m = within_time_and_memory_bounds(lambda: paving(12, n, []))
     assert (m.n, m.rank) == (n, 12)
     assert len(m.bases) == math.comb(n, 12)
-    assert m.table().tobytes() == np.minimum(_popcount_table(n), 12).tobytes()
+    assert m.table().tobytes() == uniform_table(n, 12).tobytes()
 
 
 def test_uniform_12_24_within_bounds():
@@ -207,9 +215,21 @@ def test_separators_at_the_cap_within_bounds(tmp_path, capsys):
     path = tmp_path / "cap24.mtx"
     path.write_text(serialize(src, "cap24"))
     rc = within_time_and_memory_bounds(lambda: main(["separators", str(path)]))
-    assert rc == 0
-    assert capsys.readouterr().out == "none\n" * 2
+    # one more run, the table build included: the lambda scan adds nothing
+    # table-sized beside the rank table
+    rc2, peak = traced_mib(lambda: main(["separators", str(path)]))
+    assert rc == rc2 == 0
+    assert capsys.readouterr().out == "none\n" * 3
     assert quads(src) == ()
+    assert peak <= TABLE_MIB + 4, f"separators peak {peak:.1f} MiB"
+
+
+def test_separations_scan_builds_nothing_table_sized():
+    m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    m.table()
+    seps, peak = traced_mib(lambda: separations(m, 2))
+    assert seps == []
+    assert peak <= 1, f"separations peak {peak:.2f} MiB"
 
 
 def uniform_minus_last_two(r, n):
@@ -326,6 +346,6 @@ def test_isomorphism_of_sparse_paving_within_bounds(r, n):
 def test_isomorphism_of_uniform_within_bounds(r):
     # built from its table: U(12, 24) has 2,704,156 bases
     n = MAX_GROUND
-    u = Matroid._from_table(np.minimum(_popcount_table(n), r),
+    u = Matroid._from_table(uniform_table(n, r),
                             [f"e{i}" for i in range(n)])
     check_isomorphism_within_bounds([(u, shuffled(u, r), True)])

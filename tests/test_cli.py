@@ -241,6 +241,12 @@ class TestCommands:
         ["construct", ""],
         ["construct", "relax {dir}/F7.mtx"],
         ["construct", "deltawye {dir}/F7.mtx"],
+        # usage errors: argparse's own message, as one error line
+        ["analyze"],
+        ["verify", "registry", "--max-n", "abc"],
+        ["frobnicate"],
+        # only verify takes --seed and --max-n
+        ["analyze", "{dir}/F7.mtx", "--seed", "1"],
     ])
     def test_bad_input_is_one_error_line(self, argv, construction_files,
                                          tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from matroidkit.core import Matroid, bit
 
-from matroidkit.builders import (fano, relax, twisted_cube_matroid, uniform,
-                                 wheel, whirl)
+from matroidkit.builders import (fano, nonfano, relax, twisted_cube_matroid,
+                                 uniform, wheel, whirl)
 from matroidkit.connectivity import is_3_connected, is_connected
 from matroidkit.corpus import elongated_quad_glued, generate_corpus, two_sum
 from matroidkit.harness import (MATROID_CHECKS, PAIR_CHECKS, Check,
@@ -231,6 +231,40 @@ class TestVerifierGates:
         with pytest.raises(HypothesisUnmet):
             verify_foundation(m, uniform(2, 4), 0, 1,
                               m.set_of("cdef"), m.set_of("ghi"))
+
+    def test_foundation_rejects_a_deletion_that_is_not_3_connected(self):
+        # U(2,4) is no minor of the binary wheel, so the hypotheses on the
+        # pair hold vacuously; deleting a spoke leaves a series pair
+        m = wheel(4)
+        with pytest.raises(HypothesisUnmet, match="not 3-connected"):
+            verify_foundation(m, uniform(2, 4), 0, 4,
+                              m.set_of(["s2", "s3", "r2", "r3"]),
+                              m.set_of(["s4", "r4", "r1"]))
+
+    @staticmethod
+    def _twisted_instance():
+        # the first instance of tests/golden/foundation.txt
+        m = twisted_cube_matroid()
+        d, dp = m.id_of("s1"), m.id_of("s2")
+        y = m.set_of(["p1", "p2", "q1", "q2"])
+        return m, d, dp, y, m.full ^ bit(d) ^ bit(dp) ^ y
+
+    @pytest.mark.parametrize("case", ["golden", "not-cyclic", "overlap-in-Y",
+                                      "overlap-at-d"])
+    def test_foundation_instance_is_a_cyclic_partition(self, case):
+        m, d, dp, y, z = self._twisted_instance()
+        move = bit(m.id_of("q2")) | bit(m.id_of("t1"))
+        y, z = {"golden": (y, z),
+                "not-cyclic": (y ^ move, z ^ move),
+                "overlap-in-Y": (y, z | bit(m.id_of("q2"))),
+                # once accepted: Y and Z each hold d, which M \ d drops
+                "overlap-at-d": (y | bit(d), z | bit(d))}[case]
+        if case == "golden":
+            assert verify_foundation(m, nonfano(), d, dp, y, z).outcome \
+                == "pass"
+            return
+        with pytest.raises(HypothesisUnmet, match="cyclic 3-separation"):
+            verify_foundation(m, nonfano(), d, dp, y, z)
 
 
 class TestSweeps:

@@ -19,19 +19,18 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, cli, minors
 from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
-                             _combos, _masks_of_size, _popcount_table,
-                             _sizewise, bit, elems, is_isomorphic, lex_key,
-                             mask_of, popcount, rank_table, submasks,
-                             validate)
+                             _combos, _masks_of_size, _sizewise, bit, elems,
+                             is_isomorphic, lex_key, mask_of, popcount,
+                             rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
                                  relax, series_add, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl,
                                  wye_delta)
-from matroidkit.connectivity import (_k_separating, _lambda_all,
-                                     cyclic_3_separations, is_3_connected,
-                                     is_connected, vertical_3_separations)
+from matroidkit.connectivity import (_lambda_sets, cyclic_3_separations,
+                                     is_3_connected, is_connected, lambda_,
+                                     separations, vertical_3_separations)
 from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
                                from_vectors, generate_corpus,
                                random_sparse_paving)
@@ -42,6 +41,11 @@ from matroidkit.harness import _u3k_planes
 from matroidkit.structures import (StructureReport, _subset_bits,
                                    detect_spike_like, fans, flans, is_quad,
                                    is_triangle, quads, triads, triangles)
+
+
+def popcounts(n):
+    """int8 |X| for every mask X < 2^n."""
+    return np.bitwise_count(np.arange(1 << n)).astype(np.int8)
 
 
 def brute_isomorphic(m1, m2):
@@ -183,7 +187,7 @@ def purity_ok(bases, n):
     # extended inside A = E - (ext(I) - I) has rank(A) = |I|
     m = Matroid(n, bases)
     tab = m.table()
-    pc = _popcount_table(n)
+    pc = popcounts(n)
     idx = np.arange(1 << n, dtype=np.int64)
     ext = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
@@ -207,7 +211,7 @@ def assert_real_exchange_failure(witness, bases):
 def brute_rank_table(n, bases):
     # the definition: r(X) = max over the members B of |X & B|
     idx = np.arange(1 << n)
-    pc = _popcount_table(n)
+    pc = popcounts(n)
     out = np.zeros(1 << n, dtype=np.int8)
     for b in bases:
         np.maximum(out, pc[idx & b], out=out)
@@ -226,7 +230,7 @@ def ref_rank_table(n, bases):
         s = 1 << i
         v = indep.reshape(-1, 2 * s)
         v[:, :s] |= v[:, s:]
-    g = np.where(indep, _popcount_table(n), np.int8(0))
+    g = np.where(indep, popcounts(n), np.int8(0))
     for i in range(n):
         s = 1 << i
         v = g.reshape(-1, 2 * s)
@@ -234,19 +238,27 @@ def ref_rank_table(n, bases):
     return g
 
 
+def ref_lambda(m):
+    """lambda(X) for every mask X, as one full table."""
+    t = m.table().astype(np.int16)
+    return t + t[::-1] - m.rank
+
+
+def ref_separating(m, k):
+    """The sides X of k-separations, ascending, over the full tables."""
+    pc = popcounts(m.n)
+    return np.flatnonzero((ref_lambda(m) < k) & (pc >= k)
+                          & (pc <= m.n - k)).tolist()
+
+
 def ref_is_connected(m):
-    # no 1-separation, over the full lambda table
-    return not bool(_k_separating(m, 1).any())
+    # no 1-separation
+    return not ref_separating(m, 1)
 
 
 def ref_is_3_connected(m):
-    # no 1- or 2-separation, over the full lambda table
-    lam = _lambda_all(m)
-    pc = _popcount_table(m.n)
-    n = m.n
-    viol = (lam <= 0) & (pc >= 1) & (pc <= n - 1)
-    viol |= (lam <= 1) & (pc >= 2) & (pc <= n - 2)
-    return not bool(viol.any())
+    # no 1- or 2-separation
+    return not (ref_separating(m, 1) or ref_separating(m, 2))
 
 
 def ref_circuits(m):
@@ -832,6 +844,58 @@ class TestConnectivityOracle:
         assert got == want == (ref_is_connected(m), ref_is_3_connected(m))
 
 
+def _past_one_block():
+    """Matroids on 17 and 18 elements, so more than one 2^16 block, with a
+    series or parallel pair, a loop or a coloop at element 16, so that
+    their small separations hold elements past the first block."""
+    paving16 = random_sparse_paving(random.Random(17), 16, 4)
+    yield series_add(paving16, 0, "q")
+    yield parallel_add(paving16, 15, "q")
+    for r, keep in ((3, lambda b: not b & LOOP),
+                    (3, lambda b: b & PARALLEL != PARALLEL),
+                    (4, lambda b: b & LOOP)):
+        yield Matroid(18, filter(keep, _masks_of_size(18, r).tolist()))
+
+
+LAMBDA_KEEPS = {
+    "lambda-at-most-2": lambda lam, size: lam <= 2,
+    "exact-3-six-up": lambda lam, size: (lam == 2) & (size >= 6),
+    "exact-3-even": lambda lam, size: (lam == 2) & (size % 2 == 0),
+    "size-only": lambda lam, size: size == 3,
+}
+
+
+class TestLambdaScanOracle:
+    """The blockwise lambda scan and everything routed through it
+    (`_lambda_sets`, `separations`, `is_connected`, `is_3_connected`)
+    against the full lambda and popcount tables, at n = 17 and 18."""
+
+    @pytest.mark.parametrize("name", LAMBDA_KEEPS)
+    def test_lambda_sets(self, name):
+        keep = LAMBDA_KEEPS[name]
+        for m in _past_one_block():
+            want = np.flatnonzero(keep(ref_lambda(m), popcounts(m.n)))
+            assert _lambda_sets(m, keep) == want.tolist(), m
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_separations(self, k):
+        found = 0
+        for m in _past_one_block():
+            lam = ref_lambda(m)
+            want = sorted((x for x in ref_separating(m, k) if x & 1),
+                          key=lex_key)
+            got = separations(m, k)
+            assert [rep.side for rep in got] == want, m
+            assert [rep.lam for rep in got] == lam[want].tolist(), m
+            found += len(got)
+        assert found
+
+    def test_connectivity(self):
+        for m in _past_one_block():
+            assert is_connected(m) == ref_is_connected(m), m
+            assert is_3_connected(m) == ref_is_3_connected(m), m
+
+
 class TestRandomSparsePaving:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_fewer_than_three_elements_is_bad_params(self, n):
@@ -1219,15 +1283,14 @@ class TestTriadsOracle:
 
 
 class TestPopcountBlocks:
-    """The popcounts built from the one 2^16 table, whole and blockwise,
-    and `_masks_of_size` against `int.bit_count` for every n <= 18, so past
+    """The popcounts built blockwise from the one 2^16 table, and
+    `_masks_of_size`, against `int.bit_count` for every n <= 18, so past
     the edge of the first 2^16 block."""
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_against_bit_count(self, n):
         want = np.array([x.bit_count() for x in range(1 << n)],
                         dtype=np.int8)
-        assert _popcount_table(n).tobytes() == want.tobytes()
         zeros = np.zeros(1 << n, dtype=np.int8)
         got = _sizewise(np.add, zeros, np.empty_like(zeros))
         assert got.tobytes() == want.tobytes()
@@ -1321,8 +1384,8 @@ class TestSubsetTableOracle:
 
 def _exact_even_sets(m):
     # every even, exactly 3-separating set of at least six elements
-    pc = _popcount_table(m.n)
-    return np.flatnonzero((_lambda_all(m) == 2) & (pc >= 6)
+    pc = popcounts(m.n)
+    return np.flatnonzero((ref_lambda(m) == 2) & (pc >= 6)
                           & (pc % 2 == 0)).tolist()
 
 
@@ -1386,7 +1449,7 @@ class TestSpikeLikeOracle:
         m = Matroid(8, bases, "bcdefgah")
         p = m.set_of("abcdef")
         inside = [q for q in quads(m) if not q & ~p]
-        assert _lambda_all(m)[p] == 2
+        assert lambda_(m, p) == 2
         assert len(inside) == 5 >= math.comb(3, 2)
         assert detect_spike_like(m, p) is ref_detect_spike_like(m, p) is None
         _check_spike_like(m)
