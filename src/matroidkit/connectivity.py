@@ -133,26 +133,41 @@ def is_3_connected(m: Matroid) -> bool:
 
 def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
     """The triples of `vertical_3_separations`, sorted by z and then by X
-    in lex order, where X holds the lowest element other than z.  One
-    numpy pass per z over every such X."""
+    in lex order, where X holds the lowest element other than z.
+
+    X runs over the table in blocks of up to 2^16 masks from X0 on, as in
+    `_lambda_blocks`, and for each z that not every X of the block holds,
+    over the X without z.  As Y = E - z - X, the ranks r(X), r(X + z),
+    r(Y + z) and r(Y) of a block are slices of the table and of its reverse
+    at X and X + z; lambda <= 2 picks the few candidates, and the other
+    conditions are read at those alone, so nothing table-sized is built.
+    """
     t = m.table()
-    masks = np.arange(1 << m.n, dtype=np.int32)
-    out = []
-    for z in range(m.n):
-        bz = 1 << z
-        rest = m.full ^ bz
-        low = rest & -rest
-        x = masks[(masks & (bz | low)) == low]
-        y = rest ^ x
-        tx, ty = t[x], t[y]
-        # z in cl(X) and cl(Y), so both flanking bipartitions have
-        # lambda = r(X) + r(Y) - r(M)
-        ok = (np.bitwise_count(x) >= 3) & (np.bitwise_count(y) >= 3) \
-            & (tx >= 3) & (ty >= 3) & (t[x | bz] == tx) & (t[y | bz] == ty) \
-            & (tx + ty <= m.rank + 2)
-        out += sorted(((side, z, rest ^ side) for side in x[ok].tolist()),
-                      key=lambda triple: lex_key(triple[0]))
-    return out
+    rev, n, end = t[::-1], m.n, 1 << m.n
+    step = min(end, _PC16.size)
+    offsets = np.arange(step, dtype=np.int32)
+    found = [[] for _ in range(n)]
+    for s in range(0, end, step):
+        for z in range(n):
+            bz = 1 << z
+            if s & bz:
+                continue  # every X of the block holds z
+            low = 2 if z == 0 else 1  # the lowest element other than z
+            # r(X + z) and r(Y), as far as the X + z stay inside the table
+            txz, ty = t[s + bz:s + bz + step], rev[s + bz:s + bz + step]
+            k = txz.size
+            tx, tyz = t[s:s + k], rev[s:s + k]
+            # z in cl(X) and cl(Y), so both flanking bipartitions have
+            # lambda = r(X) + r(Y) - r(M)
+            hit = np.flatnonzero((tx + ty <= m.rank + 2)
+                                 & (offsets[:k] & (bz | low) == low))
+            size = _PC16[hit] + s.bit_count()
+            ok = (size >= 3) & (size <= n - 4) & (tx[hit] >= 3) \
+                & (ty[hit] >= 3) & (txz[hit] == tx[hit]) \
+                & (tyz[hit] == ty[hit])
+            found[z] += (hit[ok] + s).tolist()
+    return [(x, z, m.full ^ 1 << z ^ x) for z in range(n)
+            for x in sorted(found[z], key=lex_key)]
 
 
 def vertical_3_separations(m: Matroid) -> list[tuple[int, int, int]]:

@@ -26,10 +26,16 @@ pairs X without i with X plus i, and every such pass goes through
 `_halves`.  On a short axis (bit i below 4) the two halves, taken as
 blocks, have rows of only 2^i elements, and a ufunc over them runs one
 tiny inner loop per row; so there `_halves` hands out one pair of long
-strided columns per offset instead.  The OR pass of `rank_table`, which
-marks every subset of a member (`_down_closed`), runs on the table packed
-64 masks to a machine word: the six axes inside a word take one shift and
-mask each, and the others are passes over whole words.
+strided columns per offset instead, which `circuits` and the word axes
+0-3 of the OR pass below still take.  The OR pass of `rank_table`, which
+marks every subset of a member (`_packed_down_closed`), runs on the table
+packed 64 masks to a machine word: the six axes inside a word take one
+shift and mask each, and the others are passes over whole words.
+`rank_table` runs no max pass on the four lowest axes: each packed
+16-bit word of flags, the 16 masks that differ only there, indexes one row
+of the read-only 2^16-row table `_low16`, which holds the result of those
+four passes.  Its max passes on the axes 4 to 19 run one L2-sized block
+of 2^20 masks at a time.
 """
 
 from __future__ import annotations
@@ -200,47 +206,127 @@ _LOWER = np.array([0x5555555555555555, 0x3333333333333333,
                    0x0000FFFF0000FFFF, 0x00000000FFFFFFFF], dtype=np.uint64)
 
 
-def _down_closed(n: int, masks) -> np.ndarray:
-    """Bool over every mask X < 2^n: X lies inside some member of `masks`.
+def _packed_down_closed(n: int, masks) -> np.ndarray:
+    """The flags of `_down_closed` packed 64 masks to a uint64 word: mask X
+    at bit X % 64 of word X // 64, and at least one word.
 
-    The OR pass that marks every subset of a member runs on the table
-    packed 64 masks to a word (mask X at bit X % 64 of word X // 64).  On
-    the axes i < 6 both halves share a word, so one shift and `_LOWER[i]`
-    pass the word's X + i bits down to its X bits; on the axes i >= 6 the
-    halves are whole words, paired by `_halves` on axis i - 6.  The flags
-    are padded to at least one word, so every n takes the same path.
+    The OR pass that marks every subset of a member runs on the packed
+    words.  On the axes i < 6 both halves share a word, so one shift and
+    `_LOWER[i]` pass the word's X + i bits down to its X bits; on the axes
+    i >= 6 the halves are whole words, paired by `_halves` on axis i - 6.
+    The flags are padded to at least one word, so every n takes the same
+    path.
     """
-    size = 1 << n
-    flags = np.zeros(max(size, 64), dtype=bool)
+    flags = np.zeros(max(1 << n, 64), dtype=bool)
     flags[np.fromiter(masks, dtype=np.int64)] = True
     w = np.packbits(flags, bitorder="little").view("<u8")
-    del flags  # so the unpacked table below takes its place
+    del flags  # so the caller's table takes its place
     for i in range(min(n, 6)):
         w |= w >> np.uint64(1 << i) & _LOWER[i]
     for i in range(6, n):
         for lo, hi in _halves(w, i - 6):
             lo |= hi
-    return np.unpackbits(w.view(np.uint8), bitorder="little",
-                         count=size).view(bool)
+    return w
+
+
+def _down_closed(n: int, masks) -> np.ndarray:
+    """Bool over every mask X < 2^n: X lies inside some member of `masks`."""
+    return np.unpackbits(_packed_down_closed(n, masks).view(np.uint8),
+                         bitorder="little", count=1 << n).view(bool)
+
+
+# The entry of `_low16` with no L' to take the largest |L'| over; it stays
+# negative, so below every rank, when a size |H| <= MAX_GROUND - 4 is added
+_NONE = -MAX_GROUND
+
+
+@functools.cache
+def _low16() -> np.ndarray:
+    """Read-only (2^16, 16) int8 table: LOW[w, L] is the largest |L'| over
+    the L' inside L (L, L' < 16) whose bit is set in the 16-bit word w, and
+    _NONE when there is none.
+
+    It comes from the 256-row table Q of the three lowest axes: Q[v, l] is
+    the largest |l'| over the l' inside l (l, l' < 8) whose bit is set in
+    the byte v, or _NONE, from three max passes over 256 x 8 entries.  A
+    word w is the byte lo = w & 255 for the L' without bit 3 and the byte
+    hi = w >> 8 for the L' = 8 + l' with it, so LOW[w, l] = Q[lo, l] and
+    LOW[w, 8 + l] = max(Q[lo, l], Q[hi, l] + 1): one broadcast `maximum`
+    of a 256-row table by lo and one by hi, and no pass over LOW's rows.
+    """
+    v = np.arange(256)[:, None]
+    q = np.where(v >> np.arange(8) & 1, _PC16[:8], np.int8(_NONE))
+    for i in range(3):
+        for lo, hi in _halves(q.reshape(-1), i):
+            np.maximum(hi, lo, out=hi)
+    by_lo = np.concatenate([q, q], axis=1)
+    by_hi = np.concatenate([np.full_like(q, _NONE),
+                            np.where(q < 0, q, q + 1)], axis=1)
+    low = np.maximum(by_lo, by_hi[:, None, :]).reshape(1 << 16, 16)
+    low.flags.writeable = False
+    return low
+
+
+# rank_table gathers from _low16 this many rows of 16 masks at a time (64
+# KiB of table), and runs the max passes on the axes below _BLOCK_AXES one
+# block of 2^_BLOCK_AXES masks (1 MiB) at a time, so that each block stays
+# in the L2 cache while its passes run
+_GATHER_ROWS = 1 << 12
+_BLOCK_AXES = 20
+
+# |H| for the rows H < _GATHER_ROWS, once per mask 16 H + L of the row
+_ROW_SIZES = np.repeat(_PC16[:_GATHER_ROWS], 16)
+_ROW_SIZES.flags.writeable = False
 
 
 def rank_table(n: int, bases) -> np.ndarray:
     """Full 2^n rank table of the independence system spanned by `bases`.
 
     rank[X] = size of the largest subset of X contained in some member of
-    `bases`.  Valid for arbitrary equicardinal families, which is what lets
-    the axiom checker use it before matroidness is known.  The independent
-    sets, every subset of a member, come from the packed OR pass of
-    `_down_closed`; the max pass that carries |I| up to each superset goes
-    along each axis through `_halves`, so its short axes run column by
-    column.
+    `bases`.  Valid for arbitrary non-empty equicardinal families, which is
+    what lets the axiom checker use it before matroidness is known.  The
+    table is the (max, +) zeta transform over the subset lattice of |I| on
+    the independent sets I (every subset of a member, from the packed OR
+    pass of `_packed_down_closed`) and 0 elsewhere: one max pass per axis
+    carries |I| up to each superset.
+
+    No max pass runs on the four lowest axes.  Viewed as uint16, the packed
+    flags give for each H < 2^n / 16 the word u[H] of the 16 masks
+    16 H + L, and after the passes on axes 0-3 the table would hold at
+    16 H + L the largest |16 H + L'| over the independent 16 H + L' with L'
+    inside L, or 0 if there is none.  Independence is down-closed, so if H
+    is independent, every such L' is one whose bit is set in u[H], and the
+    entry is |H| + `_low16()`[u[H], L]; if not, u[H] = 0, and the table
+    takes |H| + _NONE < 0 there instead of 0.  The passes on the other axes
+    lift each entry to the largest over its subsets, and the empty set is
+    independent, so that makes no difference.  The passes on axes 4 up to
+    19 run one 2^20-mask block at a time, right after its rows are
+    gathered; those on axes 20 and up run over the whole table.
     """
-    g = _down_closed(n, bases).view(np.int8)
-    _sizewise(np.multiply, g, g)
-    for i in range(n):
+    u = _packed_down_closed(n, bases).view("<u2")
+    low16 = _low16()
+    g = np.empty((u.size, 16), dtype=np.int8)
+    block = min(u.size, 1 << _BLOCK_AXES - 4)
+    rows = min(u.size, _GATHER_ROWS)
+    for b in range(0, u.size, block):
+        for h in range(b, b + block, rows):
+            # "clip" (the words are in range anyway), as the default mode
+            # takes into a buffer and then copies it to `out`
+            np.take(low16, u[h:h + rows], axis=0, out=g[h:h + rows],
+                    mode="clip")
+            # |H| = |H - h| + |h| for the H from h on, as rows divides h
+            part = g[h:h + rows].reshape(-1)
+            part += _ROW_SIZES[:part.size]
+            part += h.bit_count()
+        flat = g[b:b + block].reshape(-1)
+        for i in range(4, min(n, _BLOCK_AXES)):
+            for lo, hi in _halves(flat, i):
+                np.maximum(hi, lo, out=hi)
+    g = g.reshape(-1)
+    for i in range(_BLOCK_AXES, n):
         for lo, hi in _halves(g, i):
             np.maximum(hi, lo, out=hi)
-    return g
+    return g[:1 << n]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ The rank table has 2^24 entries, so a single table-sized int64 array is
 the sets of one size, but not a table-sized int32 or int64 array or a
 Python-list copy of a table.  Tighter pins hold the n = 24 kernels to the
 table they return: `rank_table` stays within one table plus 4 MiB (the
-packed OR pass), a single-element minor within half a table plus 1 MiB,
-and `_masks_of_size(24, 3)`, `is_3_connected` and `separations` within
-1 MiB each, as every popcount comes from one 2^16 table and every lambda
-scan runs block by block; `separators`, table build included, stays
-within one table plus 4 MiB.  `triads` and the `analyze` path read M's
-own table and never build the dual.
+packed OR pass and its 1 MiB lookup table), a single-element minor within
+half a table plus 1 MiB, and `_masks_of_size(24, 3)`, `is_3_connected`
+and `separations` within 1 MiB each, as every popcount comes from one
+2^16 table and every lambda scan runs block by block; `separators` and
+`vertical_3_separations`, table build included, stay within one table
+plus 4 MiB.  `triads` and the `analyze` path read M's own table and
+never build the dual.
 """
 
 import itertools
@@ -33,7 +34,8 @@ import pytest
 
 from matroidkit.builders import paving, uniform
 from matroidkit.cli import main, parse, serialize
-from matroidkit.connectivity import is_3_connected, separations
+from matroidkit.connectivity import (is_3_connected, separations,
+                                     vertical_3_separations)
 from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, is_isomorphic, popcount,
                              rank_table, validate)
@@ -222,6 +224,20 @@ def test_separators_at_the_cap_within_bounds(tmp_path, capsys):
     assert capsys.readouterr().out == "none\n" * 3
     assert quads(src) == ()
     assert peak <= TABLE_MIB + 4, f"separators peak {peak:.1f} MiB"
+
+
+def test_vertical_separations_at_the_cap_within_bounds():
+    # a rank-4 sparse paving matroid on 24 elements has no vertical
+    # 3-separation: one side has at least 12 elements, so rank 4; the scan,
+    # the table build included, adds nothing table-sized beside the table
+    src = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    m = Matroid(MAX_GROUND, src.bases, src.labels)
+    t0 = time.perf_counter()
+    trips, peak = traced_mib(lambda: vertical_3_separations(m))
+    wall = time.perf_counter() - t0
+    assert trips == []
+    assert peak <= TABLE_MIB + 4, f"vertical scan peak {peak:.1f} MiB"
+    assert wall <= WALL_S, f"{wall:.1f} s"
 
 
 def test_separations_scan_builds_nothing_table_sized():

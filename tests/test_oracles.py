@@ -18,17 +18,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, cli, minors
-from matroidkit.core import (AxiomViolation, Matroid, MatroidError,
-                             _combos, _masks_of_size, _sizewise, bit, elems,
-                             is_isomorphic, lex_key, mask_of, popcount,
-                             rank_table, submasks, validate)
+from matroidkit.core import (_NONE, AxiomViolation, Matroid, MatroidError,
+                             _combos, _low16, _masks_of_size, _sizewise, bit,
+                             elems, is_isomorphic, lex_key, mask_of,
+                             popcount, rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  nonfano, parallel_add, parallel_connection,
                                  relax, series_add, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl,
                                  wye_delta)
-from matroidkit.connectivity import (_lambda_sets, cyclic_3_separations,
+from matroidkit.connectivity import (_lambda_sets, _vertical_triples,
+                                     cyclic_3_separations,
                                      is_3_connected, is_connected, lambda_,
                                      separations, vertical_3_separations)
 from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
@@ -439,6 +440,28 @@ def ref_all_triples_grounded(m, n_mat):
 
 
 def ref_vertical_triples(m):
+    """The pass `_vertical_triples` ran before it went block by block: for
+    each z, one gather per rank over every mask X < 2^n that holds the
+    lowest element other than z."""
+    t = m.table()
+    masks = np.arange(1 << m.n, dtype=np.int32)
+    out = []
+    for z in range(m.n):
+        bz = 1 << z
+        rest = m.full ^ bz
+        low = rest & -rest
+        x = masks[(masks & (bz | low)) == low]
+        y = rest ^ x
+        tx, ty = t[x], t[y]
+        ok = (np.bitwise_count(x) >= 3) & (np.bitwise_count(y) >= 3) \
+            & (tx >= 3) & (ty >= 3) & (t[x | bz] == tx) & (t[y | bz] == ty) \
+            & (tx + ty <= m.rank + 2)
+        out += sorted(((side, z, rest ^ side) for side in x[ok].tolist()),
+                      key=lambda triple: lex_key(triple[0]))
+    return out
+
+
+def brute_vertical_triples(m):
     # the scalar scan: every X holding the lowest element other than z
     t = m._ranks()
     out = []
@@ -732,9 +755,9 @@ class TestTableKernelOracle:
 
 
 class TestRankTableOracle:
-    """`rank_table`, whose passes go column by column on the short axes,
-    against the definition and against the all-blocks kernel, on matroids
-    and non-matroids."""
+    """`rank_table`, whose four lowest axes come from one lookup table and
+    whose other passes run in blocks of 2^20 masks, against the definition
+    and against the all-blocks kernel, on matroids and non-matroids."""
 
     @settings(max_examples=80)
     @given(st.data())
@@ -749,7 +772,7 @@ class TestRankTableOracle:
         assert got.tobytes() == brute_rank_table(n, bases).tobytes()
         assert got.tobytes() == ref_rank_table(n, bases).tobytes()
 
-    @pytest.mark.parametrize("n", [20, 24])
+    @pytest.mark.parametrize("n", [20, 21, 24])
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_large_tables_match_the_blocks_kernel(self, n, kind):
         bases = _random_family(random.Random(n), n, 4, kind)
@@ -777,6 +800,20 @@ class TestRankTableOracle:
             for bases in ([sets[0]], [sets[-1]], sets):
                 got = rank_table(n, bases)
                 assert got.tobytes() == ref_rank_table(n, bases).tobytes()
+
+    def test_low_axes_table_against_its_definition(self):
+        # LOW[w, L] is the largest |L'| over the L' inside L whose bit is
+        # set in w, for every 16-bit word w, and _NONE where there is none
+        low = _low16()
+        assert low.dtype == np.int8 and low.shape == (1 << 16, 16)
+        assert not low.flags.writeable
+        words = np.arange(1 << 16)
+        for big in range(16):
+            want = np.full(1 << 16, _NONE, dtype=np.int8)
+            for sub in submasks(big):
+                np.maximum(want, np.where(words >> sub & 1, popcount(sub),
+                                          _NONE), out=want)
+            assert low[:, big].tobytes() == want.tobytes(), big
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cap_tables_are_pinned(self, seed):
@@ -1473,9 +1510,9 @@ class TestGroundingOracle:
 
 
 class TestVerticalTriplesOracle:
-    """The per-z numpy pass behind `vertical_3_separations` and
-    `cyclic_3_separations` against the scalar scan: the same triples in the
-    same order."""
+    """The blockwise pass behind `vertical_3_separations` and
+    `cyclic_3_separations` against the all-masks pass it replaced and the
+    scalar scan: the same triples in the same order."""
 
     def test_three_connected_corpus_and_duals(self):
         ms = [e.matroid for e in generate_corpus(0, max_n=12)] \
@@ -1487,7 +1524,9 @@ class TestVerticalTriplesOracle:
             vertical = vertical_3_separations(m)
             cyclic = cyclic_3_separations(m)
             assert vertical == ref_vertical_triples(m), m
+            assert vertical == brute_vertical_triples(m), m
             assert cyclic == ref_vertical_triples(m.dual()), m
+            assert cyclic == brute_vertical_triples(m.dual()), m
             found += len(vertical) + len(cyclic)
         assert found > 150
 
@@ -1495,6 +1534,27 @@ class TestVerticalTriplesOracle:
         for r in (0, 1):
             m = uniform(r, 1)
             assert vertical_3_separations(m) == ref_vertical_triples(m) == []
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_any_family(self, data):
+        # the pass reads only the table, so any equicardinal family will do
+        n = data.draw(st.integers(1, 10))
+        r = data.draw(st.integers(0, n))
+        m = Matroid(n, data.draw(st.lists(
+            st.sampled_from(_masks_of_size(n, r).tolist()),
+            min_size=1, max_size=40, unique=True)))
+        got = _vertical_triples(m)
+        assert got == ref_vertical_triples(m) == brute_vertical_triples(m)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_blocks(self, seed):
+        # n = 17 spans two blocks of 2^16 masks; a random family of 5-sets
+        # has many sets of rank 3 to 5 on both sides
+        m = Matroid(17, _random_family(random.Random(seed), 17, 5, "random"))
+        got = _vertical_triples(m)
+        assert got == ref_vertical_triples(m)
+        assert {x >> 16 for x, _, _ in got} == {0, 1}
 
 
 def _same_linear_matroid(vectors):
