@@ -349,8 +349,8 @@ class Matroid:
     The constructor takes a basis family and checks only that it is
     equicardinal and inside the ground set; use `validate` to check the
     basis axioms as well.  Minors and duals are built from the parent's
-    table.  Derived data (rank table, bases, dual, circuits, quads) is
-    cached on first use; treat instances as read-only values.
+    table.  Derived data (rank table, bases, dual, circuits, quads, basis
+    counts) is cached on first use; treat instances as read-only values.
     """
 
     def __init__(self, n: int, bases, labels=None):
@@ -393,6 +393,9 @@ class Matroid:
         self._circuits = None
         self._quads = None
         self._is3conn = None
+        self._counts = None
+        self._degrees = None
+        self._pairs = None
 
     @property
     def bases(self) -> tuple[int, ...]:
@@ -448,6 +451,28 @@ class Matroid:
             tab.flags.writeable = False
             self._tab = tab
         return self._tab
+
+    def basis_counts(self) -> np.ndarray:
+        """h[Y], the number of bases inside Y, for every mask Y, as a
+        read-only uint16 table, cached.
+
+        The zeta transform of the basis indicator: one add pass per axis,
+        through `_halves`, carries each basis up to every superset.  The
+        uint16 sums wrap, so each entry is exact modulo 2^16, and exact
+        whenever |B(M)| < 2^16; at n = 24 the table is two rank tables'
+        worth of memory.
+        """
+        if self._counts is None:
+            t = self.table()
+            sets = _masks_of_size(self.n, self.rank)
+            h = np.zeros(t.size, dtype=np.uint16)
+            h[sets[t[sets] == self.rank]] = 1
+            for i in range(self.n):
+                for lo, hi in _halves(h, i):
+                    hi += lo
+            h.flags.writeable = False
+            self._counts = h
+        return self._counts
 
     def _ranks(self) -> memoryview:
         """Zero-copy view of the read-only rank table for scalar lookups.

@@ -4,25 +4,29 @@ elements, meet it in at most one element), grounded triangles and triads,
 and detachable-pair search (direct and after a single delta-wye or
 wye-delta exchange).
 
-The minor search scores candidate labellings in numpy batches over the
-rank table.  Contract sets that share a head (a lex-order prefix) form a
-group, and one float32 product over the bases of M that contain the head
-counts the bases of every minor M/C\\D of the group; only the candidates
-whose basis count and basis-degree multiset match N's reach the
-isomorphism test.  The head length and the slicing of the deletion sets
-and of the survivors bound the search's matrices by `_CELLS` cells.
+The minor search scores candidate labellings in numpy blocks of (C, D)
+pairs over one subset-sum table per matroid, `Matroid.basis_counts`: the
+number of bases inside each set, modulo 2^16.  The bases of a minor
+M/C\\D are counted by inclusion-exclusion over the smaller of C and D,
+in that table of M or of M*, at 2^min(|C|, |D|) lookups per pair, so the
+cost of a count does not grow with |B(M)|.  Only the candidates whose
+basis count and basis-degree multiset match N's, modulo 2^16, reach the
+isomorphism test.  `_CELLS` bounds each block of pairs and each gather of
+their counts.  Which pair minors M/{x,y} and M\\{x,y} are 3-connected is
+kept on M, so the detachable-pair search asks it once per M, not once
+per N.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _combos, bit, elems,
-                   is_isomorphic)
+from .core import (_PC16, MAX_GROUND, Matroid, MatroidError,
+                   _masks_of_size, bit, elems, is_isomorphic)
 from .connectivity import is_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
@@ -62,35 +66,67 @@ def _memo(key, search):
 # of N, or the removed elements, in at most this many elements
 _NEAR = 1
 
-# bound on the cells of each (C, basis), (D, basis), (C, D) and (survivor,
-# basis) matrix of the labelling search; only a single row can exceed it
+# bound on the entries of each block of (C, D) pairs of the labelling
+# search and of each gather of their counts or degree rows; only the
+# 2^min(|C|, |D|) lookups of a single pair can exceed it
 _CELLS = 1 << 16
 
 
-def _bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """(len(masks), n) 0/1 matrix of the elements of each mask."""
-    return (masks[:, None] >> np.arange(n, dtype=np.int32)) & 1
+# one bit per element, as intp, so that masks built from them index tables
+# without a cast
+_BITS = 1 << np.arange(MAX_GROUND, dtype=np.intp)
 
 
-def _count_hits(has_c: np.ndarray, xs: np.ndarray, ds: np.ndarray,
-                want: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C row, D row) pairs, C-major, where exactly `want` of the bases `xs`
-    contain C and miss D; `has_c[i, j]` is 1 where xs[j] contains C_i."""
-    step = max(1, _CELLS // max(has_c.shape))
-    rows, cols = [], []
-    for s in range(0, len(ds), step):
-        misses = ((xs & ds[s:s + step, None]) == 0).astype(np.float32)
-        # float32 counts are exact: a count is at most |B| <= C(24, 12),
-        # below 2^24, up to which float32 holds every integer.  einsum
-        # multiplies in this thread; a BLAS product (@) starts threads
-        # that stall the search whenever another process holds a core.
-        count = np.einsum("ij,kj->ik", has_c, misses)
-        i, j = np.nonzero(count == want)
-        rows.append(i)
-        cols.append(j + s)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order]
+@functools.cache
+def _lex_masks(n: int, k: int) -> np.ndarray:
+    """Read-only int32 masks of the k-subsets of range(n), in lex order of
+    their sorted elements; shared per (n, k).  Two k-sets compare in lex
+    order as their bit-reversed masks compare in descending order, so these
+    are the masks of `_masks_of_size` in reverse, each with its bits
+    reversed; those are built uncached, so no second copy is kept."""
+    rev = _masks_of_size.__wrapped__(n, k)[::-1]
+    masks = np.zeros_like(rev)
+    for i in range(n):
+        masks |= (rev >> i & 1) << (n - 1 - i)
+    masks.flags.writeable = False
+    return masks
+
+
+@functools.cache
+def _by_parity(k: int) -> np.ndarray:
+    """Read-only order of the subsets j < 2^k: even |j| first, then odd."""
+    order = np.argsort(_PC16[:1 << k] & 1, kind="stable")
+    order.flags.writeable = False
+    return order
+
+
+def _submasks(xs: np.ndarray, k: int) -> np.ndarray:
+    """(2^k, len(xs)) intp: every submask T of each k-set X, one row per T,
+    the 2^(k-1) rows of even |T| first (the one row when k = 0)."""
+    sub = np.zeros((1, len(xs)), dtype=np.intp)
+    rest = xs.astype(np.intp)
+    for _ in range(k):
+        low = rest & -rest
+        rest ^= low
+        sub = np.concatenate([sub, sub | low])
+    return sub[_by_parity(k)]
+
+
+def _alternating(g: np.ndarray) -> np.ndarray:
+    """The sums over the first axis of `g`, modulo 2^16, with the sign +1
+    on its first (even) half and -1 on the rest, as `_submasks` orders
+    them."""
+    half = len(g) + 1 >> 1
+    return g[:half].sum(0, dtype=np.uint16) - g[half:].sum(0, dtype=np.uint16)
+
+
+def _degrees(m: Matroid):
+    """|B(M)| and the sorted numbers of bases of M through each element,
+    modulo 2^16; kept on M, so they are worked out once per N."""
+    if m._degrees is None:
+        h = m.basis_counts()
+        m._degrees = h[-1], np.sort(h[-1] - h[m.full ^ _BITS[:m.n]])
+    return m._degrees
 
 
 def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
@@ -105,19 +141,23 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
     `removed_cap` keeps those that remove at most `_NEAR` elements of
     its region.
 
-    The search builds no `Matroid` per candidate.  C = head | tail, every
-    head element before every tail element, so the C that share a head
-    are consecutive; they form a group, scored over the bases of M that
-    contain the head.  The head is the shortest whose group's (C, basis)
-    matrix fits `_CELLS`.  The head and each D are filtered on their own:
-    r(head) = |head|, r(E - D) = r(M) and the caps, the survivor cap with
-    a slack of one per tail element.  The bases of M/C\\D are B - C for
-    the bases B that contain C and miss D, so one float32 `einsum` of
-    "B contains C" by "B misses D" counts them for the whole group.  The
-    pairs whose count is |B(N)| and that pass the caps have their
-    basis-degree rows compared sorted with N's, and the survivors reach
-    `is_isomorphic` on the minor gathered from the table.  D and the
-    survivors are sliced to keep their matrices within `_CELLS` cells.
+    The search builds no `Matroid` per candidate.  C runs over the
+    independent sets of its size and D over those whose complement spans,
+    each in lex order; the caps hold D to a slack of |C| on the survivor
+    side, and hold each disjoint pair exactly.  The bases of M/C\\D are
+    B - C for the bases B of M with C <= B <= E - D.  By inclusion-exclusion
+    over C their number is the sum of (-1)^|T| h[(E - D) - T] over T <= C,
+    with h = `Matroid.basis_counts`; when D is the smaller set, it is the
+    same sum over T <= D with the table of M* and E - C, as the
+    complements E - B are the bases of M* with D <= E - B <= E - C.  So a
+    pair costs 2^min(|C|, |D|) lookups, whatever |B(M)|.  The tables hold
+    their counts modulo 2^16, so the filters compare modulo 2^16: they are
+    exact below 2^16 bases and necessary conditions above.  A pair whose
+    count is |B(N)| has its degree row (how many bases of the minor hold
+    each e, 0 on C and D) compared sorted with N's, and the survivors
+    reach `is_isomorphic` on the minor gathered from the table.  Each
+    block of pairs, and each gather of their counts or degree rows, holds
+    at most `_CELLS` entries, or one pair's where that is more.
 
     The isomorphism verdict is memoised in `_minor_memo` on the tables of
     the minor and N, as the `has_minor` answer for that equal-size pair:
@@ -125,83 +165,75 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
     """
     gap = m.n - n_mat.n
     kc = m.rank - n_mat.rank
-    if gap < 0 or kc < 0 or gap < kc:
+    kd = gap - kc
+    if kc < 0 or kd < 0:
         return
-    n = m.n
+    n, r, full = m.n, m.rank, m.full
     t = m.table()
-    r, full = m.rank, m.full
-    bases = np.array(m.bases, dtype=np.int32)
-    elem_bits = np.int32(1) << np.arange(n, dtype=np.int32)
-    nb_n = len(n_mat.bases)
     n_key = n_mat.table().tobytes()
-    want_deg = np.sort(np.concatenate([
-        _bits(np.array(n_mat.bases, dtype=np.int32), n_mat.n).sum(0),
-        np.zeros(gap, dtype=np.int64)]))
-    k_head = next((j for j in range(kc + 1)
-                   if math.comb(n - j, kc - j) * len(bases) <= _CELLS), kc)
-    k_tail = kc - k_head
-    head_pos = _combos(n - k_tail, k_head)  # leaves room for a tail
-    heads = elem_bits[head_pos].sum(1, dtype=np.int32)
-    tail_pos = _combos(n, k_tail)
-    tails = elem_bits[tail_pos].sum(1, dtype=np.int32)
-    # a head's tails are the lex-order suffix after its last element
-    starts = np.searchsorted(tail_pos[:, 0], head_pos[:, -1], "right") \
-        if k_head and k_tail else np.zeros(len(heads), dtype=np.intp)
-    # D's positions among the elements left by the head, the same for
-    # every head
-    d_pos = _combos(n - k_head, gap - kc)
-    ok = t[heads] == k_head
+    nb_n, n_deg = _degrees(n_mat)
+    # the gap elements of C and D lie in no basis of the minor
+    want_deg = np.concatenate([np.zeros(gap, dtype=np.uint16), n_deg])
+    cs = _lex_masks(n, kc)
+    cs = cs[t[cs] == kc]
+    ds = _lex_masks(n, kd)
+    ds = ds[t[full ^ ds] == r]
+    if survivor_cap:
+        # C takes at most kc elements out of the region
+        ds = ds[np.bitwise_count(survivor_cap & ~ds) <= _NEAR + kc]
     if removed_cap:
-        ok &= np.bitwise_count(heads & removed_cap) <= _NEAR
-    for g in np.flatnonzero(ok).tolist():
-        h = int(heads[g])
-        xs = bases[(bases & h) == h]
-        cs = h | tails[starts[g]:]
-        c_ok = t[cs] == kc
-        if removed_cap:
-            c_ok &= np.bitwise_count(cs & removed_cap) <= _NEAR
-        cs = cs[c_ok]
-        if len(xs) < nb_n or not len(cs):
-            continue
-        ds = np.delete(elem_bits, head_pos[g])[d_pos].sum(1, dtype=np.int32)
-        d_ok = t[full ^ ds] == r
-        if survivor_cap:
-            # the tail takes at most k_tail elements out of the region
-            d_ok &= np.bitwise_count(survivor_cap & ~(h | ds)) \
-                <= _NEAR + k_tail
-        if removed_cap:
-            d_ok &= np.bitwise_count((h | ds) & removed_cap) <= _NEAR
-        ds = ds[d_ok]
-        if not len(ds):
-            continue
-        has_c = (xs & cs[:, None]) == cs[:, None]
-        # a count of |B(N)| >= 1 also makes C and D disjoint
-        ci, di = _count_hits(has_c.astype(np.float32), xs, ds, nb_n)
-        removed = cs[ci] | ds[di]
-        hit = np.ones(len(ci), dtype=bool)
-        if survivor_cap:
-            hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
-        if removed_cap:
-            hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
-        ci, di = ci[hit], di[hit]
-        if not len(ci):
-            continue
-        x_bits = _bits(xs, n).astype(np.float32)
-        step = max(1, _CELLS // len(xs))
-        for s in range(0, len(ci), step):
-            a, b = ci[s:s + step], di[s:s + step]
-            # deg[j, e]: how many bases of M/C_a[j]\D_b[j] contain e
-            avoid = (has_c[a] & ((xs & ds[b, None]) == 0)).astype(np.float32)
-            deg = np.einsum("ij,jk->ik", avoid, x_bits)
-            deg[_bits(cs[a], n) == 1] = 0  # C lies in every basis counted
-            for j in np.flatnonzero(
-                    (np.sort(deg, axis=1) == want_deg).all(1)).tolist():
-                c, d = int(cs[a[j]]), int(ds[b[j]])
-                mn = m.minor(c, d)
-                if _memo((mn.table().tobytes(), n_key),
-                         lambda: None if is_isomorphic(mn, n_mat) is None
-                         else NLabelling(0, 0)) is not None:
-                    yield NLabelling(c, d)
+        cs = cs[np.bitwise_count(cs & removed_cap) <= _NEAR]
+        ds = ds[np.bitwise_count(ds & removed_cap) <= _NEAR]
+    if not len(cs) or not len(ds):
+        return
+    dual = kd < kc
+    h = (m.dual() if dual else m).basis_counts()
+    k = min(kc, kd)
+    sub = _submasks(ds if dual else cs, k)
+    drop = ~_BITS[:n, None]
+    cols = max(1, min(len(ds), _CELLS >> k))
+    rows = max(1, (_CELLS >> k) // cols)
+    for c0 in range(0, len(cs), rows):
+        for d0 in range(0, len(ds), cols):
+            c1, d1 = c0 + rows, d0 + cols
+            removed = cs[c0:c1, None] | ds[d0:d1]
+            hit = np.bitwise_count(removed) == gap  # C and D are disjoint
+            if survivor_cap:
+                hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
+            if removed_cap:
+                hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
+            # the masks Y - T, T along the first axis, for the whole block
+            if dual:
+                ys = (full ^ cs[c0:c1, None]) ^ sub[:, None, d0:d1]
+            else:
+                ys = sub[:, c0:c1, None] ^ (full ^ ds[d0:d1])
+            hit &= _alternating(h[ys]) == nb_n
+            ci, di = np.nonzero(hit)
+            ci += c0
+            di += d0
+            step = max(1, _CELLS // (n << k))
+            for s in range(0, len(ci), step):
+                a, b = ci[s:s + step], di[s:s + step]
+                if dual:
+                    ys = (full ^ cs[a]) ^ sub[:, b]
+                else:
+                    ys = sub[:, a] ^ (full ^ ds[b])
+                # the bases of M/C\D through e: in M*, the count for
+                # (D, C + e); in M, that for (C, D) less that for (C, D + e).
+                # Either is 0 on D, and is set to 0 on C
+                deg = _alternating(h[ys[:, None] & drop])
+                if not dual:
+                    deg = nb_n - deg
+                deg[(cs[a] & _BITS[:n, None]) != 0] = 0
+                deg.sort(axis=0)
+                for j in np.flatnonzero(
+                        (deg == want_deg[:, None]).all(0)).tolist():
+                    c, d = int(cs[a[j]]), int(ds[b[j]])
+                    mn = m.minor(c, d)
+                    if _memo((mn.table().tobytes(), n_key),
+                             lambda: None if is_isomorphic(mn, n_mat) is None
+                             else NLabelling(0, 0)) is not None:
+                        yield NLabelling(c, d)
 
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
@@ -259,23 +291,33 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                      first_only: bool = False) -> list[DetachableResult]:
     """Pairs whose double contraction or double deletion is 3-connected and
     (when n_mat is given) keeps an N-minor.  `within` restricts the scan to
-    pairs inside a mask; n_mat=None disables the minor requirement."""
+    pairs inside a mask; n_mat=None disables the minor requirement.
+
+    Whether a pair minor is 3-connected depends only on M, so M keeps the
+    answer for each (x1, x2, mode) it has been asked about, as ints and
+    bools only: a pair minor of a 24-element matroid is half a table."""
     out = []
     if m.n < 3:
         return out
+    if m._pairs is None:
+        m._pairs = {}
+    connected = m._pairs
     ids = elems(within) if within is not None else range(m.n)
     for x1, x2 in itertools.combinations(ids, 2):
         pair = bit(x1) | bit(x2)
-        for mode in ("contract", "delete"):
-            mm = m.contract(pair) if mode == "contract" else m.delete(pair)
-            if not is_3_connected(mm):
+        for mode, remove in (("contract", m.contract), ("delete", m.delete)):
+            key = x1, x2, mode
+            mm = None
+            if key not in connected:
+                mm = remove(pair)
+                connected[key] = is_3_connected(mm)
+            if not connected[key]:
                 continue
             lab = None
             if n_mat is not None:
-                found = has_minor(mm, n_mat)
-                if found is None:
+                lab = has_minor(remove(pair) if mm is None else mm, n_mat)
+                if lab is None:
                     continue
-                lab = found
             out.append(DetachableResult((x1, x2), mode, "direct", None, lab))
             if first_only:
                 return out

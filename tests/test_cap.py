@@ -20,7 +20,12 @@ and `separations` within 1 MiB each, as every popcount comes from one
 2^16 table and every lambda scan runs block by block; `separators` and
 `vertical_3_separations`, table build included, stay within one table
 plus 4 MiB.  `triads` and the `analyze` path read M's own table and
-never build the dual.
+never build the dual.  `has_minor` decides the rank-4 matroid against
+U(2, 4), which it holds, and M(K4), which it does not, each within
+WALL_S: the labelling search, building M's uint16 subset-sum table of
+basis counts included, stays within that table (two tables' worth) plus
+8 MiB, and `has_minor` adds one table's worth for its memo key, the
+table's bytes.
 """
 
 import itertools
@@ -32,7 +37,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matroidkit.builders import paving, uniform
+from matroidkit.builders import paving, uniform, wheel
 from matroidkit.cli import main, parse, serialize
 from matroidkit.connectivity import (is_3_connected, separations,
                                      vertical_3_separations)
@@ -40,6 +45,7 @@ from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, is_isomorphic, popcount,
                              rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
+from matroidkit.minors import has_minor, labellings, verify_labelling
 from matroidkit.structures import fans, flans, quads, triads, triangles
 
 PEAK_MIB = 256
@@ -137,6 +143,33 @@ def test_single_element_minor_makes_one_half_table():
             minor, peak = traced_mib(lambda: f(1 << e))
             assert minor.table().nbytes == TABLE_MIB * 2 ** 19
             assert peak <= TABLE_MIB / 2 + 1, f"minor peak {peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("name", ["U(2,4)", "M(K4)"])
+def test_minor_search_at_the_cap_within_bounds(name):
+    # C runs over 2-sets against U(2, 4) and over single elements against
+    # M(K4), and D over the 18- and 17-sets.  The circuit-hyperplanes of a
+    # sparse paving matroid share at most two elements: in M/{a,b} they
+    # make disjoint parallel pairs, so 4-point lines abound, and in M/e
+    # disjoint triangles, while those of M(K4) meet
+    n_mat = uniform(2, 4) if name == "U(2,4)" else wheel(3)
+    m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    m.table()
+    t0 = time.perf_counter()
+    lab, peak = traced_mib(lambda: has_minor(m, n_mat))
+    wall = time.perf_counter() - t0
+    assert (lab is not None) == (name == "U(2,4)")
+    if lab is not None:
+        assert verify_labelling(m, n_mat, lab)
+    assert m.basis_counts().nbytes == 2 * TABLE_MIB * 2 ** 20
+    assert peak <= 3 * TABLE_MIB + 8, f"has_minor peak {peak:.1f} MiB"
+    assert wall <= WALL_S, f"{wall:.1f} s"
+    # the search alone, on a copy whose subset-sum table is not built yet
+    fresh = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    fresh.table()
+    first, peak = traced_mib(lambda: next(labellings(fresh, n_mat), None))
+    assert first == lab
+    assert peak <= 2 * TABLE_MIB + 8, f"labellings peak {peak:.1f} MiB"
 
 
 def test_triads_and_analyze_build_no_dual(tmp_path, capsys, monkeypatch):

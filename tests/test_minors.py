@@ -1,6 +1,7 @@
 """Minor search, labellings, grounded triples, detachable pairs."""
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -70,8 +71,8 @@ class TestHasMinor:
 
 class TestLabellingSearchBounds:
     def test_peak_memory_of_an_exhaustive_scan(self):
-        # 3,003 bases and 78 heads of two elements, with no labelling: the
-        # cell bound keeps every matrix of the search small
+        # 3,003 bases, 364 contraction and 1,001 deletion sets, with no
+        # labelling: the cell bound keeps every block of pairs small
         m, n = uniform(6, 14), fano()
         tracemalloc.start()
         try:
@@ -221,6 +222,24 @@ class TestDetachablePairs:
         m = uniform(3, 7)
         n = uniform(3, 5)
         assert detachable_pairs(m, n) == detachable_pairs(m, n)
+
+    def test_pair_minors_tested_once_per_matroid(self, monkeypatch):
+        # whether a pair minor is 3-connected depends only on M, so a later
+        # call, with another N or none, tests no pair minor again
+        tested, test = [], minors.is_3_connected
+
+        def counting(mm):
+            tested.append(mm)
+            return test(mm)
+
+        monkeypatch.setattr(minors, "is_3_connected", counting)
+        m = uniform(3, 7)
+        first = detachable_pairs(m, uniform(3, 5))
+        assert first and len(tested) == 2 * math.comb(m.n, 2)
+        assert detachable_pairs(m, None) and detachable_pairs(m, fano()) == []
+        assert detachable_pairs(m, uniform(3, 5)) == first
+        assert len(tested) == 2 * math.comb(m.n, 2)
+        assert all(type(v) is bool for v in m._pairs.values())
 
     def test_duality(self):
         m = whirl(3)

@@ -36,8 +36,8 @@ from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
                                from_vectors, generate_corpus,
                                random_sparse_paving)
 from matroidkit.minors import (NLabelling, all_triples_grounded,
-                               grounded_triads, grounded_triangles, has_minor,
-                               labellings)
+                               detachable_pairs, grounded_triads,
+                               grounded_triangles, has_minor, labellings)
 from matroidkit.harness import _u3k_planes
 from matroidkit.structures import (StructureReport, _subset_bits,
                                    detect_spike_like, fans, flans, is_quad,
@@ -1089,13 +1089,117 @@ class TestBatchedLabellingsOracle:
             assert list(labellings(m, n_mat, **kw)) == want, (m, n_mat, kw)
         assert len(list(labellings(u36, u25))) == 6
 
+    CORPUS9 = [e.matroid for e in generate_corpus(0, max_n=9)]
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_random_corpus_pairs_and_caps(self, data):
+        m = data.draw(st.sampled_from(self.CORPUS9))
+        n_mat = data.draw(st.sampled_from(
+            [x for x in self.CORPUS9 if x.n <= m.n]))
+        kw = {cap: data.draw(st.integers(0, m.full))
+              for cap in ("survivor_cap", "removed_cap")
+              if data.draw(st.booleans())}
+        assert list(labellings(m, n_mat, **kw)) == \
+            list(ref_labellings(m, n_mat, **kw)), (m, n_mat, kw)
+
     @pytest.mark.parametrize("cells", [1, 97])
     def test_small_cell_bounds(self, cells, monkeypatch):
-        # 1 makes every head all of C and slices D and the survivors one at
-        # a time; 97 gives heads of every length in between, uneven slices
+        # 1 makes every block of pairs a single pair and every gather of
+        # counts or degree rows one pair's; 97 gives blocks of several rows
+        # of C or slices of D, and uneven gathers
         monkeypatch.setattr(minors, "_CELLS", cells)
         self.test_corpus_sample_with_random_constraints()
         self.test_edge_shapes()
+
+
+class TestBasisCountsOracle:
+    """`Matroid.basis_counts`, the number of bases inside each set modulo
+    2^16, against a count over the bases, and the labelling search past
+    2^16 bases, where the counts wrap."""
+
+    def test_against_a_count_over_the_bases(self):
+        for entry in generate_corpus(0, max_n=10):
+            # the dual's table is derived from M's, not built from bases
+            for m in (entry.matroid, entry.matroid.dual()):
+                bases = np.array(m.bases)
+                ys = np.arange(1 << m.n)[:, None]
+                want = ((bases & ~ys) == 0).sum(1)
+                got = m.basis_counts()
+                assert got.dtype == np.uint16 and not got.flags.writeable
+                assert got.tolist() == want.tolist(), entry.name
+                assert m.basis_counts() is got
+
+    def test_counts_wrap_past_2_16_bases(self):
+        # U(10, 20) has C(20, 10) = 184,756 bases
+        m = uniform(10, 20)
+        h = m.basis_counts()
+        assert h[-1] == math.comb(20, 10) % (1 << 16) != math.comb(20, 10)
+        bases = np.array(m.bases, dtype=np.int64)
+        rng = random.Random(7)
+        for _ in range(40):
+            ids = rng.sample(range(m.n), 8)
+            kc = rng.randrange(5)
+            c, d = mask_of(ids[:kc]), mask_of(ids[kc:kc + rng.randrange(4)])
+            exact = int((((bases & c) == c) & ((bases & d) == 0)).sum())
+            got = sum((-1) ** popcount(t) * int(h[(m.full ^ d) ^ t])
+                      for t in submasks(c))
+            assert got % (1 << 16) == exact % (1 << 16), (c, d)
+        # every M/C\\D with C independent and E - D spanning is uniform, so
+        # the first labelling contracts the first elements and deletes the
+        # next ones; it counts over C in M against U(4, 8) and over D in M*
+        # against U(3, 7)
+        assert has_minor(m, uniform(4, 8)) == \
+            NLabelling(0b111111, 0b111111 << 6)
+        assert has_minor(m, uniform(3, 7)) == \
+            NLabelling(0b1111111, 0b111111 << 7)
+
+
+def ref_detachable_pairs(m, n_mat, within=None, first_only=False):
+    # the per-pair loop: every call builds and tests every pair minor again
+    out = []
+    if m.n < 3:
+        return out
+    ids = elems(within) if within is not None else range(m.n)
+    for x1, x2 in itertools.combinations(ids, 2):
+        pair = bit(x1) | bit(x2)
+        for mode in ("contract", "delete"):
+            mm = m.contract(pair) if mode == "contract" else m.delete(pair)
+            if not is_3_connected(mm):
+                continue
+            lab = None
+            if n_mat is not None:
+                lab = has_minor(mm, n_mat)
+                if lab is None:
+                    continue
+            out.append(minors.DetachableResult((x1, x2), mode, "direct",
+                                               None, lab))
+            if first_only:
+                return out
+    return out
+
+
+class TestDetachablePairsOracle:
+    """The pair search, which keeps on M which pair minors are
+    3-connected, against the per-pair loop, call after call on one M."""
+
+    def test_corpus_with_and_without_n(self):
+        rng = random.Random(31)
+        found = 0
+        for entry in generate_corpus(0, max_n=9):
+            m = entry.matroid
+            for n_mat in (None, uniform(2, 4), uniform(3, 5)):
+                # a copy with nothing kept yet; `within` is asked first
+                fresh = m.reorder(m.labels)
+                within = _random_mask(rng, m.n, 0.6)
+                for kw in ({"within": within},
+                           {"within": within, "first_only": True},
+                           {}, {"first_only": True}):
+                    want = ref_detachable_pairs(m, n_mat, **kw)
+                    assert detachable_pairs(fresh, n_mat, **kw) == want, \
+                        (entry.name, n_mat, kw)
+                    found += len(want)
+        assert found > 1000
 
 
 def _outcome(build, *args):
