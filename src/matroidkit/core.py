@@ -394,7 +394,6 @@ class Matroid:
         self._quads = None
         self._is3conn = None
         self._counts = None
-        self._degrees = None
         self._pairs = None
 
     @property
@@ -466,7 +465,7 @@ class Matroid:
             t = self.table()
             sets = _masks_of_size(self.n, self.rank)
             h = np.zeros(t.size, dtype=np.uint16)
-            h[sets[t[sets] == self.rank]] = 1
+            h[sets] = t[sets] == self.rank
             for i in range(self.n):
                 for lo, hi in _halves(h, i):
                     hi += lo

@@ -7,20 +7,20 @@ wye-delta exchange).
 The minor search scores candidate labellings in numpy blocks of (C, D)
 pairs over one subset-sum table per matroid, `Matroid.basis_counts`: the
 number of bases inside each set, modulo 2^16.  The bases of a minor
-M/C\\D are counted by inclusion-exclusion over the smaller of C and D,
-in that table of M or of M*, at 2^min(|C|, |D|) lookups per pair, so the
-cost of a count does not grow with |B(M)|.  Only the candidates whose
-basis count and basis-degree multiset match N's, modulo 2^16, reach the
-isomorphism test.  `_CELLS` bounds each block of pairs and each gather of
-their counts.  Which pair minors M/{x,y} and M\\{x,y} are 3-connected is
-kept on M, so the detachable-pair search asks it once per M, not once
-per N.
+M/C\\D are counted by inclusion-exclusion over the subsets of C, in the
+table of M, at 2^|C| lookups per pair, so the cost of a count does not
+grow with |B(M)|.  Only the candidates whose basis count and
+basis-degree multiset match N's, modulo 2^16, reach the isomorphism
+test.  `_CELLS` bounds each block of pairs and each gather of their
+counts.  Which pair minors M/{x,y} and M\\{x,y} are 3-connected is kept
+on M, so the detachable-pair search asks it once per M, not once per N.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +51,36 @@ class DetachableResult:
     labelling: NLabelling | None
 
 
-# (table bytes of M, table bytes of N) -> the first labelling, or None
+# (table key of M, table key of N) -> the first labelling, or None
 _minor_memo: dict = {}
+_MISS = object()
+
+
+class _TableKey:
+    """M's rank table as a memo key, as fine as the basis family: it hashes
+    by a CRC of the table and compares the tables themselves, so it copies
+    nothing (the table at n = 24 is 16 MiB).  A key keeps its table
+    alive."""
+
+    __slots__ = ("view", "crc")
+
+    def __init__(self, m: Matroid):
+        self.view = memoryview(m.table())
+        self.crc = zlib.crc32(self.view)
+
+    def __hash__(self):
+        return self.crc
+
+    def __eq__(self, other):
+        return self.crc == other.crc and self.view == other.view
 
 
 def _memo(key, search):
     """The answer memoised under `key`, from `search()` on a miss."""
-    if key not in _minor_memo:
-        _minor_memo[key] = search()
-    return _minor_memo[key]
+    found = _minor_memo.get(key, _MISS)
+    if found is _MISS:
+        _minor_memo[key] = found = search()
+    return found
 
 
 # the paper's "nearly avoids": a capped region may meet the surviving copy
@@ -68,7 +89,7 @@ _NEAR = 1
 
 # bound on the entries of each block of (C, D) pairs of the labelling
 # search and of each gather of their counts or degree rows; only the
-# 2^min(|C|, |D|) lookups of a single pair can exceed it
+# 2^|C| lookups of a single pair can exceed it
 _CELLS = 1 << 16
 
 
@@ -120,15 +141,6 @@ def _alternating(g: np.ndarray) -> np.ndarray:
     return g[:half].sum(0, dtype=np.uint16) - g[half:].sum(0, dtype=np.uint16)
 
 
-def _degrees(m: Matroid):
-    """|B(M)| and the sorted numbers of bases of M through each element,
-    modulo 2^16; kept on M, so they are worked out once per N."""
-    if m._degrees is None:
-        h = m.basis_counts()
-        m._degrees = h[-1], np.sort(h[-1] - h[m.full ^ _BITS[:m.n]])
-    return m._degrees
-
-
 def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
                removed_cap: int = 0):
     """Generate every labelling (C, D) with M/C\\D isomorphic to N, in lex
@@ -147,20 +159,19 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
     side, and hold each disjoint pair exactly.  The bases of M/C\\D are
     B - C for the bases B of M with C <= B <= E - D.  By inclusion-exclusion
     over C their number is the sum of (-1)^|T| h[(E - D) - T] over T <= C,
-    with h = `Matroid.basis_counts`; when D is the smaller set, it is the
-    same sum over T <= D with the table of M* and E - C, as the
-    complements E - B are the bases of M* with D <= E - B <= E - C.  So a
-    pair costs 2^min(|C|, |D|) lookups, whatever |B(M)|.  The tables hold
-    their counts modulo 2^16, so the filters compare modulo 2^16: they are
-    exact below 2^16 bases and necessary conditions above.  A pair whose
-    count is |B(N)| has its degree row (how many bases of the minor hold
-    each e, 0 on C and D) compared sorted with N's, and the survivors
-    reach `is_isomorphic` on the minor gathered from the table.  Each
-    block of pairs, and each gather of their counts or degree rows, holds
-    at most `_CELLS` entries, or one pair's where that is more.
+    with h = `Matroid.basis_counts`, so a pair costs 2^|C| lookups,
+    whatever |B(M)|.  The table holds its counts modulo 2^16, so the
+    filters compare modulo 2^16: they are exact below 2^16 bases and
+    necessary conditions above.  A pair whose count is |B(N)| has its
+    degree row (how many bases of the minor hold each e: the count for
+    (C, D) less that for (C, D + e), 0 on C and D) compared sorted with
+    N's, and the survivors reach `is_isomorphic` on the minor gathered
+    from the table.  Each block of pairs, with the submasks of its C
+    sets, and each gather of their counts or degree rows, holds at most
+    `_CELLS` entries, or one pair's where that is more.
 
-    The isomorphism verdict is memoised in `_minor_memo` on the tables of
-    the minor and N, as the `has_minor` answer for that equal-size pair:
+    The isomorphism verdict is memoised in `_minor_memo` on the table keys
+    of the minor and N, as the `has_minor` answer for that equal-size pair:
     NLabelling(0, 0) or None.
     """
     gap = m.n - n_mat.n
@@ -170,9 +181,11 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
         return
     n, r, full = m.n, m.rank, m.full
     t = m.table()
-    n_key = n_mat.table().tobytes()
-    nb_n, n_deg = _degrees(n_mat)
+    n_key = _TableKey(n_mat)
+    hn = n_mat.basis_counts()
+    nb_n = hn[-1]
     # the gap elements of C and D lie in no basis of the minor
+    n_deg = np.sort(nb_n - hn[n_mat.full ^ _BITS[:n_mat.n]])
     want_deg = np.concatenate([np.zeros(gap, dtype=np.uint16), n_deg])
     cs = _lex_masks(n, kc)
     cs = cs[t[cs] == kc]
@@ -186,51 +199,39 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
         ds = ds[np.bitwise_count(ds & removed_cap) <= _NEAR]
     if not len(cs) or not len(ds):
         return
-    dual = kd < kc
-    h = (m.dual() if dual else m).basis_counts()
-    k = min(kc, kd)
-    sub = _submasks(ds if dual else cs, k)
+    h = m.basis_counts()
     drop = ~_BITS[:n, None]
-    cols = max(1, min(len(ds), _CELLS >> k))
-    rows = max(1, (_CELLS >> k) // cols)
+    cols = max(1, min(len(ds), _CELLS >> kc))
+    rows = max(1, (_CELLS >> kc) // cols)
+    step = max(1, _CELLS // (n << kc))
     for c0 in range(0, len(cs), rows):
+        block = cs[c0:c0 + rows]
+        sub = _submasks(block, kc)
         for d0 in range(0, len(ds), cols):
-            c1, d1 = c0 + rows, d0 + cols
-            removed = cs[c0:c1, None] | ds[d0:d1]
+            dblock = ds[d0:d0 + cols]
+            keep = full ^ dblock
+            removed = block[:, None] | dblock
             hit = np.bitwise_count(removed) == gap  # C and D are disjoint
             if survivor_cap:
                 hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
             if removed_cap:
                 hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
-            # the masks Y - T, T along the first axis, for the whole block
-            if dual:
-                ys = (full ^ cs[c0:c1, None]) ^ sub[:, None, d0:d1]
-            else:
-                ys = sub[:, c0:c1, None] ^ (full ^ ds[d0:d1])
-            hit &= _alternating(h[ys]) == nb_n
+            # the masks (E - D) - T, T along the first axis
+            hit &= _alternating(h[sub[:, :, None] ^ keep]) == nb_n
             ci, di = np.nonzero(hit)
-            ci += c0
-            di += d0
-            step = max(1, _CELLS // (n << k))
             for s in range(0, len(ci), step):
                 a, b = ci[s:s + step], di[s:s + step]
-                if dual:
-                    ys = (full ^ cs[a]) ^ sub[:, b]
-                else:
-                    ys = sub[:, a] ^ (full ^ ds[b])
-                # the bases of M/C\D through e: in M*, the count for
-                # (D, C + e); in M, that for (C, D) less that for (C, D + e).
-                # Either is 0 on D, and is set to 0 on C
-                deg = _alternating(h[ys[:, None] & drop])
-                if not dual:
-                    deg = nb_n - deg
-                deg[(cs[a] & _BITS[:n, None]) != 0] = 0
+                # the bases of M/C\D through e: the count for (C, D) less
+                # that for (C, D + e); 0 on D, and set to 0 on C
+                ys = sub[:, a] ^ keep[b]
+                deg = nb_n - _alternating(h[ys[:, None] & drop])
+                deg[(block[a] & _BITS[:n, None]) != 0] = 0
                 deg.sort(axis=0)
                 for j in np.flatnonzero(
                         (deg == want_deg[:, None]).all(0)).tolist():
-                    c, d = int(cs[a[j]]), int(ds[b[j]])
+                    c, d = int(block[a[j]]), int(dblock[b[j]])
                     mn = m.minor(c, d)
-                    if _memo((mn.table().tobytes(), n_key),
+                    if _memo((_TableKey(mn), n_key),
                              lambda: None if is_isomorphic(mn, n_mat) is None
                              else NLabelling(0, 0)) is not None:
                         yield NLabelling(c, d)
@@ -238,14 +239,14 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
     """First labelling in canonical order, or None.  Memoised on the rank
-    tables of both matroids.
+    tables of both matroids (`_TableKey`).
 
     A table fixes n and the basis family (the bases are the r-sets X with
     r(X) = r), so the key is as fine as the basis family, and a memo hit
     derives no bases.  The memo holds these answers and the isomorphism
     verdicts of `labellings`, which are the answers for equal-size
     pairs."""
-    return _memo((m.table().tobytes(), n_mat.table().tobytes()),
+    return _memo((_TableKey(m), _TableKey(n_mat)),
                  lambda: next(labellings(m, n_mat), None))
 
 

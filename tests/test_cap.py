@@ -22,10 +22,11 @@ and `separations` within 1 MiB each, as every popcount comes from one
 plus 4 MiB.  `triads` and the `analyze` path read M's own table and
 never build the dual.  `has_minor` decides the rank-4 matroid against
 U(2, 4), which it holds, and M(K4), which it does not, each within
-WALL_S: the labelling search, building M's uint16 subset-sum table of
-basis counts included, stays within that table (two tables' worth) plus
-8 MiB, and `has_minor` adds one table's worth for its memo key, the
-table's bytes.
+WALL_S and within M's uint16 subset-sum table of basis counts (two
+tables' worth, built inside) plus 8 MiB, as its memo key is a view of
+the table, not a copy.  The labelling search of U(12, 24) against U(4, 8), over
+735,471 contraction sets of eight elements, stays within four tables:
+the subset-sum table, the 12-sets it is built from and the 8-sets.
 """
 
 import itertools
@@ -45,7 +46,8 @@ from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, is_isomorphic, popcount,
                              rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
-from matroidkit.minors import has_minor, labellings, verify_labelling
+from matroidkit.minors import (NLabelling, has_minor, labellings,
+                               verify_labelling)
 from matroidkit.structures import fans, flans, quads, triads, triangles
 
 PEAK_MIB = 256
@@ -162,14 +164,25 @@ def test_minor_search_at_the_cap_within_bounds(name):
     if lab is not None:
         assert verify_labelling(m, n_mat, lab)
     assert m.basis_counts().nbytes == 2 * TABLE_MIB * 2 ** 20
-    assert peak <= 3 * TABLE_MIB + 8, f"has_minor peak {peak:.1f} MiB"
+    assert peak <= 2 * TABLE_MIB + 8, f"has_minor peak {peak:.1f} MiB"
     assert wall <= WALL_S, f"{wall:.1f} s"
-    # the search alone, on a copy whose subset-sum table is not built yet
-    fresh = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
-    fresh.table()
-    first, peak = traced_mib(lambda: next(labellings(fresh, n_mat), None))
-    assert first == lab
-    assert peak <= 2 * TABLE_MIB + 8, f"labellings peak {peak:.1f} MiB"
+
+
+def test_minor_search_over_large_contraction_sets_within_bounds():
+    # against U(4, 8), C and D both run over the C(24, 8) = 735,471 8-sets
+    # of U(12, 24), 2^8 submasks each: the submasks are made per block of
+    # C sets, never for all of them at once.  U(12, 24) has C(24, 12)
+    # bases, past 2^16, and the lex-first labelling is the first pair
+    n = MAX_GROUND
+    m = Matroid._from_table(uniform_table(n, 12), [str(i) for i in range(n)])
+    t0 = time.perf_counter()
+    lab, peak = traced_mib(lambda: next(labellings(m, uniform(4, 8)), None))
+    wall = time.perf_counter() - t0
+    assert lab == NLabelling(0xFF, 0xFF00)
+    # the subset-sum table, two tables' worth, the 12-sets it is built
+    # from, two thirds of a table as int32, and the masks of the 8-sets
+    assert peak <= 4 * TABLE_MIB, f"labellings peak {peak:.1f} MiB"
+    assert wall <= WALL_S, f"{wall:.1f} s"
 
 
 def test_triads_and_analyze_build_no_dual(tmp_path, capsys, monkeypatch):

@@ -111,7 +111,7 @@ class TestMinorMemo:
                  (fano().delete(1), uniform(2, 4))]
         want = [has_minor(minor, n_mat) for minor, n_mat in cases]
         assert want[0] is not None and want[2] is None
-        assert all(memo[minor.table().tobytes(), n_mat.table().tobytes()]
+        assert all(memo[minors._TableKey(minor), minors._TableKey(n_mat)]
                    == lab for (minor, n_mat), lab in zip(cases, want))
         size = len(memo)
         self._no_search(monkeypatch)
@@ -161,7 +161,7 @@ class TestMinorMemo:
         seen = self._survivors(monkeypatch)
         assert list(labellings(m, n)) == []
         assert len(seen) == 1 and seen[0].n == n.n
-        assert memo[seen[0].table().tobytes(), n.table().tobytes()] is None
+        assert memo[minors._TableKey(seen[0]), minors._TableKey(n)] is None
         self._no_search(monkeypatch)
         assert has_minor(seen[0], n) is None
 

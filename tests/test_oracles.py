@@ -1147,8 +1147,8 @@ class TestBasisCountsOracle:
             assert got % (1 << 16) == exact % (1 << 16), (c, d)
         # every M/C\\D with C independent and E - D spanning is uniform, so
         # the first labelling contracts the first elements and deletes the
-        # next ones; it counts over C in M against U(4, 8) and over D in M*
-        # against U(3, 7)
+        # next ones; |C| = 6 and |D| = 6 against U(4, 8), and |C| = 7 and
+        # |D| = 6 against U(3, 7)
         assert has_minor(m, uniform(4, 8)) == \
             NLabelling(0b111111, 0b111111 << 6)
         assert has_minor(m, uniform(3, 7)) == \
