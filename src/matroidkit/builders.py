@@ -265,13 +265,6 @@ def modular_cut_extension(m: Matroid, generating_flats, label: str) -> Matroid:
 # ---------------------------------------------------------------------------
 # generalized parallel connection and delta-wye
 
-def is_modular_flat(m: Matroid, f: int) -> bool:
-    if m.closure(f) != f:
-        return False
-    t, g = m.table(), _all_flats(m)
-    return bool((t[f] + t[g] == t[g | f] + t[g & f]).all())
-
-
 def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
     """Generalized parallel connection along the common restriction named by
     `t_labels` (labels shared by both matroids).

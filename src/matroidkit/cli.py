@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import (Matroid, MatroidError, _down_closed, _masks_of_size, bit,
-                   is_isomorphic, lex_key, popcount, validate)
+from .core import (Matroid, MatroidError, _masks_of_size,
+                   _packed_down_closed, bit, is_isomorphic, lex_key, popcount,
+                   validate)
 from .builders import (delta_wye, fano, modular_cut_extension, nonfano,
                        parallel_add, parallel_connection, paving, paving8,
                        paving8_ext, principal_extension, relax, series_add,
@@ -112,16 +113,22 @@ def parse(text: str) -> tuple[str, Matroid]:
 def _from_circuits(circuits, n, labels) -> Matroid:
     """The matroid whose independent sets hold no listed non-empty set:
     greedy rank, then the r-sets that hold none.  X holds C exactly when
-    E - X lies inside E - C, so the dependent sets are the table of
-    `_down_closed` over the complements, reversed."""
+    E - X lies inside E - C: when the flag of E - X is set in
+    `_packed_down_closed` over the complements, read packed as bytes."""
     full = (1 << n) - 1
-    dep = _down_closed(n, [full ^ c for c in circuits if c])[::-1]
+    flags = _packed_down_closed(n, (full ^ c for c in circuits if c)).view("B")
+
+    def flag(y):
+        return flags[y >> 3] >> (y & 7) & 1
+
     ind = 0
     for e in range(n):
-        if not dep[ind | bit(e)]:
+        if not flag(full ^ (ind | bit(e))):
             ind |= bit(e)
     sets = _masks_of_size(n, popcount(ind))
-    return validate(sets[~dep[sets]].tolist(), n, labels)
+    bases = sets[flag(full ^ sets) == 0].tolist()
+    del flags  # so that the table build finds these words gone
+    return validate(bases, n, labels)
 
 
 def serialize(m: Matroid, name: str) -> str:

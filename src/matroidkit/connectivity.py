@@ -1,5 +1,5 @@
-"""Connectivity calculus: lambda, k-separations, vertical/cyclic splits,
-full closure, guts/coguts classification and blocking."""
+"""Connectivity calculus: lambda, k-separations with their guts and
+coguts, vertical/cyclic splits, full closure and blocking."""
 
 from __future__ import annotations
 
@@ -7,14 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, _PC16, lex_key, popcount
+from .core import Matroid, MatroidError, _blocks, lex_key
 
 
 class NotThreeConnected(MatroidError):
-    pass
-
-
-class BadPartition(MatroidError):
     pass
 
 
@@ -48,17 +44,15 @@ def lambda_minus(m: Matroid, removed: int, x: int) -> int:
 
 
 def _lambda_blocks(m: Matroid, half: bool = False):
-    """(X0, lambda(X), |X|) for each block of up to 2^16 masks X from X0
-    on, in order, over the table or, with `half`, over the X without element
-    n - 1.  lambda is int8, as it is at most 2 r(M) <= 48, and |X| is
-    `_PC16` plus the popcount of X0, so nothing table-sized is built."""
+    """(X0, lambda(X), |X|) for each block of `_blocks` over the table or,
+    with `half`, over the X without element n - 1.  lambda is int8, as it
+    is at most 2 r(M) <= 48, so nothing table-sized is built."""
     t = m.table()
-    rev, end = t[::-1], 1 << (m.n - 1 if half else m.n)
-    step = min(end, _PC16.size)
-    for s in range(0, end, step):
-        lam = t[s:s + step] + rev[s:s + step]
+    rev = t[::-1]
+    for s, size in _blocks(m.n - 1 if half else m.n):
+        lam = t[s:s + size.size] + rev[s:s + size.size]
         lam -= m.rank
-        yield s, lam, _PC16[:step] + s.bit_count() if s else _PC16[:step]
+        yield s, lam, size
 
 
 def _lambda_sets(m: Matroid, keep) -> list[int]:
@@ -135,19 +129,18 @@ def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
     """The triples of `vertical_3_separations`, sorted by z and then by X
     in lex order, where X holds the lowest element other than z.
 
-    X runs over the table in blocks of up to 2^16 masks from X0 on, as in
-    `_lambda_blocks`, and for each z that not every X of the block holds,
-    over the X without z.  As Y = E - z - X, the ranks r(X), r(X + z),
-    r(Y + z) and r(Y) of a block are slices of the table and of its reverse
-    at X and X + z; lambda <= 2 picks the few candidates, and the other
-    conditions are read at those alone, so nothing table-sized is built.
+    X runs over the table in the blocks of `_blocks`, and for each z that
+    not every X of the block holds, over the X without z.  As
+    Y = E - z - X, the ranks r(X), r(X + z), r(Y + z) and r(Y) of a block
+    are slices of the table and of its reverse at X and X + z; lambda <= 2
+    picks the few candidates, and the other conditions are read at those
+    alone, so nothing table-sized is built.
     """
     t = m.table()
-    rev, n, end = t[::-1], m.n, 1 << m.n
-    step = min(end, _PC16.size)
-    offsets = np.arange(step, dtype=np.int32)
+    rev, n = t[::-1], m.n
     found = [[] for _ in range(n)]
-    for s in range(0, end, step):
+    for s, sizes in _blocks(n):
+        step = sizes.size
         for z in range(n):
             bz = 1 << z
             if s & bz:
@@ -159,9 +152,9 @@ def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
             tx, tyz = t[s:s + k], rev[s:s + k]
             # z in cl(X) and cl(Y), so both flanking bipartitions have
             # lambda = r(X) + r(Y) - r(M)
-            hit = np.flatnonzero((tx + ty <= m.rank + 2)
-                                 & (offsets[:k] & (bz | low) == low))
-            size = _PC16[hit] + s.bit_count()
+            hit = np.flatnonzero(tx + ty <= m.rank + 2)
+            hit = hit[hit & (bz | low) == low]
+            size = sizes[hit]
             ok = (size >= 3) & (size <= n - 4) & (tx[hit] >= 3) \
                 & (ty[hit] >= 3) & (txz[hit] == tx[hit]) \
                 & (tyz[hit] == ty[hit])
@@ -191,22 +184,6 @@ def full_closure(m: Matroid, x: int) -> int:
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def classify_guts(m: Matroid, x: int, y: int, e: int) -> str:
-    """For an exactly 3-separating partition (X, Y) and e in X with |X| >= 3,
-    classify e as a guts element, a coguts element, or neither."""
-    if x | y != m.full or x & y or not (x >> e) & 1 or popcount(x) < 3:
-        raise BadPartition("need a partition (X, Y) of E with e in X, |X| >= 3")
-    if lambda_(m, x) != 2:
-        raise BadPartition("(X, Y) is not exactly 3-separating")
-    be = 1 << e
-    rest = x ^ be
-    if (m.closure(rest) & be) and (m.closure(y) & be):
-        return "guts"
-    if (m.coclosure(rest) & be) and (m.coclosure(y) & be):
-        return "coguts"
-    return "neither"
 
 
 def blocks(m: Matroid, d: int, x: int) -> str:

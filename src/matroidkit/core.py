@@ -10,27 +10,27 @@ derived from the table on first use.
 Every structural query is a rank lookup, so scans over all subsets stay
 cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
 table (`Matroid._ranks`), and the subset-lattice kernels (`rank_table`,
-`circuits`) work on strided views of the table.  Every popcount |X| comes
-from one read-only 2^16 table, `_PC16`, plus the popcount of the bits
-above 16, one block of 2^16 masks at a time (`_sizewise`), so at n = 24 a
-kernel allocates nothing table-sized beside the table it returns, and no
-table outlives its matroid in a cache or a reference cycle: a matroid
+`circuits`) work on strided views of the table.  Every scan walks the
+table in blocks of up to 2^16 masks (`_blocks`), |X| from one read-only
+2^16 table, `_PC16`, plus the popcount of the bits above 16, so at n = 24
+a kernel allocates nothing table-sized beside the table it returns, and
+no table outlives its matroid in a cache or a reference cycle: a matroid
 holds its dual, the dual only a weak reference back.  Queries about the
 sets of one size k (the bases, `validate`'s independent (r-1)-sets)
 gather from the table at the shared, ascending int32 mask array
 `_masks_of_size(n, k)`, built from the 2^16 table without a pass over
-all 2^n masks.
+all 2^n masks; `_lex_masks(n, k)` lists the same sets in lex order.
 
 Each subset-lattice kernel is a pass along every axis of the lattice that
 pairs X without i with X plus i, and every such pass goes through
 `_halves`.  On a short axis (bit i below 4) the two halves, taken as
 blocks, have rows of only 2^i elements, and a ufunc over them runs one
-tiny inner loop per row; so there `_halves` hands out one pair of long
-strided columns per offset instead, which `circuits` and the word axes
-0-3 of the OR pass below still take.  The OR pass of `rank_table`, which
-marks every subset of a member (`_packed_down_closed`), runs on the table
-packed 64 masks to a machine word: the six axes inside a word take one
-shift and mask each, and the others are passes over whole words.
+tiny inner loop per row; so there `_halves` hands out one pair of
+strided columns per offset instead, which `circuits`, block by block,
+and the word axes 0-3 of the OR pass below take.  The OR pass of
+`rank_table`, marking every subset of a member (`_packed_down_closed`),
+runs on the table packed 64 masks to a word: the six axes inside a word
+take one shift and mask each, and the others are passes over whole words.
 `rank_table` runs no max pass on the four lowest axes: each packed
 16-bit word of flags, the 16 masks that differ only there, indexes one row
 of the read-only 2^16-row table `_low16`, which holds the result of those
@@ -127,20 +127,17 @@ def _popcounts16() -> np.ndarray:
     return pc
 
 
-# |X| for every mask X < 2^16, read-only; every popcount over a table is
-# this plus the popcount of the bits above 16, one block at a time
+# |X| for every mask X < 2^16, read-only; `_blocks` extends it to a table
 _PC16 = _popcounts16()
 
 
-def _sizewise(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[X] = ufunc(a[X], |X|) for every mask X of the flat 2^n table `a`,
-    2^16 masks at a time, so no table-sized popcount array is built."""
-    step = _PC16.size
-    if a.size <= step:
-        return ufunc(a, _PC16[:a.size], out)
-    for s in range(0, a.size, step):
-        ufunc(a[s:s + step], _PC16 + s.bit_count(), out[s:s + step])
-    return out
+def _blocks(n: int):
+    """(X0, |X| block) for each block of up to 2^16 masks X < 2^n from X0
+    on, in order; |X| is `_PC16` plus the popcount of X0, so no
+    table-sized popcount array is built."""
+    step = min(1 << n, _PC16.size)
+    for s in range(0, 1 << n, step):
+        yield s, _PC16[:step] + s.bit_count() if s else _PC16[:step]
 
 
 @functools.cache
@@ -165,13 +162,17 @@ def _masks_of_size(n: int, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _combos(n: int, k: int) -> np.ndarray:
-    """Read-only (C(n, k), k) array of the k-subsets of range(n), rows in
-    lex order; shared per (n, k)."""
-    combos = list(itertools.combinations(range(n), k))
-    pos = np.array(combos, dtype=np.int32).reshape(len(combos), k)
-    pos.flags.writeable = False
-    return pos
+def _lex_masks(n: int, k: int) -> np.ndarray:
+    """Read-only int32 masks of the k-subsets of range(n) in lex order,
+    shared per (n, k).  Lex order is the descending order of bit-reversed
+    masks, so these are `_masks_of_size`'s masks, built uncached so that
+    no second copy is kept, in reverse and each bit-reversed."""
+    rev = _masks_of_size.__wrapped__(n, k)[::-1]
+    masks = np.zeros_like(rev)
+    for i in range(n):
+        masks |= (rev >> i & 1) << (n - 1 - i)
+    masks.flags.writeable = False
+    return masks
 
 
 # Below this half-width a pass goes column by column: numpy puts the
@@ -207,8 +208,8 @@ _LOWER = np.array([0x5555555555555555, 0x3333333333333333,
 
 
 def _packed_down_closed(n: int, masks) -> np.ndarray:
-    """The flags of `_down_closed` packed 64 masks to a uint64 word: mask X
-    at bit X % 64 of word X // 64, and at least one word.
+    """Whether each X < 2^n lies inside some member of `masks`, packed 64
+    masks to a uint64 word: X at bit X % 64 of word X // 64, at least one.
 
     The OR pass that marks every subset of a member runs on the packed
     words.  On the axes i < 6 both halves share a word, so one shift and
@@ -227,12 +228,6 @@ def _packed_down_closed(n: int, masks) -> np.ndarray:
         for lo, hi in _halves(w, i - 6):
             lo |= hi
     return w
-
-
-def _down_closed(n: int, masks) -> np.ndarray:
-    """Bool over every mask X < 2^n: X lies inside some member of `masks`."""
-    return np.unpackbits(_packed_down_closed(n, masks).view(np.uint8),
-                         bitorder="little", count=1 << n).view(bool)
 
 
 # The entry of `_low16` with no L' to take the largest |L'| over; it stays
@@ -341,6 +336,26 @@ def _check_family(n: int, bases) -> None:
     if len(sizes) > 1:
         raise CardinalityMismatch(
             f"bases of sizes {min(sizes)} and {max(sizes)} in one family")
+
+
+def _minimal_dependent(n: int, independent) -> tuple[int, ...]:
+    """The minimal dependent masks X < 2^n, ascending, where
+    independent(X0, |X| block) flags the independent X of each block of
+    `_blocks`.  For the axes i inside a block, X - i lies in X's block,
+    paired by `_halves`; for a higher bit i of X0, in the block from
+    X0 - 2^i on, one size smaller.  So nothing table-sized is built."""
+    out = []
+    for s, size in _blocks(n):
+        ind = independent(s, size)
+        mini = ~ind
+        for i in range(min(n, 16)):
+            for (_, hi), (lo, _) in zip(_halves(mini, i), _halves(ind, i)):
+                hi &= lo
+        for i in range(16, n):
+            if s >> i & 1:
+                mini &= independent(s ^ 1 << i, size - 1)
+        out += (np.flatnonzero(mini) + s).tolist()
+    return tuple(out)
 
 
 class Matroid:
@@ -529,7 +544,8 @@ class Matroid:
         if d is None:
             # r*(X) = |X| - r(E) + r(E - X)
             tab = self.table()[::-1] - self.rank
-            _sizewise(np.add, tab, tab)
+            for s, size in _blocks(self.n):
+                tab[s:s + size.size] += size
             d = Matroid._from_table(tab, self.labels)
             d._dual = weakref.ref(self)
             self._dual = d
@@ -607,23 +623,19 @@ class Matroid:
     # -- circuits ------------------------------------------------------------
 
     def circuits(self) -> tuple[int, ...]:
-        """Circuit masks, ascending: the dependent sets X with X - i
-        independent for every i in X.  One minimality pass per axis, through
-        `_halves`, so the short axes go column by column."""
+        """Circuit masks, ascending, cached: the minimal X with r(X) < |X|."""
         if self._circuits is None:
             t = self.table()
-            dep = _sizewise(np.less, t, np.empty(t.size, dtype=bool))
-            mini = dep.copy()
-            for i in range(self.n):
-                # a dependent X holding i is not minimal if X - i is dependent
-                for (_, m_hi), (d_lo, _) in zip(_halves(mini, i),
-                                                _halves(dep, i)):
-                    m_hi &= ~d_lo
-            self._circuits = tuple(np.flatnonzero(mini).tolist())
+            self._circuits = _minimal_dependent(
+                self.n, lambda s, size: t[s:s + size.size] >= size)
         return self._circuits
 
     def cocircuits(self) -> tuple[int, ...]:
-        return self.dual().circuits()
+        """Cocircuit masks, ascending, from M's own table, so no dual is
+        built: r*(X) = |X| - r + r(E - X) < |X| exactly when r(E - X) < r."""
+        rev = self.table()[::-1]
+        return _minimal_dependent(
+            self.n, lambda s, size: rev[s:s + size.size] == self.rank)
 
     # -- simplification ------------------------------------------------------
 

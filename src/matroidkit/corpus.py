@@ -15,14 +15,13 @@ has max|a| = 9 at rank 5, so H^2 is about 1.1e13).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_GROUND, Matroid, _masks_of_size, mask_of, popcount,
-                   validate)
+from .core import (MAX_GROUND, Matroid, _lex_masks, _masks_of_size,
+                   mask_of, popcount, validate)
 from .connectivity import is_3_connected
 from . import builders
 from .builders import (fano, graphic, nonfano, parallel_connection, paving,
@@ -247,8 +246,7 @@ def skew_whiff_instance() -> Matroid:
             return False
         return all(popcount(x & pl) < 4 for pl in planes)
 
-    bases = [mask_of(c) for c in itertools.combinations(range(9), 4)
-             if independent(mask_of(c))]
+    bases = [x for x in _lex_masks(9, 4).tolist() if independent(x)]
     return validate(bases, 9, labels)
 
 
@@ -294,7 +292,7 @@ def random_sparse_paving(rng: random.Random, n: int, r: int) -> Matroid:
         # the target family size below is drawn from 3..n
         raise builders.BadParams(
             f"random_sparse_paving(n={n}, r={r}) needs n >= 3")
-    cands = [mask_of(c) for c in itertools.combinations(range(n), r)]
+    cands = _lex_masks(n, r).tolist()
     rng.shuffle(cands)
     target = rng.randint(3, n)
     chosen = []

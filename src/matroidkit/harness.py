@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _combos, bit, elems,
+from .core import (Matroid, MatroidError, _lex_masks, bit, elems,
                    is_isomorphic, mask_of, popcount, submasks)
 from .connectivity import (_k_separating, _lambda_sets, is_3_connected,
                            is_connected, lambda_, lambda_minus, full_closure,
@@ -104,10 +104,10 @@ def is_wheel_or_whirl(m: Matroid) -> bool:
 
 def _u3k_planes(m: Matroid, k: int) -> list[int]:
     """The k-sets P, in lex order, with M|P = U_{3,k}: r(P) = 3 and every
-    3-subset of P is a basis."""
-    t, bits = m.table(), _subset_bits(m.n, k)
-    p = bits.sum(1, dtype=np.int32)
-    ok = (t[p] == 3) & (t[bits[:, _combos(k, 3)].sum(2)] == 3).all(1)
+    3-subset of P, a sum of three of P's single-bit columns, is a basis."""
+    t, p = m.table(), _lex_masks(m.n, k)
+    pick = _lex_masks(k, 3) >> np.arange(k)[:, None] & 1
+    ok = (t[p] == 3) & (t[_subset_bits(m.n, k) @ pick] == 3).all(1)
     return p[ok].tolist()
 
 

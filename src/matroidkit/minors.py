@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_PC16, MAX_GROUND, Matroid, MatroidError,
-                   _masks_of_size, bit, elems, is_isomorphic)
+from .core import (_PC16, MAX_GROUND, Matroid, MatroidError, _lex_masks,
+                   bit, elems, is_isomorphic)
 from .connectivity import is_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
@@ -96,21 +96,6 @@ _CELLS = 1 << 16
 # one bit per element, as intp, so that masks built from them index tables
 # without a cast
 _BITS = 1 << np.arange(MAX_GROUND, dtype=np.intp)
-
-
-@functools.cache
-def _lex_masks(n: int, k: int) -> np.ndarray:
-    """Read-only int32 masks of the k-subsets of range(n), in lex order of
-    their sorted elements; shared per (n, k).  Two k-sets compare in lex
-    order as their bit-reversed masks compare in descending order, so these
-    are the masks of `_masks_of_size` in reverse, each with its bits
-    reversed; those are built uncached, so no second copy is kept."""
-    rev = _masks_of_size.__wrapped__(n, k)[::-1]
-    masks = np.zeros_like(rev)
-    for i in range(n):
-        masks |= (rev >> i & 1) << (n - 1 - i)
-    masks.flags.writeable = False
-    return masks
 
 
 @functools.cache
@@ -254,14 +239,6 @@ def verify_labelling(m: Matroid, n_mat: Matroid, lab: NLabelling) -> bool:
     if lab.contract & lab.delete:
         return False
     return is_isomorphic(m.minor(lab.contract, lab.delete), n_mat) is not None
-
-
-def element_status(m: Matroid, n_mat: Matroid, e: int):
-    """(contractible, deletable, doubly labelled) for the element e."""
-    be = bit(e)
-    con = has_minor(m.contract(be), n_mat) is not None
-    dele = has_minor(m.delete(be), n_mat) is not None
-    return con, dele, con and dele
 
 
 def _grounded(m: Matroid, n_mat: Matroid, triple: int) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _combos, bit, elems, lex_key,
+from .core import (Matroid, MatroidError, _lex_masks, bit, elems, lex_key,
                    mask_of, popcount, submasks)
 from .connectivity import NotThreeConnected, is_3_connected, lambda_
 
@@ -70,22 +70,25 @@ def is_triad(m: Matroid, x: int) -> bool:
 
 @functools.cache
 def _subset_bits(n: int, k: int) -> np.ndarray:
-    """Read-only single-bit masks of the elements of `_combos(n, k)`, one
-    row per k-subset in lex order; shared per (n, k)."""
-    bits = 1 << _combos(n, k)
+    """Read-only int32 single-bit masks of the elements of each k-set of
+    `_lex_masks(n, k)`, one row each, ascending; shared per (n, k)."""
+    rest = _lex_masks(n, k).copy()
+    bits = np.empty((rest.size, k), dtype=np.int32)
+    for j in range(k):
+        bits[:, j] = rest & -rest
+        rest ^= bits[:, j]
     bits.flags.writeable = False
     return bits
 
 
-def _gather_circuits(t: np.ndarray, bits: np.ndarray):
-    """The masks X of the rows of `bits` (single-bit columns) and whether
-    each is a circuit on the table t: r(X) = |X| - 1 = r(X - e), e in X."""
-    x = bits.sum(1, dtype=np.int32)
+def _gather_circuits(t: np.ndarray, x: np.ndarray, bits: np.ndarray):
+    """Whether each k-set X of `x`, with its single-bit columns in `bits`,
+    is a circuit on the table t: r(X) = k - 1 = r(X - e), e in X."""
     k = bits.shape[1]
     ok = t[x] == k - 1
     for j in range(k):
         ok &= t[x ^ bits[:, j]] == k - 1
-    return x, ok
+    return ok
 
 
 def _gather_cocircuits(m: Matroid, x: np.ndarray, bits: np.ndarray):
@@ -103,16 +106,15 @@ def _gather_cocircuits(m: Matroid, x: np.ndarray, bits: np.ndarray):
 def triangles(m: Matroid) -> list[int]:
     """Triangle masks in lex order: 3-sets X with r(X) = 2 and every
     2-subset independent."""
-    x, ok = _gather_circuits(m.table(), _subset_bits(m.n, 3))
-    return x[ok].tolist()
+    x = _lex_masks(m.n, 3)
+    return x[_gather_circuits(m.table(), x, _subset_bits(m.n, 3))].tolist()
 
 
 def triads(m: Matroid) -> list[int]:
     """Triad masks in lex order, the triangles of M*, read from M's table
     so that no dual is built."""
-    bits = _subset_bits(m.n, 3)
-    x = bits.sum(1, dtype=np.int32)
-    return x[_gather_cocircuits(m, x, bits)].tolist()
+    x = _lex_masks(m.n, 3)
+    return x[_gather_cocircuits(m, x, _subset_bits(m.n, 3))].tolist()
 
 
 def is_quad(m: Matroid, x: int) -> bool:
@@ -124,8 +126,8 @@ def quads(m: Matroid) -> tuple[int, ...]:
     """Quad masks in lex order, computed once per matroid: 4-circuits X
     that are cocircuits, both read from M's table."""
     if m._quads is None:
-        bits = _subset_bits(m.n, 4)
-        x, ok = _gather_circuits(m.table(), bits)
+        x, bits = _lex_masks(m.n, 4), _subset_bits(m.n, 4)
+        ok = _gather_circuits(m.table(), x, bits)
         ok &= _gather_cocircuits(m, x, bits)
         m._quads = tuple(x[ok].tolist())
     return m._quads
@@ -153,10 +155,6 @@ def segments(m: Matroid) -> list[int]:
         for combo in itertools.product(*groups):
             out.add(mask_of(combo))
     return sorted(out, key=lex_key)
-
-
-def cosegments(m: Matroid) -> list[int]:
-    return segments(m.dual())
 
 
 # ---------------------------------------------------------------------------

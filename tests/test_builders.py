@@ -10,8 +10,8 @@ from matroidkit.core import (AxiomViolation, Matroid, bit, elems,
 from matroidkit.builders import (BadElement, BadParams, NotAFlat,
                                  NotATriangle, NotATriad,
                                  NotCircuitHyperplane, RestrictionMismatch,
-                                 delta_wye, fano, graphic, is_modular_flat,
-                                 nonfano, parallel_add, parallel_connection,
+                                 delta_wye, fano, graphic, nonfano,
+                                 parallel_add, parallel_connection,
                                  paving, paving8, paving8_ext,
                                  principal_extension, relax, series_add,
                                  spike, spiked_fano, twisted_cube_matroid,
@@ -258,14 +258,6 @@ class TestParallelConnection:
         assert glued.labels == ("a", "b", "c", "d", "e")
         assert glued.is_loop(0)
         assert glued.delete(1) == uniform(2, 4, ["b", "c", "d", "e"])
-
-    def test_triangle_modular_in_k4_but_not_in_spike(self):
-        k4 = wheel(3)
-        tri = next(t for t in triangles(k4))
-        assert is_modular_flat(k4, tri)
-        s = spike(4)
-        leg = s.set_of(["t", "x1", "y1"])
-        assert not is_modular_flat(s, leg)
 
 
 class TestDeltaWye:

@@ -19,14 +19,17 @@ half a table plus 1 MiB, and `_masks_of_size(24, 3)`, `is_3_connected`
 and `separations` within 1 MiB each, as every popcount comes from one
 2^16 table and every lambda scan runs block by block; `separators` and
 `vertical_3_separations`, table build included, stay within one table
-plus 4 MiB.  `triads` and the `analyze` path read M's own table and
-never build the dual.  `has_minor` decides the rank-4 matroid against
-U(2, 4), which it holds, and M(K4), which it does not, each within
-WALL_S and within M's uint16 subset-sum table of basis counts (two
-tables' worth, built inside) plus 8 MiB, as its memo key is a view of
-the table, not a copy.  The labelling search of U(12, 24) against U(4, 8), over
-735,471 contraction sets of eight elements, stays within four tables:
-the subset-sum table, the 12-sets it is built from and the 8-sets.
+plus 4 MiB, and so do `circuits` and `cocircuits`, which walk the table
+in 2^16-mask blocks.  A `circuits` file parses within one table plus
+5 MiB, its circuits' flags read packed.  `triads`, `cocircuits` and the
+`analyze` path read M's own table and never build the dual.  `has_minor`
+decides the rank-4 matroid against U(2, 4), which it holds, and M(K4),
+which it does not, each within WALL_S and within M's uint16 subset-sum
+table of basis counts (two tables' worth, built inside) plus 8 MiB, as
+its memo key is a view of the table, not a copy.  The labelling search
+of U(12, 24) against U(4, 8), over 735,471 contraction sets of eight
+elements, stays within four tables: the subset-sum table, the 12-sets
+it is built from and the 8-sets.
 """
 
 import itertools
@@ -209,9 +212,37 @@ def test_triads_and_analyze_build_no_dual(tmp_path, capsys, monkeypatch):
     assert "self-dual no\ntriangles none\ntriads none\n" in out
 
 
-def within_time_and_memory_bounds(build):
+def test_circuits_and_cocircuits_within_bounds(monkeypatch):
+    # the table build included: each kernel walks the table in 2^16-mask
+    # blocks and keeps only its output beside the table, and cocircuits
+    # reads M's own table, so no dual is built
+    n = MAX_GROUND
+    src = random_sparse_paving(random.Random(24), n, 4)
+
+    def no_dual(self):
+        raise AssertionError("built a dual")
+
+    monkeypatch.setattr(Matroid, "dual", no_dual)
+    out = {}
+    for kernel in (Matroid.circuits, Matroid.cocircuits):
+        m = Matroid(n, src.bases, src.labels)
+        t0 = time.perf_counter()
+        out[kernel.__name__], peak = traced_mib(lambda: kernel(m))
+        wall = time.perf_counter() - t0
+        assert peak <= TABLE_MIB + 4, f"{kernel.__name__} peak {peak:.1f} MiB"
+        assert wall <= WALL_S, f"{wall:.1f} s"
+    # the hyperplanes are the circuit-hyperplanes H and the 3-sets inside
+    # none of them, as no 3-set lies in two; the cocircuits are their
+    # complements
+    hyper = math.comb(n, 4) - len(src.bases)
+    assert len(out["circuits"]) == hyper + math.comb(n, 5) - (n - 4) * hyper
+    assert len(out["cocircuits"]) == math.comb(n, 3) - 3 * hyper
+    assert sum(popcount(c) == n - 4 for c in out["cocircuits"]) == hyper
+
+
+def within_time_and_memory_bounds(build, peak_mib=PEAK_MIB):
     """build(), after checking that it runs within WALL_S and that its
-    traced allocations peak within PEAK_MIB.  It runs twice, the timed run
+    traced allocations peak within `peak_mib`.  It runs twice, the timed run
     first and untraced: tracemalloc's cost per Python object would swamp
     the time of a build that makes millions of them.  So the traced run
     finds the shared per-n mask arrays already built."""
@@ -224,7 +255,7 @@ def within_time_and_memory_bounds(build):
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak <= PEAK_MIB, f"tracemalloc peak {peak:.0f} MiB"
+    assert peak <= peak_mib, f"tracemalloc peak {peak:.1f} MiB"
     assert wall <= WALL_S, f"{wall:.1f} s"
     return out
 
@@ -236,7 +267,11 @@ def test_circuits_file_parses_within_bounds():
     text = "name cap\nelements " + " ".join(src.labels) + "\n" + "".join(
         "circuits " + " ".join(circs[i:i + 8]) + "\n"
         for i in range(0, len(circs), 8))
-    _, m = within_time_and_memory_bounds(lambda: parse(text))
+    # the table, the 2 MiB of packed flags its build holds beside it, and
+    # the 42,277 parsed circuits as Python ints (1.7 MiB, held by `parse`):
+    # 20.1 MiB measured, 36.1 while the circuits' flags were unpacked
+    _, m = within_time_and_memory_bounds(lambda: parse(text),
+                                         TABLE_MIB + 5)
     assert (m.labels, m.bases) == (src.labels, src.bases)
 
 

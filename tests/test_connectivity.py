@@ -1,5 +1,5 @@
 """Connectivity calculus: lambda, separations, vertical/cyclic splits,
-full closure, guts classification, blocking."""
+full closure, guts and coguts, blocking."""
 
 import itertools
 
@@ -8,8 +8,7 @@ import pytest
 from matroidkit.core import bit, elems, mask_of, popcount
 from matroidkit.builders import (fano, parallel_add, spike, uniform, wheel,
                                  whirl)
-from matroidkit.connectivity import (BadInput, BadPartition,
-                                     NotThreeConnected, blocks, classify_guts,
+from matroidkit.connectivity import (BadInput, NotThreeConnected, blocks,
                                      cyclic_3_separations, full_closure,
                                      is_3_connected, is_connected, lambda_,
                                      separations, vertical_3_separations)
@@ -172,32 +171,6 @@ class TestGutsClassification:
                     g = bool(m.closure(rest) & m.closure(y) & bit(e))
                     c = bool(m.coclosure(rest) & m.coclosure(y) & bit(e))
                     assert not (g and c)
-
-    def test_coguts_element_in_wheel_fan(self):
-        m = wheel(4)
-        found = False
-        for x in range(1 << m.n):
-            if lambda_(m, x) != 2 or popcount(x) < 3:
-                continue
-            for e in elems(x):
-                if classify_guts(m, x, m.full ^ x, e) == "coguts":
-                    found = True
-        assert found
-
-    def test_neither_when_not_exactly_separating_after_step(self):
-        m = wheel(4)
-        hits = set()
-        for x in range(1 << m.n):
-            if lambda_(m, x) != 2 or popcount(x) < 3:
-                continue
-            for e in elems(x):
-                hits.add(classify_guts(m, x, m.full ^ x, e))
-        assert "neither" in hits
-
-    def test_bad_partition(self):
-        m = wheel(4)
-        with pytest.raises(BadPartition):
-            classify_guts(m, 0b0111, m.full ^ 0b1111, 0)
 
 
 class TestBlocks:

@@ -12,9 +12,9 @@ from matroidkit.builders import (fano, nonfano, paving8, spike,
                                  twisted_cube_matroid, uniform, wheel, whirl)
 from matroidkit.minors import (HypothesisUnmet, NLabelling,
                                detachable_after_exchange, detachable_pairs,
-                               element_status, grounded_triads,
-                               grounded_triangles, has_minor, labellings,
-                               switch_labels, verify_labelling)
+                               grounded_triads, grounded_triangles,
+                               has_minor, labellings, switch_labels,
+                               verify_labelling)
 from matroidkit.structures import triangles
 
 
@@ -164,20 +164,6 @@ class TestMinorMemo:
         assert memo[minors._TableKey(seen[0]), minors._TableKey(n)] is None
         self._no_search(monkeypatch)
         assert has_minor(seen[0], n) is None
-
-
-class TestElementStatus:
-    def test_self_minor_blocks_everything(self):
-        f = fano()
-        for e in range(f.n):
-            assert element_status(f, f, e) == (False, False, False)
-
-    def test_uniform_everything_doubly_labelled(self):
-        m = uniform(3, 7)
-        n = uniform(2, 4)
-        for e in range(m.n):
-            con, dele, both = element_status(m, n, e)
-            assert con and dele and both
 
 
 class TestGrounded:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, cli, minors
 from matroidkit.core import (_NONE, AxiomViolation, Matroid, MatroidError,
-                             _combos, _low16, _masks_of_size, _sizewise, bit,
+                             _blocks, _lex_masks, _low16, _masks_of_size, bit,
                              elems, is_isomorphic, lex_key, mask_of,
                              popcount, rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
@@ -720,8 +720,8 @@ def _check_validate(bases, n):
 
 class TestTableKernelOracle:
     """`validate` against its scalar oracle, the full purity pass and
-    pairwise exchange, and the stride-based `circuits` against the
-    definition, on matroids and non-matroids."""
+    pairwise exchange, and the blockwise `circuits` and `cocircuits`
+    against the definition, on matroids and non-matroids."""
 
     @settings(max_examples=80)
     @given(st.data())
@@ -731,6 +731,16 @@ class TestTableKernelOracle:
         m = Matroid(n, bases)
         assert m.circuits() == ref_circuits(m)
         assert m.dual().circuits() == ref_circuits(m.dual())
+        assert m.cocircuits() == ref_circuits(m.dual())
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_circuits_across_blocks(self, n):
+        # past 2^16 masks the kernel reads X - i for the bits above 16 from
+        # an earlier block of the table
+        for seed in range(2):
+            m = random_sparse_paving(random.Random(seed), n, 4)
+            assert m.circuits() == ref_circuits(m)
+            assert m.cocircuits() == ref_circuits(m.dual())
 
     def test_seeded_families_cover_both_outcomes(self):
         rng = random.Random(7)
@@ -1295,14 +1305,6 @@ class TestFlatsOracle:
             assert builders._all_flats(m).tolist() == \
                 sorted({m.closure(x) for x in range(1 << m.n)})
 
-    def test_modular_flats(self):
-        for m in self.SMALL:
-            t = m._ranks()
-            flats = {m.closure(x) for x in range(1 << m.n)}
-            for f in flats:
-                assert builders.is_modular_flat(m, f) == all(
-                    t[f] + t[g] == t[f | g] + t[f & g] for g in flats)
-
     @settings(max_examples=80)
     @given(st.data())
     def test_modular_cut_extension(self, data):
@@ -1424,7 +1426,7 @@ class TestTriadsOracle:
 
 
 class TestPopcountBlocks:
-    """The popcounts built blockwise from the one 2^16 table, and
+    """The popcounts of `_blocks`, read from the one 2^16 table, and
     `_masks_of_size`, against `int.bit_count` for every n <= 18, so past
     the edge of the first 2^16 block."""
 
@@ -1432,9 +1434,9 @@ class TestPopcountBlocks:
     def test_against_bit_count(self, n):
         want = np.array([x.bit_count() for x in range(1 << n)],
                         dtype=np.int8)
-        zeros = np.zeros(1 << n, dtype=np.int8)
-        got = _sizewise(np.add, zeros, np.empty_like(zeros))
-        assert got.tobytes() == want.tobytes()
+        starts, got = zip(*_blocks(n))
+        assert list(starts) == list(range(0, 1 << n, len(got[0])))
+        assert np.concatenate(got).tobytes() == want.tobytes()
         for k in range(-1, n + 2):
             # the uncached function, so each (n, k) is built afresh here
             masks = _masks_of_size.__wrapped__(n, k)
@@ -1505,11 +1507,12 @@ class TestSubsetTableOracle:
         for n in range(9):
             for k in range(n + 2):
                 want = list(itertools.combinations(range(n), k))
-                pos, bits = _combos(n, k), _subset_bits(n, k)
-                assert pos.shape == (len(want), k)
-                assert list(map(tuple, pos.tolist())) == want
-                assert np.array_equal(bits, 1 << pos)
-                assert not (pos.flags.writeable or bits.flags.writeable)
+                masks, bits = _lex_masks(n, k), _subset_bits(n, k)
+                assert masks.dtype == bits.dtype == np.int32
+                assert masks.tolist() == [mask_of(c) for c in want]
+                assert bits.shape == (len(want), k)
+                assert bits.tolist() == [[1 << e for e in c] for c in want]
+                assert not (masks.flags.writeable or bits.flags.writeable)
 
     def test_u3k_planes(self):
         ms = [m for m in _corpus12() if m.n <= 11]

@@ -17,8 +17,8 @@ from matroidkit.connectivity import NotThreeConnected, lambda_
 from matroidkit.corpus import (elongated_quad_instance, generate_corpus,
                                prism, skew_whiff_instance)
 from matroidkit.structures import (BadSize, NotExactlyThreeSeparating,
-                                   cosegments, detect_elongated_quad,
-                                   detect_skew_whiff, detect_spike_like,
+                                   detect_elongated_quad, detect_skew_whiff,
+                                   detect_spike_like,
                                    detect_twisted_cube_like, fans, flans,
                                    is_triad, is_triangle, quads, segments,
                                    triads, triangles)
@@ -44,7 +44,6 @@ class TestSmallCircuits:
     def test_segments(self):
         m = uniform(2, 5)
         assert segments(m) == [m.full]
-        assert cosegments(uniform(3, 5)) == [uniform(3, 5).full]
 
     def test_no_segments_in_fano_beyond_lines(self):
         segs = segments(fano())
