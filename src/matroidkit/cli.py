@@ -43,19 +43,21 @@ class ParseError(MatroidError):
 # ---------------------------------------------------------------------------
 # parse / serialize
 
-def _parse_sets(tokens, idx, lineno):
+def _parse_sets(tokens, bits, lineno):
+    """The masks of the set literals `{a,b,...}`, with `bits` mapping each
+    label to its bit, so a label named twice sets its bit once."""
     out = []
     for tok in tokens:
-        if not (tok.startswith("{") and tok.endswith("}")):
+        if tok[0] != "{" or tok[-1] != "}":
             raise ParseError(lineno, f"expected a set literal, got {tok!r}")
-        body = tok[1:-1]
         m = 0
-        if body:
-            for lab in body.split(","):
-                lab = lab.strip()
-                if lab not in idx:
-                    raise ParseError(lineno, f"unknown element {lab!r}")
-                m |= 1 << idx[lab]
+        if len(tok) > 2:
+            try:
+                for lab in tok[1:-1].split(","):
+                    m |= bits[lab]
+            except KeyError as exc:
+                raise ParseError(
+                    lineno, f"unknown element {exc.args[0]!r}") from None
         out.append(m)
     return out
 
@@ -82,7 +84,7 @@ def parse(text: str) -> tuple[str, Matroid]:
             if len(set(rest)) != len(rest):
                 raise ParseError(lineno, "duplicate labels")
             labels = rest
-            idx = {lab: i for i, lab in enumerate(labels)}
+            bits = {lab: 1 << i for i, lab in enumerate(labels)}
         elif key == "rank":
             if len(rest) != 1 or not rest[0].isdigit():
                 raise ParseError(lineno, "rank takes one integer")
@@ -93,7 +95,7 @@ def parse(text: str) -> tuple[str, Matroid]:
             if body_kind not in (None, key):
                 raise ParseError(lineno, "mixed body kinds")
             body_kind = key
-            sets.extend(_parse_sets(rest, idx, lineno))
+            sets.extend(_parse_sets(rest, bits, lineno))
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
     if name is None or labels is None or body_kind is None:
@@ -329,7 +331,8 @@ _RECIPES = {
 
 
 def _sets_of(m: Matroid, tokens) -> list[int]:
-    return _parse_sets(tokens, {lab: i for i, lab in enumerate(m.labels)}, 0)
+    bits = {lab: 1 << i for i, lab in enumerate(m.labels)}
+    return _parse_sets(tokens, bits, 0)
 
 
 def cmd_construct(args) -> int:

@@ -3,11 +3,12 @@ coguts, vertical/cyclic splits, full closure and blocking."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, _blocks, lex_key
+from .core import Matroid, MatroidError, _blocks, elems, lex_key
 
 
 class NotThreeConnected(MatroidError):
@@ -110,6 +111,51 @@ def _is_k_connected(m: Matroid, k: int) -> bool:
         if (lam < np.minimum(np.minimum(size, m.n - size), k - 1)).any():
             return False
     return True
+
+
+@functools.cache
+def _three_floor(n: int) -> np.ndarray:
+    """Read-only min(|X|, n - |X|, 2) for the X < 2^(n-1): the bound of
+    `_is_k_connected` for k = 3 on n elements, over its half lattice."""
+    row = np.empty(1 << n - 1, dtype=np.int8)
+    for s, size in _blocks(n - 1):
+        np.minimum(np.minimum(size, n - size), 2, out=row[s:s + size.size])
+    row.flags.writeable = False
+    return row
+
+
+def _pair_3_connected(m: Matroid, pair: int, contract: bool) -> bool:
+    """Whether M/p (`contract`) or M\\p is 3-connected, for a 2-set p,
+    read from M's table: no minor is built.
+
+    In M's ranks the minor's lambda is r(X + p) + r(E - X) - r(M) - r(p)
+    for M/p and r(X) + r(E - p - X) - r(E - p) for M\\p.  X runs over
+    `_is_k_connected`'s half lattice, the subsets of E - p that avoid the
+    minor's top element.  With the table, and its reverse, viewed as the
+    runs of kept bits between the three pinned ones (p's and the top
+    element's), each term is a basic-index view: the pinned bits are 0,
+    or 1 for p's bits inside the set read.  The views hold the X in the
+    minor's mask order, as `_three_floor` does.
+    """
+    n, r = m.n, m._ranks()
+    top = (m.full ^ pair).bit_length() - 1
+    k0, k1, k2 = elems(pair | 1 << top)
+    shape = (1 << n - 1 - k2, 2, 1 << k2 - k1 - 1, 2, 1 << k1 - k0 - 1, 2,
+             1 << k0)
+    every = slice(None)
+    out = (every, 0, every, 0, every, 0, every)
+    into = (every, int(k2 != top), every, int(k1 != top), every,
+            int(k0 != top), every)
+    t = m.table()
+    cube, rev = t.reshape(shape), t[::-1].reshape(shape)
+    if contract:
+        lam = cube[into] + rev[out]
+        least = m.rank + r[pair]
+    else:
+        lam = cube[out] + rev[into]
+        least = r[m.full ^ pair]
+    lam -= _three_floor(n - 2).reshape(lam.shape)
+    return bool(lam.min() >= least)
 
 
 def is_connected(m: Matroid) -> bool:

@@ -573,16 +573,17 @@ class Matroid:
         n = self.n
         t = self.table()
         # the kept axes stay in order, so the slice is the table of the
-        # compressed masks
-        at = tuple(1 if c >> i & 1 else 0 if d >> i & 1 else slice(None)
-                   for i in range(n - 1, -1, -1))
+        # compressed masks; only the removed axes and labels are visited
+        at = [slice(None)] * n
+        labels = list(self.labels)
+        for i in reversed(elems(c | d)):
+            at[n - 1 - i] = c >> i & 1
+            del labels[i]
         # flatten's copy owns its data, so the subtraction runs in place
         # and the minor costs one table-sized allocation
-        tab = t.reshape((2,) * n)[at].flatten()
+        tab = t.reshape((2,) * n)[tuple(at)].flatten()
         tab -= t[c]
-        return Matroid._from_table(
-            tab, [lab for i, lab in enumerate(self.labels)
-                  if not (c | d) >> i & 1])
+        return Matroid._from_table(tab, labels)
 
     @staticmethod
     def compress(x: int, removed: int) -> int:

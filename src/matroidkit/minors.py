@@ -12,8 +12,14 @@ table of M, at 2^|C| lookups per pair, so the cost of a count does not
 grow with |B(M)|.  Only the candidates whose basis count and
 basis-degree multiset match N's, modulo 2^16, reach the isomorphism
 test.  `_CELLS` bounds each block of pairs and each gather of their
-counts.  Which pair minors M/{x,y} and M\\{x,y} are 3-connected is kept
-on M, so the detachable-pair search asks it once per M, not once per N.
+counts.  One scorer, `_Grid`, serves `labellings` and the detachable-pair
+search.
+
+The detachable-pair search reads both of its questions about a pair
+minor M/{x,y} or M\\{x,y} from M's table: its 3-connectivity as its
+connectivity function in M's ranks, once per M, and whether it keeps an
+N-minor from one scan of M's own grid for N, bought by the ski-rental
+rule (`detachable_pairs`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .core import (_PC16, MAX_GROUND, Matroid, MatroidError, _lex_masks,
                    bit, elems, is_isomorphic)
-from .connectivity import is_3_connected
+from .connectivity import _pair_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
 
@@ -92,6 +98,10 @@ _NEAR = 1
 # 2^|C| lookups of a single pair can exceed it
 _CELLS = 1 << 16
 
+# blocks of (C, D) pairs that `_Grid` has scored in this process: the
+# price that `detachable_pairs` weighs its one scan of M against
+_scored_blocks = 0
+
 
 # one bit per element, as intp, so that masks built from them index tables
 # without a cast
@@ -126,6 +136,85 @@ def _alternating(g: np.ndarray) -> np.ndarray:
     return g[:half].sum(0, dtype=np.uint16) - g[half:].sum(0, dtype=np.uint16)
 
 
+class _Grid:
+    """The candidate (C, D) pairs of `labellings`' search for N in M, as
+    `blocks` blocks of `rows` C sets by `cols` D sets, and the scorer
+    that filters them, block by block (`__iter__`)."""
+
+    def __init__(self, m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
+                 removed_cap: int = 0):
+        self.m, self.n_mat = m, n_mat
+        self.survivor_cap, self.removed_cap = survivor_cap, removed_cap
+        self.kc = kc = m.rank - n_mat.rank
+        kd = m.n - n_mat.n - kc
+        self.blocks = 0
+        if kc < 0 or kd < 0:
+            return
+        t = m.table()
+        cs = _lex_masks(m.n, kc)
+        cs = cs[t[cs] == kc]
+        ds = _lex_masks(m.n, kd)
+        ds = ds[t[m.full ^ ds] == m.rank]
+        if survivor_cap:
+            # C takes at most kc elements out of the region
+            ds = ds[np.bitwise_count(survivor_cap & ~ds) <= _NEAR + kc]
+        if removed_cap:
+            cs = cs[np.bitwise_count(cs & removed_cap) <= _NEAR]
+            ds = ds[np.bitwise_count(ds & removed_cap) <= _NEAR]
+        if not len(cs) or not len(ds):
+            return
+        self.cs, self.ds = cs, ds
+        self.cols = max(1, min(len(ds), _CELLS >> kc))
+        self.rows = max(1, (_CELLS >> kc) // self.cols)
+        self.blocks = -(-len(cs) // self.rows) * -(-len(ds) // self.cols)
+
+    def __iter__(self):
+        """(C array, D array) of the pairs that survive the count and
+        degree filters, for each gather in which some do, in lex order of
+        C, then of D.  Counts each block scored in `_scored_blocks`."""
+        global _scored_blocks
+        if not self.blocks:
+            return
+        m, n_mat, kc, survivor_cap, removed_cap = (
+            self.m, self.n_mat, self.kc, self.survivor_cap, self.removed_cap)
+        n, full, gap = m.n, m.full, m.n - n_mat.n
+        hn = n_mat.basis_counts()
+        nb_n = hn[-1]
+        # the gap elements of C and D lie in no basis of the minor
+        n_deg = np.sort(nb_n - hn[n_mat.full ^ _BITS[:n_mat.n]])
+        want_deg = np.concatenate([np.zeros(gap, dtype=np.uint16), n_deg])
+        h = m.basis_counts()
+        drop = ~_BITS[:n, None]
+        step = max(1, _CELLS // (n << kc))
+        for c0 in range(0, len(self.cs), self.rows):
+            block = self.cs[c0:c0 + self.rows]
+            sub = _submasks(block, kc)
+            for d0 in range(0, len(self.ds), self.cols):
+                _scored_blocks += 1
+                dblock = self.ds[d0:d0 + self.cols]
+                keep = full ^ dblock
+                removed = block[:, None] | dblock
+                hit = np.bitwise_count(removed) == gap  # C and D are disjoint
+                if survivor_cap:
+                    hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
+                if removed_cap:
+                    hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
+                # the masks (E - D) - T, T along the first axis
+                hit &= _alternating(h[sub[:, :, None] ^ keep]) == nb_n
+                ci, di = np.nonzero(hit)
+                for s in range(0, len(ci), step):
+                    a, b = ci[s:s + step], di[s:s + step]
+                    # the bases of M/C\D through e: the count for (C, D)
+                    # less that for (C, D + e); 0 on D, and set to 0 on C
+                    ys = sub[:, a] ^ keep[b]
+                    deg = nb_n - _alternating(h[ys[:, None] & drop])
+                    deg[(block[a] & _BITS[:n, None]) != 0] = 0
+                    deg.sort(axis=0)
+                    j = np.flatnonzero((deg == want_deg[:, None]).all(0))
+                    if j.size:
+                        yield block[a[j]], dblock[b[j]]
+
+
 def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
                removed_cap: int = 0):
     """Generate every labelling (C, D) with M/C\\D isomorphic to N, in lex
@@ -153,73 +242,21 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
     N's, and the survivors reach `is_isomorphic` on the minor gathered
     from the table.  Each block of pairs, with the submasks of its C
     sets, and each gather of their counts or degree rows, holds at most
-    `_CELLS` entries, or one pair's where that is more.
+    `_CELLS` entries, or one pair's where that is more.  `_Grid` scores
+    the pairs; this generator runs the isomorphism step on its survivors.
 
     The isomorphism verdict is memoised in `_minor_memo` on the table keys
     of the minor and N, as the `has_minor` answer for that equal-size pair:
     NLabelling(0, 0) or None.
     """
-    gap = m.n - n_mat.n
-    kc = m.rank - n_mat.rank
-    kd = gap - kc
-    if kc < 0 or kd < 0:
-        return
-    n, r, full = m.n, m.rank, m.full
-    t = m.table()
     n_key = _TableKey(n_mat)
-    hn = n_mat.basis_counts()
-    nb_n = hn[-1]
-    # the gap elements of C and D lie in no basis of the minor
-    n_deg = np.sort(nb_n - hn[n_mat.full ^ _BITS[:n_mat.n]])
-    want_deg = np.concatenate([np.zeros(gap, dtype=np.uint16), n_deg])
-    cs = _lex_masks(n, kc)
-    cs = cs[t[cs] == kc]
-    ds = _lex_masks(n, kd)
-    ds = ds[t[full ^ ds] == r]
-    if survivor_cap:
-        # C takes at most kc elements out of the region
-        ds = ds[np.bitwise_count(survivor_cap & ~ds) <= _NEAR + kc]
-    if removed_cap:
-        cs = cs[np.bitwise_count(cs & removed_cap) <= _NEAR]
-        ds = ds[np.bitwise_count(ds & removed_cap) <= _NEAR]
-    if not len(cs) or not len(ds):
-        return
-    h = m.basis_counts()
-    drop = ~_BITS[:n, None]
-    cols = max(1, min(len(ds), _CELLS >> kc))
-    rows = max(1, (_CELLS >> kc) // cols)
-    step = max(1, _CELLS // (n << kc))
-    for c0 in range(0, len(cs), rows):
-        block = cs[c0:c0 + rows]
-        sub = _submasks(block, kc)
-        for d0 in range(0, len(ds), cols):
-            dblock = ds[d0:d0 + cols]
-            keep = full ^ dblock
-            removed = block[:, None] | dblock
-            hit = np.bitwise_count(removed) == gap  # C and D are disjoint
-            if survivor_cap:
-                hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
-            if removed_cap:
-                hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
-            # the masks (E - D) - T, T along the first axis
-            hit &= _alternating(h[sub[:, :, None] ^ keep]) == nb_n
-            ci, di = np.nonzero(hit)
-            for s in range(0, len(ci), step):
-                a, b = ci[s:s + step], di[s:s + step]
-                # the bases of M/C\D through e: the count for (C, D) less
-                # that for (C, D + e); 0 on D, and set to 0 on C
-                ys = sub[:, a] ^ keep[b]
-                deg = nb_n - _alternating(h[ys[:, None] & drop])
-                deg[(block[a] & _BITS[:n, None]) != 0] = 0
-                deg.sort(axis=0)
-                for j in np.flatnonzero(
-                        (deg == want_deg[:, None]).all(0)).tolist():
-                    c, d = int(block[a[j]]), int(dblock[b[j]])
-                    mn = m.minor(c, d)
-                    if _memo((_TableKey(mn), n_key),
-                             lambda: None if is_isomorphic(mn, n_mat) is None
-                             else NLabelling(0, 0)) is not None:
-                        yield NLabelling(c, d)
+    for cs, ds in _Grid(m, n_mat, survivor_cap, removed_cap):
+        for c, d in zip(cs.tolist(), ds.tolist()):
+            mn = m.minor(c, d)
+            if _memo((_TableKey(mn), n_key),
+                     lambda: None if is_isomorphic(mn, n_mat) is None
+                     else NLabelling(0, 0)) is not None:
+                yield NLabelling(c, d)
 
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
@@ -264,6 +301,21 @@ def all_triples_grounded(m: Matroid, n_mat: Matroid) -> bool:
     return all(_grounded(m, n_mat, t) for t in triangles(m) + triads(m))
 
 
+def _covered(grid: _Grid) -> dict:
+    """For each mode, the n x n bool matrix of the element pairs that some
+    survivor of `grid`'s scorer holds in C ("contract") or in D
+    ("delete"), from one product of each block's survivor bit matrix with
+    itself."""
+    n = grid.m.n
+    cover = {mode: np.zeros((n, n), dtype=bool)
+             for mode in ("contract", "delete")}
+    for cs, ds in grid:
+        for mode, sets in (("contract", cs), ("delete", ds)):
+            b = ((sets[:, None] & _BITS[:n]) != 0).astype(np.float32)
+            cover[mode] |= b.T @ b > 0
+    return cover
+
+
 def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                      within: int | None = None,
                      first_only: bool = False) -> list[DetachableResult]:
@@ -271,30 +323,59 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     (when n_mat is given) keeps an N-minor.  `within` restricts the scan to
     pairs inside a mask; n_mat=None disables the minor requirement.
 
-    Whether a pair minor is 3-connected depends only on M, so M keeps the
-    answer for each (x1, x2, mode) it has been asked about, as ints and
-    bools only: a pair minor of a 24-element matroid is half a table."""
+    Both questions are read from M's table, so no pair minor is built
+    unless it has to be searched.  Whether a pair minor is 3-connected
+    is `_pair_3_connected`, which depends only on M, so M keeps the answer
+    for each (x1, x2, mode) it has been asked about, as ints and bools.
+
+    The N-minors follow the ski-rental rule (keep paying per use until the
+    uses add up to the one-off price, then pay it).  Pair minors are
+    searched with `has_minor`, and the blocks that each search finding
+    nothing scored are added up.  Once they reach the block count of M's
+    own grid for N, that grid is scored once.  If p is independent, an
+    N-minor of M/p is M/p/C'\\D' for a labelling (C', D') of M/p, and
+    (C' + p, D') is then a labelling of M, so a survivor of M's scorer
+    has C >= p; if p is coindependent, an N-minor of M\\p likewise gives
+    one with D >= p.  After the scan, such a pair that no survivor covers
+    has no N-minor and is not searched.  So the scan never costs more
+    blocks than the searches already paid for.
+    """
     out = []
     if m.n < 3:
         return out
     if m._pairs is None:
         m._pairs = {}
     connected = m._pairs
+    r = m._ranks()
+    # blocks paid by searches that found nothing, M's grid for N once one
+    # has, and what its survivors cover once they have paid for it
+    paid, grid, cover = 0, None, None
     ids = elems(within) if within is not None else range(m.n)
     for x1, x2 in itertools.combinations(ids, 2):
         pair = bit(x1) | bit(x2)
-        for mode, remove in (("contract", m.contract), ("delete", m.delete)):
+        for mode in ("contract", "delete"):
+            contract = mode == "contract"
             key = x1, x2, mode
-            mm = None
             if key not in connected:
-                mm = remove(pair)
-                connected[key] = is_3_connected(mm)
+                connected[key] = _pair_3_connected(m, pair, contract)
             if not connected[key]:
                 continue
             lab = None
             if n_mat is not None:
-                lab = has_minor(remove(pair) if mm is None else mm, n_mat)
+                if cover is None and paid:
+                    if grid is None:
+                        grid = _Grid(m, n_mat)
+                    if paid >= grid.blocks:
+                        cover = _covered(grid)
+                if cover is not None and not cover[mode][x1, x2] and (
+                        r[pair] == 2 if contract
+                        else r[m.full ^ pair] == m.rank):
+                    continue
+                before = _scored_blocks
+                lab = has_minor(m.minor(pair, 0) if contract
+                                else m.minor(0, pair), n_mat)
                 if lab is None:
+                    paid += _scored_blocks - before
                     continue
             out.append(DetachableResult((x1, x2), mode, "direct", None, lab))
             if first_only:

@@ -29,7 +29,11 @@ table of basis counts (two tables' worth, built inside) plus 8 MiB, as
 its memo key is a view of the table, not a copy.  The labelling search
 of U(12, 24) against U(4, 8), over 735,471 contraction sets of eight
 elements, stays within four tables: the subset-sum table, the 12-sets
-it is built from and the 8-sets.
+it is built from and the 8-sets.  `detachable_pairs` against the Fano
+plane, which no pair minor holds, stays within WALL_S and four tables,
+as one scan of M rules out the pairs its first searches did not reach;
+and without N it reads every pair's 3-connectivity from M's table, so
+it builds no minor at all.
 """
 
 import itertools
@@ -41,7 +45,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matroidkit.builders import paving, uniform, wheel
+from matroidkit.builders import fano, paving, uniform, wheel
 from matroidkit.cli import main, parse, serialize
 from matroidkit.connectivity import (is_3_connected, separations,
                                      vertical_3_separations)
@@ -49,8 +53,8 @@ from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, is_isomorphic, popcount,
                              rank_table, validate)
 from matroidkit.corpus import random_sparse_paving
-from matroidkit.minors import (NLabelling, has_minor, labellings,
-                               verify_labelling)
+from matroidkit.minors import (NLabelling, detachable_pairs, has_minor,
+                               labellings, verify_labelling)
 from matroidkit.structures import fans, flans, quads, triads, triangles
 
 PEAK_MIB = 256
@@ -186,6 +190,40 @@ def test_minor_search_over_large_contraction_sets_within_bounds():
     # from, two thirds of a table as int32, and the masks of the 8-sets
     assert peak <= 4 * TABLE_MIB, f"labellings peak {peak:.1f} MiB"
     assert wall <= WALL_S, f"{wall:.1f} s"
+
+
+def test_detachable_pairs_at_the_cap_within_bounds():
+    # no pair minor of the rank-4 matroid keeps a Fano minor: M/p has rank
+    # 2, and the first searches of the M\p pay for one scan of M's own
+    # grid, whose survivors cover no pair.  Within M's subset-sum table
+    # (two tables' worth) plus the memo keys of those searches' pair
+    # minors, a quarter table each, and their temporaries
+    m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    m.table()
+    t0 = time.perf_counter()
+    got, peak = traced_mib(lambda: detachable_pairs(m, fano(),
+                                                    first_only=True))
+    wall = time.perf_counter() - t0
+    assert got == []
+    assert peak <= 4 * TABLE_MIB, f"detachable_pairs peak {peak:.1f} MiB"
+    assert wall <= WALL_S, f"{wall:.1f} s"
+
+
+def test_pure_pairs_at_the_cap_build_no_minor(monkeypatch):
+    m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
+    within = 0b111111
+    want = [(pair, mode) for pair in itertools.combinations(range(6), 2)
+            for mode, remove in (("contract", m.contract),
+                                 ("delete", m.delete))
+            if is_3_connected(remove(1 << pair[0] | 1 << pair[1]))]
+
+    def no_minor(*args):
+        raise AssertionError("a pair minor was built")
+
+    monkeypatch.setattr(Matroid, "_from_table", no_minor)
+    got = detachable_pairs(m, None, within=within)
+    assert [(r.pair, r.mode) for r in got] == want
+    assert len(want) == 26
 
 
 def test_triads_and_analyze_build_no_dual(tmp_path, capsys, monkeypatch):

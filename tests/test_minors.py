@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from matroidkit import minors
+from matroidkit import connectivity, minors
 from matroidkit.core import Matroid, bit, is_isomorphic, mask_of, popcount
 from matroidkit.builders import (fano, nonfano, paving8, spike,
                                  twisted_cube_matroid, uniform, wheel, whirl)
@@ -212,13 +212,13 @@ class TestDetachablePairs:
     def test_pair_minors_tested_once_per_matroid(self, monkeypatch):
         # whether a pair minor is 3-connected depends only on M, so a later
         # call, with another N or none, tests no pair minor again
-        tested, test = [], minors.is_3_connected
+        tested, test = [], minors._pair_3_connected
 
-        def counting(mm):
-            tested.append(mm)
-            return test(mm)
+        def counting(m, pair, contract):
+            tested.append((pair, contract))
+            return test(m, pair, contract)
 
-        monkeypatch.setattr(minors, "is_3_connected", counting)
+        monkeypatch.setattr(minors, "_pair_3_connected", counting)
         m = uniform(3, 7)
         first = detachable_pairs(m, uniform(3, 5))
         assert first and len(tested) == 2 * math.comb(m.n, 2)
@@ -226,6 +226,27 @@ class TestDetachablePairs:
         assert detachable_pairs(m, uniform(3, 5)) == first
         assert len(tested) == 2 * math.comb(m.n, 2)
         assert all(type(v) is bool for v in m._pairs.values())
+
+    def test_pair_questions_read_from_the_table(self, monkeypatch):
+        # no pair minor is built to test its 3-connectivity, and after the
+        # first searches that find nothing, one scan of M rules out the
+        # remaining pairs without a search
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(minors, "has_minor", counting(has_minor))
+        monkeypatch.setattr(connectivity, "_is_k_connected",
+                            counting(connectivity._is_k_connected))
+        m = twisted_cube_matroid()
+        assert detachable_pairs(m, nonfano()) == []
+        assert detachable_after_exchange(m, nonfano()) == []
+        assert calls.count("has_minor") <= 50
+        assert "_is_k_connected" not in calls
 
     def test_duality(self):
         m = whirl(3)

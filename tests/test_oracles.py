@@ -28,8 +28,8 @@ from matroidkit.builders import (BadParams, NotModularFlat,
                                  relax, series_add, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl,
                                  wye_delta)
-from matroidkit.connectivity import (_lambda_sets, _vertical_triples,
-                                     cyclic_3_separations,
+from matroidkit.connectivity import (_lambda_sets, _pair_3_connected,
+                                     _vertical_triples, cyclic_3_separations,
                                      is_3_connected, is_connected, lambda_,
                                      separations, vertical_3_separations)
 from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
@@ -1193,23 +1193,152 @@ class TestDetachablePairsOracle:
     """The pair search, which keeps on M which pair minors are
     3-connected, against the per-pair loop, call after call on one M."""
 
-    def test_corpus_with_and_without_n(self):
+    def test_corpus_with_and_without_n(self, monkeypatch):
         rng = random.Random(31)
         found = 0
+        scans = _count_calls(monkeypatch, minors, "_covered")
         for entry in generate_corpus(0, max_n=9):
             m = entry.matroid
-            for n_mat in (None, uniform(2, 4), uniform(3, 5)):
+            for n_mat in (None, uniform(2, 4), uniform(3, 5), fano(),
+                          nonfano(), wheel(3)):
                 # a copy with nothing kept yet; `within` is asked first
                 fresh = m.reorder(m.labels)
                 within = _random_mask(rng, m.n, 0.6)
                 for kw in ({"within": within},
                            {"within": within, "first_only": True},
                            {}, {"first_only": True}):
+                    # a cold memo, so that the searches pay for M's scan
+                    minors._minor_memo.clear()
+                    got = detachable_pairs(fresh, n_mat, **kw)
                     want = ref_detachable_pairs(m, n_mat, **kw)
-                    assert detachable_pairs(fresh, n_mat, **kw) == want, \
-                        (entry.name, n_mat, kw)
+                    assert got == want, (entry.name, n_mat, kw)
                     found += len(want)
-        assert found > 1000
+        assert found > 1500 and len(scans) > 30
+
+    def test_parallel_and_series_pairs(self):
+        # for a parallel pair p = {x, z}, M/p is M/x\z, and for a series
+        # pair M\p is M\x/z: no labelling of M holds p in C (in D), yet
+        # the pair minor may keep an N-minor, so it is searched even after
+        # the scan of M
+        kept = 0
+        for entry in generate_corpus(0, max_n=8):
+            if entry.name not in ("plane_triad8", "sparse8_0", "sparse8_2"):
+                continue
+            for x, extend, n_mat in itertools.product(
+                    range(entry.matroid.n), (parallel_add, series_add),
+                    (uniform(3, 5), wheel(3))):
+                m = extend(entry.matroid, x, "z")
+                minors._minor_memo.clear()
+                got = detachable_pairs(m, n_mat)
+                assert got == ref_detachable_pairs(m, n_mat), \
+                    (entry.name, x, extend, n_mat)
+                kept += (x, m.n - 1) in [r.pair for r in got]
+        assert kept > 40
+
+    def test_past_the_ski_rental_switch(self, monkeypatch):
+        # the one search against U(3, 5) that finds nothing pays for the
+        # scan of M, after which the covered pairs are still searched
+        m = next(e.matroid for e in generate_corpus(0, max_n=9)
+                 if e.name == "elongquad9")
+        n_mat = uniform(3, 5)
+        scans = _count_calls(monkeypatch, minors, "_covered")
+        searches = _count_calls(monkeypatch, minors, "has_minor")
+        got = detachable_pairs(m, n_mat)
+        assert len(scans) == 1 and len(got) == 18
+        assert len(searches) == 19 < sum(m._pairs.values())
+        assert got == ref_detachable_pairs(m, n_mat)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from now on."""
+    calls, fn = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _pair_minors(m):
+    """(x1, x2, pair, contract, pair minor) for every pair of m."""
+    for x1, x2 in itertools.combinations(range(m.n), 2):
+        pair = bit(x1) | bit(x2)
+        yield x1, x2, pair, True, m.contract(pair)
+        yield x1, x2, pair, False, m.delete(pair)
+
+
+class TestPairKernelOracle:
+    """`_pair_3_connected`, read from M's table, against `is_3_connected`
+    of the built pair minor, for every pair in both modes."""
+
+    @staticmethod
+    def check(m):
+        verdicts = set()
+        for x1, x2, pair, contract, minor in _pair_minors(m):
+            want = is_3_connected(minor)
+            assert _pair_3_connected(m, pair, contract) == want, \
+                (m, x1, x2, contract)
+            verdicts.add(want)
+        return verdicts
+
+    def test_corpus_and_duals(self):
+        verdicts = set()
+        for entry in generate_corpus(0, max_n=10):
+            if entry.matroid.n >= 3:
+                verdicts |= self.check(entry.matroid)
+                verdicts |= self.check(entry.matroid.dual())
+        assert verdicts == {False, True}
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_minors_of_sparse_paving(self, data):
+        # minors bring loops, coloops and parallel and series pairs
+        n = data.draw(st.integers(3, 9))
+        r = data.draw(st.integers(1, n - 1))
+        m = random_sparse_paving(data.draw(st.randoms(use_true_random=False)),
+                                 n, r)
+        c = data.draw(st.integers(0, m.full))
+        d = data.draw(st.integers(0, m.full)) & ~c
+        self.check(m if n - popcount(c | d) < 3 else m.minor(c, d))
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_past_one_block(self, n):
+        # the minor's half lattice spans more than one 2^16 block of M's
+        for seed in range(2):
+            assert self.check(random_sparse_paving(random.Random(seed), n, 4)) \
+                == {False, True}
+
+
+class TestPairScanOracle:
+    """Every pair minor that one scan of M's own grid for N rules out has
+    no N-minor: M/p for an independent p, and M\\p for a coindependent p,
+    that no survivor of the scan holds in C, or in D."""
+
+    def test_corpus_pairs(self):
+        corpus = [e.matroid for e in generate_corpus(0, max_n=9)]
+        ruled = 0
+        for m in corpus:
+            if m.n < 3:
+                continue
+            t = m._ranks()
+            for n_mat in corpus:
+                if n_mat.n > m.n - 2:
+                    continue
+                cover = minors._covered(minors._Grid(m, n_mat))
+                for x1, x2, pair, contract, minor in _pair_minors(m):
+                    if contract:
+                        free = t[pair] == 2
+                        held = cover["contract"][x1, x2]
+                    else:
+                        free = t[m.full ^ pair] == m.rank
+                        held = cover["delete"][x1, x2]
+                    if free and not held:
+                        assert has_minor(minor, n_mat) is None, \
+                            (m, n_mat, x1, x2, contract)
+                        ruled += 1
+        assert ruled > 30000
 
 
 def _outcome(build, *args):
