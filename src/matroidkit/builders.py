@@ -1,8 +1,8 @@
 """Named constructions and construction operators.
 
-Everything returns a fresh `Matroid`.  Constructions that take untrusted
-combinatorial data (paving lists, modular cuts, glued connections) are run
-through the axiom checker before being returned.
+Everything returns a fresh `Matroid`.  Paving lists and glued connections
+are run through the axiom checker; modular-cut extensions and `delta_wye`
+and `wye_delta`, read from M's table by a closed formula, are trusted.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 
 from .core import (MAX_GROUND, AxiomViolation, Matroid, MatroidError,
-                   _masks_of_size, bit, mask_of, popcount, validate)
+                   _masks_of_size, bit, elems, mask_of, popcount,
+                   validate)
 from .structures import _is_circuit, is_triad, is_triangle
 
 
@@ -65,12 +66,10 @@ def paving(r: int, n: int, nonspanning_circuits, labels=None) -> Matroid:
     The circuit list is taken on trust only up to the axiom check: the
     basis family (all r-sets not listed) must pass exchange validation.
     """
-    circm = []
-    for c in nonspanning_circuits:
-        m = c if isinstance(c, int) else mask_of(c)
-        if popcount(m) != r:
-            raise BadParams("listed circuits must have exactly r elements")
-        circm.append(m)
+    circm = [c if isinstance(c, int) else mask_of(c)
+             for c in nonspanning_circuits]
+    if any(popcount(c) != r for c in circm):
+        raise BadParams("listed circuits must have exactly r elements")
     if not 1 <= n <= MAX_GROUND:
         raise BadParams(f"ground set size {n} outside 1..{MAX_GROUND}")
     sets = _masks_of_size(n, r)
@@ -102,10 +101,8 @@ def graphic(n_vertices: int, edges, labels=None) -> Matroid:
         return comps
 
     r = n_vertices - ncomp(range(ne))
-    bases = []
-    for combo in itertools.combinations(range(ne), r):
-        if n_vertices - ncomp(combo) == r:
-            bases.append(mask_of(combo))
+    bases = [mask_of(c) for c in itertools.combinations(range(ne), r)
+             if n_vertices - ncomp(c) == r]
     return Matroid(ne, bases, labels)
 
 
@@ -136,8 +133,7 @@ def relax(m: Matroid, x: int) -> Matroid:
 
 
 def whirl(r: int) -> Matroid:
-    w = wheel(r)
-    return relax(w, rim(r))
+    return relax(wheel(r), rim(r))
 
 
 def spike(r: int) -> Matroid:
@@ -154,20 +150,10 @@ def spike(r: int) -> Matroid:
         raise BadParams(f"spike too large for the {MAX_GROUND}-element cap")
 
     def rank_of(ids):
-        touched = set()
-        full_pairs = 0
-        tip = False
-        cnt = {}
-        for i in ids:
-            if i == 0:
-                tip = True
-                continue
-            leg = (i - 1) // 2
-            touched.add(leg)
-            cnt[leg] = cnt.get(leg, 0) + 1
-        full_pairs = sum(1 for v in cnt.values() if v == 2)
-        extra = 1 if (tip or full_pairs) else 0
-        return min(r, len(touched) + extra)
+        # one more than the legs touched once the tip or a whole leg is in
+        legs = [(i - 1) // 2 for i in ids if i]
+        touched = len(set(legs))
+        return min(r, touched + (0 in ids or len(legs) > touched))
 
     bases = [mask_of(c) for c in itertools.combinations(range(n), r)
              if rank_of(c) == r]
@@ -238,12 +224,10 @@ def modular_cut_extension(m: Matroid, generating_flats, label: str) -> Matroid:
     by `generating_flats`: the least set of flats holding them that is
     closed upward and under the meet F & G of each modular pair, r(F) +
     r(G) = r(F | G) + r(F & G).  A modular cut always gives a matroid."""
-    gens = []
-    for f in generating_flats:
-        fm = f if isinstance(f, int) else m.set_of(f)
-        if m.closure(fm) != fm:
-            raise NotAFlat(f"{m.fmt(fm)} is not closed")
-        gens.append(fm)
+    gens = [f if isinstance(f, int) else m.set_of(f) for f in generating_flats]
+    for f in gens:
+        if m.closure(f) != f:
+            raise NotAFlat(f"{m.fmt(f)} is not closed")
     if not gens:
         raise BadParams("need at least one generating flat")
     t = m.table()
@@ -269,66 +253,48 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
     """Generalized parallel connection along the common restriction named by
     `t_labels` (labels shared by both matroids).
 
-    Flats of the result are the sets whose traces are flats on both sides;
-    rank comes from the inclusion-exclusion formula on the closure.  The
-    closure of every candidate set is computed at once on the two rank
-    tables: each round adds the closures of the traces on both sides, until
-    the whole array is a fixed point.  The construction is attempted whenever
-    the restrictions agree and the result is validated against the basis
-    axioms, so gluings along a flat that is modular on neither side still
-    succeed when they define a matroid.
+    Rank comes from the inclusion-exclusion formula on the closure, computed
+    for every candidate set at once: each round adds the closures of the
+    traces on both rank tables, until the array is a fixed point.  The
+    result is validated against the basis axioms, so gluings along a flat
+    that is modular on neither side succeed when they define a matroid.
     """
     t_labels = list(t_labels)
     for lab in t_labels:
         if lab not in m1.labels or lab not in m2.labels:
             raise RestrictionMismatch(f"label {lab!r} missing from one side")
-    t1 = m1.set_of(t_labels)
-    t2 = m2.set_of(t_labels)
+    t1, t2 = m1.set_of(t_labels), m2.set_of(t_labels)
     r1 = m1.restrict(t1)
     if not np.array_equal(m2.restrict(t2).reorder(r1.labels).table(),
                           r1.table()):
         raise RestrictionMismatch("the two restrictions to T differ")
 
     n1 = m1.n
-    tail = [i for i in range(m2.n) if not (t2 >> i) & 1]
-    n = n1 + len(tail)
+    labels = list(m1.labels) + [x for x in m2.labels if x not in t_labels]
+    n = len(labels)
     if n > MAX_GROUND:
-        raise BadParams(
-            f"glued ground set would exceed {MAX_GROUND} elements")
-    labels = list(m1.labels) + [m2.labels[i] for i in tail]
+        raise BadParams(f"glued ground set would exceed {MAX_GROUND} elements")
     if len(set(labels)) != n:
         raise RestrictionMismatch("non-T labels of the two sides collide")
-    g2 = [0] * m2.n          # m2 id -> global id
-    for k, i in enumerate(tail):
-        g2[i] = n1 + k
-    for lab in t_labels:
-        g2[m2.id_of(lab)] = m1.id_of(lab)
+    g2 = [labels.index(lab) for lab in m2.labels]   # m2 id -> global id
 
     lo = (1 << n1) - 1
     tab1, tab2 = m1.table(), m2.table()
 
     def extract2(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for i in range(m2.n):
-            out |= ((x >> g2[i]) & 1) << i
-        return out
+        return sum((x >> g & 1) << i for i, g in enumerate(g2))
 
     def expand2(x2: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x2)
-        for i in range(m2.n):
-            out |= ((x2 >> i) & 1) << g2[i]
-        return out
+        return sum((x2 >> i & 1) << g for i, g in enumerate(g2))
 
-    def rank_all(x: np.ndarray) -> np.ndarray:
-        f = x
+    def rank_all(f: np.ndarray) -> np.ndarray:
         while True:
             nxt = (f | _closure_all(tab1, f & lo, n1)
                    | expand2(_closure_all(tab2, extract2(f), m2.n)))
             if np.array_equal(nxt, f):
-                break
+                return (tab1[f & lo].astype(np.int64) + tab2[extract2(f)]
+                        - tab1[f & t1])
             f = nxt
-        return (tab1[f & lo].astype(np.int64) + tab2[extract2(f)]
-                - tab1[f & t1])
 
     r = int(rank_all(np.array([(1 << n) - 1]))[0])
     cand = _masks_of_size(n, r)
@@ -353,33 +319,74 @@ def _relabel(m: Matroid, mapping) -> Matroid:
     return Matroid._from_table(m.table(), labels)
 
 
-def _k4_for_exchange(tri_labels, prime_labels) -> Matroid:
-    # vertices 0..3; triangle on {1,2,3}: a=e23 b=e13 c=e12, star of 0 primed
-    la, lb, lc = tri_labels
-    pa, pb, pc = prime_labels
-    edges = [(2, 3), (1, 3), (1, 2), (0, 1), (0, 2), (0, 3)]
-    return graphic(4, edges, [la, lb, lc, pa, pb, pc])
+# r_K4, off the bases so that no rank table is built on import, of M(K4) with
+# a = e23, b = e13, c = e12 on bits 0-2 and a' = e01, b' = e02, c' = e03 on 3-5
+_K4 = graphic(4, [(2, 3), (1, 3), (1, 2), (0, 1), (0, 2), (0, 3)]).bases
+_K4 = [max(popcount(z & b) for b in _K4) for z in range(64)]
+
+
+def _terms(weight):
+    """Per x, the (y, weight(x, y)) whose r(Z | y) + weight(x, y) can be the
+    least over y, in any matroid: r(Z | z) <= r(Z | y) + |z - y|, so y goes
+    once a kept z has weight(x, z) + |z - y| <= weight(x, y)."""
+    for x in range(8):
+        w, keep = [weight(x, y) for y in range(8)], list(range(8))
+        for y in range(8):
+            if any(w[z] + popcount(z & ~y) <= w[y] for z in keep if z != y):
+                keep.remove(y)
+        yield [(y, w[y]) for y in keep]
+
+
+_DELTA_WYE = list(_terms(lambda x, y: _K4[y | 8 * x] - min(popcount(y), 2)))
+_WYE_DELTA = list(_terms(lambda x, y: _K4[x | 8 * y] - popcount(y) - (y > 0)))
+
+
+def _exchange(m: Matroid, tri: int, terms) -> Matroid:
+    """r(X), the least r_M(X - T | y) + w over the terms (y, w) of X's part
+    in T = `tri`'s positions, on (2,)*n views with T's axes pinned (`...`
+    keeps 0-d views if T = E): only the output and one octant sum are new."""
+    n, ts = m.n, elems(tri)
+
+    def pin(v):
+        at = [slice(None)] * n
+        for p, e in enumerate(ts):
+            at[n - 1 - e] = v >> p & 1
+        return tuple(at) + (...,)
+
+    out = np.empty_like(m.table())
+    slices = [m.table().reshape((2,) * n)[pin(y)] for y in range(8)]
+    part = np.empty_like(slices[0])
+    for x, ((y, w), *rest) in enumerate(terms):
+        octant = out.reshape((2,) * n)[pin(x)]
+        np.add(slices[y], w, out=octant)
+        for y, w in rest:
+            np.minimum(octant, np.add(slices[y], w, out=part), out=octant)
+    # a parallel connection across a modular flat, minus T, is a matroid
+    return Matroid._from_table(out, m.labels)
 
 
 def delta_wye(m: Matroid, tri: int) -> Matroid:
-    """Replace the triangle `tri` by a triad via gluing with M(K4); the three
-    new elements inherit the old labels and positions."""
+    """Replace the triangle T by a triad: glue M(K4) to M along T, delete T,
+    and let a', b', c' take T's positions and labels (X_T' is X's part
+    there).  T is a modular flat of M(K4), so (Brylawski, Trans. AMS 203,
+    1975, "Modular constructions for combinatorial geometries"; Oxley 11.4)
+
+      r'(X) = min over Y in T of r_K4(X_T' | Y) + r_M(X - T | Y) - min(|Y|, 2)
+    """
     if not is_triangle(m, tri):
         raise NotATriangle(f"{m.fmt(tri)} is not a triangle")
-    tl = m.label_list(tri)
-    primes = [lab + "'" for lab in tl]
-    while any(p in m.labels for p in primes):
-        primes = [p + "'" for p in primes]
-    k4 = _k4_for_exchange(tl, primes)
-    glued = parallel_connection(k4, m, tl)
-    cut = glued.delete(glued.set_of(tl))
-    return _relabel(cut, dict(zip(primes, tl))).reorder(m.labels)
+    return _exchange(m, tri, _DELTA_WYE)
 
 
 def wye_delta(m: Matroid, triad: int) -> Matroid:
+    """`delta_wye` on M*, then the dual.  M(K4)* is M(K4) with a, b, c and
+    a', b', c' swapped, so that reads M's own table, with [Y] = 1 if Y != {}:
+
+      r'(X) = min over Y in T of r_K4(X_T | Y') + r_M(X - T | Y) - |Y| - [Y]
+    """
     if not is_triad(m, triad):
         raise NotATriad(f"{m.fmt(triad)} is not a triad")
-    return delta_wye(m.dual(), triad).dual()
+    return _exchange(m, triad, _WYE_DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +402,7 @@ def fano(labels=None) -> Matroid:
 
 def nonfano(labels=None) -> Matroid:
     """Fano with its last line {c,e,f} relaxed."""
-    f = fano(labels)
-    return relax(f, mask_of(FANO_LINES[-1]))
+    return relax(fano(labels), mask_of(FANO_LINES[-1]))
 
 
 PAVING8_LABELS = ("p1", "p2", "q1", "q2", "s1", "s2", "t1", "t2")
@@ -418,8 +424,7 @@ def paving8_ext() -> Matroid:
     """`paving8` extended by a point z on the three lines {t1,t2}, {q1,p1}
     and {q2,p2}."""
     m = paving8()
-    lines = [m.set_of(["t1", "t2"]), m.set_of(["q1", "p1"]),
-             m.set_of(["q2", "p2"])]
+    lines = [m.set_of(p) for p in (("t1", "t2"), ("q1", "p1"), ("q2", "p2"))]
     return modular_cut_extension(m, lines, "z")
 
 
@@ -427,13 +432,12 @@ def twisted_cube_matroid() -> Matroid:
     """12-element rank-4 matroid glued from `paving8_ext` and a non-Fano
     along the triangle {t1,t2,z}, with z removed.  Carries a twisted
     cube-like 3-separator on {p1,p2,q1,q2,s1,s2}."""
-    left = paving8_ext()
     # non-Fano on labels t1,t2,z,n1..n4 with {t1,t2,z} a 3-point line and the
     # relaxed line away from it
     labels = ("t1", "t2", "z", "n1", "n2", "n3", "n4")
     nf = nonfano(labels)
     assert is_triangle(nf, nf.set_of(["t1", "t2", "z"]))
-    glued = parallel_connection(left, nf, ["t1", "t2", "z"])
+    glued = parallel_connection(paving8_ext(), nf, ["t1", "t2", "z"])
     return glued.delete(glued.set_of(["z"]))
 
 
@@ -444,17 +448,13 @@ def spiked_fano(r: int = 4, free_tip: bool = False) -> Matroid:
     With free_tip=False the Fano point x is reused as the spike tip; with
     free_tip=True a fresh tip is added freely on the line of {x,y,z}.
     """
-    labels = ("x", "y", "z", "u1", "u2", "u3", "u4")
+    labels = ("x" if free_tip else "t", "y", "z", "u1", "u2", "u3", "u4")
     f7 = fano(labels)
-    assert is_triangle(f7, f7.set_of(["x", "y", "z"]))
+    assert is_triangle(f7, f7.set_of(labels[:3]))
     f7 = parallel_add(f7, f7.id_of("y"), "y'")
     f7 = parallel_add(f7, f7.id_of("z"), "z'")
     if free_tip:
-        line = f7.closure(f7.set_of(["x", "y"]))
-        f7 = principal_extension(f7, line, "t")
-    else:
-        f7 = _relabel(f7, {"x": "t"})
-    s = spike(r)
-    s = _relabel(s, {"x1": "y'", "y1": "z'"})
+        f7 = principal_extension(f7, f7.closure(f7.set_of(["x", "y"])), "t")
+    s = _relabel(spike(r), {"x1": "y'", "y1": "z'"})
     glued = parallel_connection(f7, s, ["t", "y'", "z'"])
     return glued.delete(glued.set_of(["t", "y'", "z'"]))

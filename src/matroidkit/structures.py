@@ -54,10 +54,11 @@ class StructureReport:
 # ---------------------------------------------------------------------------
 # small circuits and cocircuits
 
-def _is_circuit(m: Matroid, x: int) -> bool:
-    t = m._ranks()
+def _is_circuit(m: Matroid, x: int, dual: bool = False) -> bool:
+    """Whether X is a circuit of M, or with `dual` of M*, from M's table."""
+    r = m.corank_of if dual else m._ranks().__getitem__
     k = popcount(x)
-    return t[x] == k - 1 and all(t[x ^ bit(e)] == k - 1 for e in elems(x))
+    return r(x) == k - 1 and all(r(x ^ bit(e)) == k - 1 for e in elems(x))
 
 
 def is_triangle(m: Matroid, x: int) -> bool:
@@ -65,7 +66,7 @@ def is_triangle(m: Matroid, x: int) -> bool:
 
 
 def is_triad(m: Matroid, x: int) -> bool:
-    return is_triangle(m.dual(), x)
+    return popcount(x) == 3 and _is_circuit(m, x, dual=True)
 
 
 @functools.cache
@@ -119,7 +120,7 @@ def triads(m: Matroid) -> list[int]:
 
 def is_quad(m: Matroid, x: int) -> bool:
     return (popcount(x) == 4 and _is_circuit(m, x)
-            and _is_circuit(m.dual(), x))
+            and _is_circuit(m, x, dual=True))
 
 
 def quads(m: Matroid) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from matroidkit import builders
 from matroidkit.core import (AxiomViolation, Matroid, bit, elems,
                              is_isomorphic, mask_of, popcount, validate)
 from matroidkit.builders import (BadElement, BadParams, NotAFlat,
@@ -293,6 +294,26 @@ class TestDeltaWye:
             delta_wye(m, 0b000111)
         with pytest.raises(NotATriad):
             wye_delta(m, 0b000111)
+
+    def test_no_gluing_and_no_validate(self, monkeypatch):
+        # both exchanges read M's table by the formula; neither glues
+        # M(K4) on, nor runs the axiom check on what it returns
+        def banned(*args):
+            raise AssertionError("exchange glued or validated")
+
+        m = wheel(4)
+        tri = next(t for t in triangles(m))
+        for name in ("parallel_connection", "validate", "graphic"):
+            monkeypatch.setattr(builders, name, banned)
+        assert wye_delta(delta_wye(m, tri), tri) == m
+
+    def test_22_elements_do_not_raise(self):
+        # the gluing with M(K4) once had 25 elements and raised BadParams
+        m = uniform(2, 22)
+        dy = delta_wye(m, 0b111)
+        assert validate(dy.bases, dy.n, dy.labels) == dy
+        assert (dy.n, dy.rank) == (22, 3)
+        assert wye_delta(dy, 0b111) == m
 
 
 class TestConstructions:

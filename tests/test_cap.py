@@ -33,7 +33,11 @@ it is built from and the 8-sets.  `detachable_pairs` against the Fano
 plane, which no pair minor holds, stays within WALL_S and four tables,
 as one scan of M rules out the pairs its first searches did not reach;
 and without N it reads every pair's 3-connectivity from M's table, so
-it builds no minor at all.
+it builds no minor at all.  Delta-Y and then Y-Delta on a triangle of the
+22- and 24-element wheels give the wheel back, and `validate` accepts the
+Delta-Y result; each exchange stays within WALL_S and two tables, as it
+reads its input's table and allocates only its output and one sum over an
+eighth of the table.
 """
 
 import itertools
@@ -45,7 +49,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matroidkit.builders import fano, paving, uniform, wheel
+from matroidkit.builders import (delta_wye, fano, paving, uniform, wheel,
+                                 wye_delta)
 from matroidkit.cli import main, parse, serialize
 from matroidkit.connectivity import (is_3_connected, separations,
                                      vertical_3_separations)
@@ -484,3 +489,53 @@ def test_isomorphism_of_uniform_within_bounds(r):
     u = Matroid._from_table(uniform_table(n, r),
                             [f"e{i}" for i in range(n)])
     check_isomorphism_within_bounds([(u, shuffled(u, r), True)])
+
+
+def wheel_bases(r):
+    """The bases of `wheel(r)`, its spanning trees, listed directly rather
+    than tested one r-set at a time: the tree's rim edges, any set but the
+    whole rim, cut the rim vertices into arcs, and each arc takes exactly
+    one spoke to the hub.  Rim edge i joins rim vertices i and i + 1."""
+    out = []
+    for rim in range((1 << r) - 1):
+        start = next(i for i in range(r) if not rim >> (i - 1) % r & 1)
+        arcs = []
+        for k in range(r):
+            i = (start + k) % r
+            if not rim >> (i - 1) % r & 1:
+                arcs.append([])
+            arcs[-1].append(1 << i)
+        out += [rim << r | sum(spokes) for spokes in itertools.product(*arcs)]
+    return out
+
+
+def big_wheel(r):
+    """`wheel(r)`, built from `wheel_bases` in a fraction of its time."""
+    labels = [f"s{i + 1}" for i in range(r)] + [f"r{i + 1}" for i in range(r)]
+    return Matroid(2 * r, wheel_bases(r), labels)
+
+
+def test_wheel_bases_are_the_spanning_trees():
+    for r in range(2, 8):
+        assert big_wheel(r) == wheel(r)
+    # the wheel with r spokes has L(2r) - 2 spanning trees, L the Lucas
+    # numbers: L(22) = 39,603 and L(24) = 103,682
+    assert [len(wheel_bases(r)) for r in (11, 12)] == [39601, 103680]
+
+
+@pytest.mark.parametrize("r", [11, 12])
+def test_exchanges_at_the_cap_within_bounds(r):
+    m = big_wheel(r)
+    m.table()
+    tri = m.set_of(["s1", "s2", "r1"])
+    t0 = time.perf_counter()
+    dy, dy_peak = traced_mib(lambda: delta_wye(m, tri))
+    t1 = time.perf_counter()
+    back, back_peak = traced_mib(lambda: wye_delta(dy, tri))
+    t2 = time.perf_counter()
+    assert back == m
+    assert validate(dy.bases, m.n, dy.labels) == dy
+    assert (dy.n, dy.rank) == (m.n, m.rank + 1)
+    for wall, peak in ((t1 - t0, dy_peak), (t2 - t1, back_peak)):
+        assert peak <= 2 * TABLE_MIB, f"exchange peak {peak:.1f} MiB"
+        assert wall <= WALL_S, f"{wall:.1f} s"

@@ -10,6 +10,7 @@ from matroidkit.cli import ParseError, main, parse, serialize
 from matroidkit.core import Matroid, is_isomorphic
 from matroidkit.builders import paving8, uniform
 from matroidkit.corpus import generate_corpus, random_sparse_paving
+from test_cap import big_wheel
 
 WHIRL3_TEXT = """\
 name whirl3
@@ -175,6 +176,15 @@ class TestCommands:
         assert main(["construct", f"deltawye {w} {{s1,s2,r1}}"]) == 0
         out = capsys.readouterr().out
         assert "name wheel3-deltawye" in out
+
+    def test_construct_exchange_at_22_elements(self, tmp_path, capsys):
+        # the gluing with M(K4) once had 25 elements and exited 2 with a
+        # BadParams error line
+        w = tmp_path / "w11.mtx"
+        w.write_text(serialize(big_wheel(11), "wheel11"))
+        assert main(["construct", f"deltawye {w} {{s1,s2,r1}}"]) == 0
+        name, m = parse(capsys.readouterr().out)
+        assert name == "wheel11-deltawye" and (m.n, m.rank) == (22, 12)
 
     def test_construct_extension_recipes(self, tmp_path, capsys):
         assert main(["construct", "uniform 2 4"]) == 0

@@ -24,10 +24,10 @@ from matroidkit.core import (_NONE, AxiomViolation, Matroid, MatroidError,
                              popcount, rank_table, submasks, validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
-                                 nonfano, parallel_add, parallel_connection,
-                                 relax, series_add, spike, spiked_fano,
-                                 twisted_cube_matroid, uniform, wheel, whirl,
-                                 wye_delta)
+                                 graphic, nonfano, parallel_add,
+                                 parallel_connection, relax, series_add,
+                                 spike, spiked_fano, twisted_cube_matroid,
+                                 uniform, wheel, whirl, wye_delta)
 from matroidkit.connectivity import (_lambda_sets, _pair_3_connected,
                                      _vertical_triples, cyclic_3_separations,
                                      is_3_connected, is_connected, lambda_,
@@ -41,7 +41,8 @@ from matroidkit.minors import (NLabelling, all_triples_grounded,
 from matroidkit.harness import _u3k_planes
 from matroidkit.structures import (StructureReport, _subset_bits,
                                    detect_spike_like, fans, flans, is_quad,
-                                   is_triangle, quads, triads, triangles)
+                                   is_triad, is_triangle, quads, triads,
+                                   triangles)
 
 
 def popcounts(n):
@@ -1399,10 +1400,33 @@ class TestBodyBuildersOracle:
             == _outcome(ref_paving, r, n, circuits)
 
 
-def _exchanges(m):
-    return [_outcome(op, m, x)
-            for op, xs in ((delta_wye, triangles(m)), (wye_delta, triads(m)))
-            for x in xs]
+def ref_delta_wye(m, tri, glue):
+    # M(K4) glued to M along T by `glue`, T deleted, and the star's primes
+    # renamed back into T's labels and positions
+    tl = m.label_list(tri)
+    primes = [lab + "'" for lab in tl]
+    while any(p in m.labels for p in primes):
+        primes = [p + "'" for p in primes]
+    k4 = graphic(4, [(2, 3), (1, 3), (1, 2), (0, 1), (0, 2), (0, 3)],
+                 tl + primes)
+    cut = glue(k4, m, tl).delete(k4.set_of(tl))
+    back = dict(zip(primes, tl))
+    labels = [back.get(lab, lab) for lab in cut.labels]
+    return Matroid(m.n, cut.bases, labels).reorder(m.labels)
+
+
+def ref_wye_delta(m, triad, glue):
+    return ref_delta_wye(m.dual(), triad, glue).dual()
+
+
+def _exchanges(m, glue=None):
+    """Every Delta-Y and Y-Delta exchange of m, by the formula or, given
+    `glue`, by the gluing it does."""
+    ops = ((delta_wye, triangles(m)), (wye_delta, triads(m)))
+    if glue is not None:
+        ops = ((functools.partial(ref_delta_wye, glue=glue), triangles(m)),
+               (functools.partial(ref_wye_delta, glue=glue), triads(m)))
+    return [_outcome(op, m, x) for op, xs in ops for x in xs]
 
 
 def ref_modular_cut_extension(m, gens, label):
@@ -1449,16 +1473,27 @@ class TestFlatsOracle:
 
 class TestParallelConnectionOracle:
     """The array gluing against the scalar closure loop: equal matroids,
-    or the same exception."""
+    or the same exception.  The Delta-Y and Y-Delta formulas against the
+    gluing with M(K4) that they stand for, done by each."""
 
-    def test_exchanges_match(self, monkeypatch):
+    def test_exchanges_match(self):
         ms = [e.matroid for e in generate_corpus(0, max_n=8)]
         ms += [twisted_cube_matroid(), spiked_fano(4), spiked_fano(4, True)]
         got = [_exchanges(m) for m in ms]
-        monkeypatch.setattr(builders, "parallel_connection",
-                            ref_parallel_connection)
-        assert got == [_exchanges(m) for m in ms]
+        for glue in (parallel_connection, ref_parallel_connection):
+            assert got == [_exchanges(m, glue) for m in ms], glue.__name__
         assert sum(map(len, got)) > 200
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_sparse_paving_exchanges_match(self, data):
+        # rank 3 gives triangles, corank 3 triads
+        n = data.draw(st.integers(5, 9))
+        r = data.draw(st.sampled_from([3, n - 3]))
+        m = random_sparse_paving(data.draw(st.randoms(use_true_random=False)),
+                                 n, r)
+        got = _exchanges(m)
+        assert got and got == _exchanges(m, parallel_connection)
 
     def test_self_gluings_match(self):
         rng = random.Random(3)
@@ -1525,15 +1560,19 @@ class TestTrianglesOracle:
 
 
 class TestTriadsOracle:
-    """`triads`, read from M's own table, against the triangles of M*: the
-    same masks in the same order, and no dual built on the way."""
+    """`triads` and the per-set `is_triad`, read from M's own table, against
+    the triangles of M*: the same masks in the same order, and no dual built
+    on the way."""
 
     @staticmethod
     def check(m):
         fresh = Matroid._from_table(m.table(), m.labels)
         got = triads(fresh)
+        per_set = [x for x in _lex_masks(m.n, 3).tolist()
+                   if is_triad(fresh, x)]
         assert fresh._dual is None
-        assert got == triangles(fresh.dual()) == ref_triangles(m.dual()), m
+        assert got == per_set == triangles(fresh.dual()) \
+            == ref_triangles(m.dual()), m
 
     def test_seed_0_corpus(self):
         corpus = generate_corpus(0)
