@@ -153,14 +153,11 @@ def _load(path: str) -> tuple[str, Matroid]:
 def cmd_analyze(args) -> int:
     name, m = _load(args.file)
     rec = args.format == "records"
-    tris = triangles(m)
-    trds = triads(m)
+    tris = [m.fmt(x) for x in triangles(m)]
+    trds = [m.fmt(x) for x in triads(m)]
     three = is_3_connected(m)
     # M and M* have ranks r and n - r, so only 2r = n needs the dual
     selfdual = 2 * m.rank == m.n and is_isomorphic(m, m.dual()) is not None
-
-    def fmtlist(ms):
-        return " ".join(m.fmt(x) for x in ms) if ms else "none"
 
     if rec:
         print(f"kind=summary name={name} n={m.n} rank={m.rank} "
@@ -171,27 +168,19 @@ def cmd_analyze(args) -> int:
         print(f"elements {m.n} rank {m.rank} bases {len(m.bases)}")
         print(f"3-connected {'yes' if three else 'no'}")
         print(f"self-dual {'yes' if selfdual else 'no'}")
-        print(f"triangles {fmtlist(tris)}")
-        print(f"triads {fmtlist(trds)}")
-    if three:
-        fan_strs = ["(" + ",".join(m.labels[e] for e in f.elements) + ")"
-                    for f in fans(m)]
-        flan_strs = ["(" + ",".join(m.labels[e] for e in f.elements) + ")"
-                     for f in flans(m)]
-    else:
-        fan_strs = flan_strs = []
-    if rec:
-        for t in tris:
-            print(f"kind=triangle set={m.fmt(t)}")
-        for t in trds:
-            print(f"kind=triad set={m.fmt(t)}")
-        for s in fan_strs:
-            print(f"kind=fan order={s}")
-        for s in flan_strs:
-            print(f"kind=flan order={s}")
-    else:
-        print("fans " + (" ".join(fan_strs) if fan_strs else "none"))
-        print("flans " + (" ".join(flan_strs) if flan_strs else "none"))
+
+    def orders(find):
+        return ["(" + ",".join(m.labels[e] for e in f.elements) + ")"
+                for f in find(m)] if three else []
+
+    for kind, key, items in (("triangle", "set", tris), ("triad", "set", trds),
+                             ("fan", "order", orders(fans)),
+                             ("flan", "order", orders(flans))):
+        if rec:
+            for item in items:
+                print(f"kind={kind} {key}={item}")
+        else:
+            print(f"{kind}s {' '.join(items) or 'none'}")
     return 0
 
 
@@ -233,10 +222,9 @@ def cmd_separators(args) -> int:
     for x in _lambda_sets(m, lambda lam, size: (lam == 2) & (size >= 6)):
         k = popcount(x)
         if k == 6:
-            for kind, det, dual in (("twisted-cube-like",
-                                     detect_twisted_cube_like, False),
-                                    *SPECIAL_SEPARATORS):
-                hit = det(m.dual() if dual else m, x)
+            for kind, det in (("twisted-cube-like", detect_twisted_cube_like),
+                              *SPECIAL_SEPARATORS):
+                hit = det(m, x)
                 if hit is None:
                     continue
                 lab = hit.witness["labelling"]
@@ -274,9 +262,7 @@ def cmd_verify(args) -> int:
         if any(s["fail"] for s in summary.values()):
             rc = 1
         for v in verdicts:
-            if v.outcome == "fail":
-                print(v.line())
-            elif rec:
+            if v.outcome == "fail" or rec:
                 print(v.line())
     elif args.id == "constructions":
         for fn in (harness.verify_construction_twisted,

@@ -148,13 +148,13 @@ def from_vectors(vectors, labels) -> Matroid:
     return validate(bases, n, labels)
 
 
-def two_sum(m1: Matroid, lab1: str, m2: Matroid, lab2: str,
-            prefix: str = "g") -> Matroid:
-    """Two-sum of m1 and m2 across the named basepoints."""
+def two_sum(m1: Matroid, lab1: str, m2: Matroid, lab2: str) -> Matroid:
+    """Two-sum of m1 and m2 across the named basepoints; m2's other
+    elements are renamed g0, g1, ... by their ids."""
     relab = {lab2: "_base_"}
     for k, lab in enumerate(m2.labels):
         if lab != lab2:
-            relab[lab] = f"{prefix}{k}"
+            relab[lab] = f"g{k}"
     m2r = builders._relabel(m2, relab)
     m1r = builders._relabel(m1, {lab1: "_base_"})
     glued = parallel_connection(m1r, m2r, ["_base_"])
@@ -318,22 +318,23 @@ def generate_corpus(seed: int = 0, max_n: int = 16) -> list[CorpusEntry]:
     for r in range(2, 6):
         add(f"wheel_{r}", wheel(r))
         add(f"whirl_{r}", whirl(r))
-    add("fano", fano())
-    add("fano_dual", fano().dual())
-    add("nonfano", nonfano())
-    add("nonfano_dual", nonfano().dual())
+    for name, m in (("fano", fano()), ("nonfano", nonfano())):
+        add(name, m)
+        add(f"{name}_dual", m.dual())
     add("spike_3", spike(3))
     add("spike_4", spike(4))
     add("paving8", paving8())
     add("paving8_ext", paving8_ext())
-    add("twistedcube", twisted_cube_matroid())
-    tcd = twisted_cube_matroid().dual()
+    tc = twisted_cube_matroid()
+    add("twistedcube", tc)
+    tcd = tc.dual()
     add("twistedcube_dual", tcd)
     # deleting p1 from the dual leaves a proper maximal 5-element flan
     add("twistedcube_dual_del", tcd.delete(tcd.set_of(["p1"])))
     add("spikedfano", spiked_fano(4))
-    add("prism", prism())
-    add("prism_dual", prism().dual())
+    pr = prism()
+    add("prism", pr)
+    add("prism_dual", pr.dual())
     add("plane_triad8", plane_with_triad())
     add("hinged13", hinged_planes())
     add("elongquad9", elongated_quad_instance())

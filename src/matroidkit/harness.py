@@ -23,7 +23,7 @@ from .core import (Matroid, MatroidError, _lex_masks, bit, elems,
 from .connectivity import (_k_separating, _lambda_sets, is_3_connected,
                            is_connected, lambda_, lambda_minus, full_closure,
                            vertical_3_separations, cyclic_3_separations)
-from .structures import (_flan_step, _subset_bits, detect_spike_like,
+from .structures import (_step, _subset_bits, detect_spike_like,
                          detect_twisted_cube_like, fans, flans, segments,
                          special_separator, triangles, triads)
 from .minors import (HypothesisUnmet, all_triples_grounded,
@@ -31,7 +31,6 @@ from .minors import (HypothesisUnmet, all_triples_grounded,
                      grounded_triangles, has_minor, labellings,
                      switch_labels)
 from .builders import fano, nonfano, spiked_fano, twisted_cube_matroid, wheel, whirl
-from .corpus import generate_corpus
 
 
 class ConstructionFailed(MatroidError):
@@ -92,7 +91,9 @@ def _in_cl(m: Matroid, s: int, e: int) -> bool:
 
 
 def _in_cocl(m: Matroid, s: int, e: int) -> bool:
-    return _in_cl(m.dual(), s, e)
+    # e is in cl*(S) iff r(E - S - e) < r(E - S), for e outside S
+    t, co = m._ranks(), m.full ^ s
+    return bool(s >> e & 1) or t[co ^ bit(e)] < t[co]
 
 
 def is_wheel_or_whirl(m: Matroid) -> bool:
@@ -188,20 +189,12 @@ def check_contraction_vertical_split(m):
         yield z if (z in with_z) == si_ok else None
 
 
-def _simple_cosimple(m):
-    t = m._ranks()
-    for e in range(m.n):
-        if t[bit(e)] == 0 or m.corank_of(bit(e)) == 0:
-            return False
-    for e, f in itertools.combinations(range(m.n), 2):
-        p = bit(e) | bit(f)
-        if t[p] == 1 or m.corank_of(p) == 1:
-            return False
-    return True
+def _triangle_union(m: Matroid) -> int:
+    return mask_of(e for t in triangles(m) for e in elems(t))
 
 
 def check_full_closure_two_separation(m):
-    if not _simple_cosimple(m):
+    if not m.simplify()[0].n == m.cosimplify()[0].n == m.n:
         return
     for x in _k_separating(m, 2):
         f = full_closure(m, x)
@@ -304,10 +297,7 @@ def check_maximal_fan_end_removal(m):
 
 
 def check_quad_cocircuit_contraction(m):
-    tris = triangles(m)
-    in_tri = 0
-    for t in tris:
-        in_tri |= t
+    in_tri = _triangle_union(m)
     for cstar in m.cocircuits():
         if popcount(cstar) != 4:
             continue
@@ -371,10 +361,7 @@ def check_six_point_plane_pairs(m):
 
 
 def check_flan_contraction(m):
-    tris = triangles(m)
-    in_tri = 0
-    for t in tris:
-        in_tri |= t
+    in_tri = _triangle_union(m)
     for rec in flans(m):
         seq = rec.elements
         t_len = len(seq)
@@ -542,26 +529,23 @@ PAIR_CHECKS = [
 ]
 
 
-def run_lemma_registry(corpus=None, seed: int = 0,
-                       max_n: int = 12) -> list[Verdict]:
-    """Run every registry check on every corpus instance within its size cap.
+def run_lemma_registry(corpus) -> list[Verdict]:
+    """Run every registry check on every corpus instance within its size cap
+    (for a pair check, the cap of M bounds N too).
 
     A check that never meets its hypothesis on an instance reports
     `vacuous`; a conclusion failure reports `fail` with a witness."""
-    if corpus is None:
-        corpus = generate_corpus(seed, max_n=16)
     out = []
     for row in MATROID_CHECKS:
         for entry in corpus:
             if entry.matroid.n > row.cap:
                 continue
             out.append(_check_verdict(row, entry.name, entry.matroid))
-    small = [e for e in corpus if e.matroid.n <= max_n]
     for row in PAIR_CHECKS:
-        for em in small:
+        for em in corpus:
             if em.matroid.n > row.cap:
                 continue
-            for en in small:
+            for en in corpus:
                 if en.matroid.n < 4 or en.matroid.n > em.matroid.n:
                     continue
                 if en.matroid.n == em.matroid.n and en.name != em.name:
@@ -680,7 +664,9 @@ def _main_branch(m: Matroid, n_mat: Matroid) -> str | None:
 
 def _is_flan_ordering(m: Matroid, seq) -> bool:
     trds = set(triads(m))
-    step = _flan_step(m, trds)
+    # a triad, then an element of the prefix's closure alternating with one
+    # that completes a triad
+    step = _step(m, (trds, None))
     return (len(seq) >= 4 and mask_of(seq[:3]) in trds
             and all(seq[i] in step(seq[:i], mask_of(seq[:i]))
                     for i in range(3, len(seq))))
@@ -832,19 +818,18 @@ def _replay_twisted():
           "no N-detachable pairs after one exchange")
 
 
-def verify_construction_spike(r: int = 4, include_free: bool = True) -> Verdict:
-    exercised, ms = _timed(_replay_spike, r, include_free)
-    return Verdict("construction-spike", f"spikedfano-{r}", "pass",
+def verify_construction_spike() -> Verdict:
+    exercised, ms = _timed(_replay_spike)
+    return Verdict("construction-spike", "spikedfano-4", "pass",
                    exercised, None, ms)
 
 
-def _replay_spike(r: int, include_free: bool) -> int:
-    """The spiked-Fano checks on each variant; how many ran."""
+def _replay_spike() -> int:
+    """The spiked-Fano checks on each variant of rank 4; how many ran."""
     f7 = fano()
     exercised = 0
-    variants = [False, True] if include_free else [False]
-    for free in variants:
-        m = spiked_fano(r, free_tip=free)
+    for free in (False, True):
+        m = spiked_fano(4, free_tip=free)
         tag = "free" if free else "relabel"
         _need(is_3_connected(m), f"[{tag}] 3-connected")
         _need(has_minor(m, f7) is not None, f"[{tag}] a Fano minor is present")
@@ -868,10 +853,7 @@ def _minor_pairs(corpus, max_m: int, gap: int, skip=None):
     """The corpus pairs (M entry, N entry), M-major in corpus order, with M
     3-connected of at most `max_m` elements, N 3-connected with at least
     four elements and at least `gap` fewer than M, and N a minor of M.
-    An M for which `skip` holds is passed over before any minor test.  With
-    no corpus given, the seed-0 corpus up to `max_m` elements."""
-    if corpus is None:
-        corpus = generate_corpus(0, max_n=max_m)
+    An M for which `skip` holds is passed over before any minor test."""
     for em in corpus:
         m = em.matroid
         if m.n > max_m or not is_3_connected(m) or (skip and skip(m)):
@@ -885,7 +867,7 @@ def _minor_pairs(corpus, max_m: int, gap: int, skip=None):
                 yield em, en
 
 
-def sweep_theorem_triangles(corpus=None, max_m: int = 11) -> list[Verdict]:
+def sweep_theorem_triangles(corpus, max_m: int = 11) -> list[Verdict]:
     out = []
     for em, en in _minor_pairs(corpus, max_m, 5):
         v = verify_theorem_triangles(em.matroid, en.matroid)
@@ -894,7 +876,7 @@ def sweep_theorem_triangles(corpus=None, max_m: int = 11) -> list[Verdict]:
     return out
 
 
-def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
+def sweep_foundation(corpus, max_m: int = 12) -> list[Verdict]:
     """Search for instances meeting the standing hypotheses (grounded
     triples, no detachable pair, a qualifying deletion d and cyclic split)
     and verify the structural outcome on each.
@@ -935,7 +917,7 @@ def sweep_foundation(corpus=None, max_m: int = 12) -> list[Verdict]:
     return out
 
 
-def splitter_check(corpus=None, max_m: int = 12) -> list[Verdict]:
+def splitter_check(corpus, max_m: int = 12) -> list[Verdict]:
     """Every 3-connected corpus matroid that is not a wheel or whirl, with a
     3-connected proper minor of >= 4 elements, has a single-element removal
     that is 3-connected with the minor intact."""

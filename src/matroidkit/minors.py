@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_PC16, MAX_GROUND, Matroid, MatroidError, _lex_masks,
-                   bit, elems, is_isomorphic)
+                   bit, elems, is_isomorphic, popcount)
 from .connectivity import _pair_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
@@ -404,32 +404,17 @@ def switch_labels(m: Matroid, n_mat: Matroid, lab: NLabelling,
                   d: int, e: int) -> NLabelling:
     """Swap the labels of d and e, justified by a parallel pair {d,e} in
     M/c for some contracted c.  The result is re-verified as a labelling."""
-    bd, be = bit(d), bit(e)
+    pair = bit(d) | bit(e)
     t = m._ranks()
-    hyp = any(t[bd | be | bit(c)] - t[bit(c)] == 1
-              for c in elems(lab.contract & ~(bd | be)))
+    hyp = any(t[pair | bit(c)] - t[bit(c)] == 1
+              for c in elems(lab.contract & ~pair))
     if not hyp:
         raise HypothesisUnmet(
             f"{{{m.labels[d]},{m.labels[e]}}} is not a parallel pair in any "
             "single contraction from the labelling")
-
-    def status(x):
-        if lab.contract & x:
-            return "contract"
-        if lab.delete & x:
-            return "delete"
-        return "free"
-
-    sd, se = status(bd), status(be)
-    c2, d2 = lab.contract, lab.delete
-    for b, status_other in ((bd, se), (be, sd)):
-        c2 &= ~b
-        d2 &= ~b
-        if status_other == "contract":
-            c2 |= b
-        elif status_other == "delete":
-            d2 |= b
-    new = NLabelling(c2, d2)
+    # swap the bits of d and e in each mask that holds one of them
+    new = NLabelling(*(x ^ pair if popcount(x & pair) == 1 else x
+                       for x in (lab.contract, lab.delete)))
     if not verify_labelling(m, n_mat, new):
         raise MatroidError("label switch produced an invalid labelling; "
                            "minor machinery is broken")

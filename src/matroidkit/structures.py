@@ -7,7 +7,7 @@ are cached on the matroid, and spike-like detection reads its legs from
 them.  Fan and flan orderings come from one depth-first search under a
 step rule.  The six-element separators are rows of one table,
 `_TEMPLATES`: the circuits and cocircuits inside P in a labelling's
-names, read by one matcher."""
+names, read from M's table by one matcher."""
 
 from __future__ import annotations
 
@@ -82,25 +82,16 @@ def _subset_bits(n: int, k: int) -> np.ndarray:
     return bits
 
 
-def _gather_circuits(t: np.ndarray, x: np.ndarray, bits: np.ndarray):
-    """Whether each k-set X of `x`, with its single-bit columns in `bits`,
-    is a circuit on the table t: r(X) = k - 1 = r(X - e), e in X."""
-    k = bits.shape[1]
-    ok = t[x] == k - 1
-    for j in range(k):
-        ok &= t[x ^ bits[:, j]] == k - 1
-    return ok
-
-
-def _gather_cocircuits(m: Matroid, x: np.ndarray, bits: np.ndarray):
-    """Whether each mask X of `x`, with its single-bit columns in `bits`,
-    is a cocircuit, read from M's own table: as r*(Y) = |Y| - r + r(E - Y),
-    X is one when r(E - X) = r - 1 and r(E - X + e) = r for every e in X."""
-    t = m.table()
-    co = m.full ^ x
-    ok = t[co] == m.rank - 1
+def _gather_circuits(t: np.ndarray, x: np.ndarray, bits: np.ndarray,
+                     whole: int, part: int):
+    """Whether each mask X of `x`, with its single-bit columns in `bits`, has
+    t[X] = whole and t[X - e] = part for every e in X.  On M's table, a
+    k-set with (k - 1, k - 1) is a circuit; on M's table reversed, t[X] is
+    r(E - X), and as r*(Y) = |Y| - r + r(E - Y) a set with (r - 1, r) is
+    a cocircuit, so no dual is built."""
+    ok = t[x] == whole
     for j in range(bits.shape[1]):
-        ok &= t[co | bits[:, j]] == m.rank
+        ok &= t[x ^ bits[:, j]] == part
     return ok
 
 
@@ -108,14 +99,17 @@ def triangles(m: Matroid) -> list[int]:
     """Triangle masks in lex order: 3-sets X with r(X) = 2 and every
     2-subset independent."""
     x = _lex_masks(m.n, 3)
-    return x[_gather_circuits(m.table(), x, _subset_bits(m.n, 3))].tolist()
+    ok = _gather_circuits(m.table(), x, _subset_bits(m.n, 3), 2, 2)
+    return x[ok].tolist()
 
 
 def triads(m: Matroid) -> list[int]:
     """Triad masks in lex order, the triangles of M*, read from M's table
-    so that no dual is built."""
+    reversed."""
     x = _lex_masks(m.n, 3)
-    return x[_gather_cocircuits(m, x, _subset_bits(m.n, 3))].tolist()
+    ok = _gather_circuits(m.table()[::-1], x, _subset_bits(m.n, 3),
+                          m.rank - 1, m.rank)
+    return x[ok].tolist()
 
 
 def is_quad(m: Matroid, x: int) -> bool:
@@ -128,8 +122,9 @@ def quads(m: Matroid) -> tuple[int, ...]:
     that are cocircuits, both read from M's table."""
     if m._quads is None:
         x, bits = _lex_masks(m.n, 4), _subset_bits(m.n, 4)
-        ok = _gather_circuits(m.table(), x, bits)
-        ok &= _gather_cocircuits(m, x, bits)
+        t = m.table()
+        ok = _gather_circuits(t, x, bits, 3, 3)
+        ok &= _gather_circuits(t[::-1], x, bits, m.rank - 1, m.rank)
         m._quads = tuple(x[ok].tolist())
     return m._quads
 
@@ -237,19 +232,15 @@ def _maximal_supports(orderings) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # flans
 
-def _flan_step(m: Matroid, trds: set[int]):
-    """A flan ordering starts with a triad of `trds`; then an element of the
-    prefix's closure alternates with one that completes a triad."""
-    return _step(m, (trds, None))
-
-
 def flans(m: Matroid) -> list[FlanRecord]:
     """Maximal flans with a canonical ordering; every prefix is re-checked
     to be 3-separating."""
     if not is_3_connected(m):
         raise NotThreeConnected("flan detection needs a 3-connected matroid")
     trds = set(triads(m))
-    orderings = _dead_ends(trds, _flan_step(m, trds), 4)
+    # a flan ordering starts with a triad; then an element of the prefix's
+    # closure alternates with one that completes a triad
+    orderings = _dead_ends(trds, _step(m, (trds, None)), 4)
     for seq in orderings:
         for i in range(1, len(seq) + 1):
             if lambda_(m, mask_of(seq[:i])) > 2 and i < m.n:
@@ -264,10 +255,6 @@ def _require_exact3(m: Matroid, p: int):
     if lambda_(m, p) != 2:
         raise NotExactlyThreeSeparating(
             f"{m.fmt(p)} has connectivity {lambda_(m, p)}, want exactly 2")
-
-
-def _inner_circuits(m: Matroid, p: int) -> set[int]:
-    return {sub for sub in submasks(p) if sub and _is_circuit(m, sub)}
 
 
 def detect_spike_like(m: Matroid, p: int):
@@ -322,6 +309,12 @@ _TEMPLATES = {
         ("p1 p2 s1 s2", "q1 q2 s1 s2", "p1 p2 q1 q2"),
         ("p1 q1 s1 s2", "p2 q2 s1 s2", "p1 p2 q1 q2 s1", "p1 p2 q1 q2 s2"),
         ("p1 p2", "s1 s2")),
+    # twisted-cube-like in M*: the circuits of M* are the cocircuits of M
+    "twisted-cube-like-dual": (
+        "p1 p2 q1 q2 s1 s2",
+        ("p1 q1 s1 s2", "p2 q2 s1 s2", "p1 p2 q1 q2 s1", "p1 p2 q1 q2 s2"),
+        ("p1 p2 s1 s2", "q1 q2 s1 s2", "p1 p2 q1 q2"),
+        ("p1 p2", "s1 s2")),
 }
 
 
@@ -332,8 +325,9 @@ def _match(m: Matroid, p: int, kind: str) -> StructureReport | None:
     if popcount(p) != 6:
         raise BadSize(f"{kind} detection needs |P| = 6")
     _require_exact3(m, p)
-    circ = _inner_circuits(m, p)
-    cocirc = _inner_circuits(m.dual(), p)
+    subs = [sub for sub in submasks(p) if sub]
+    circ = {sub for sub in subs if _is_circuit(m, sub)}
+    cocirc = {sub for sub in subs if _is_circuit(m, sub, dual=True)}
     # a labelling carries the sets that are both kinds onto such sets
     if [len(circ), len(cocirc), len(circ & cocirc)] != [
             len(circuits), len(cocircuits), len({*circuits} & {*cocircuits})]:
@@ -380,18 +374,19 @@ def detect_twisted_cube_like(m: Matroid, p: int):
     return _match(m, p, "twisted-cube-like")
 
 
-# The paper's special 3-separators, tried in order: (kind, detector, whether
-# it reads M*).  No 6-set is two of them: only an elongated quad has a circuit
-# inside P that is a cocircuit, and only the third has four circuits there.
+# The paper's special 3-separators, tried in order: (kind, detector).  No
+# 6-set is two of them: only an elongated quad has a circuit inside P that
+# is a cocircuit, and only the third has four circuits there.
 SPECIAL_SEPARATORS = (
-    ("elongated-quad", detect_elongated_quad, False),
-    ("skew-whiff", detect_skew_whiff, False),
-    ("twisted-cube-like-dual", detect_twisted_cube_like, True),
+    ("elongated-quad", detect_elongated_quad),
+    ("skew-whiff", detect_skew_whiff),
+    ("twisted-cube-like-dual",
+     functools.partial(_match, kind="twisted-cube-like-dual")),
 )
 
 
 def special_separator(m: Matroid, p: int) -> str | None:
     """The kind of the first of `SPECIAL_SEPARATORS` that the exactly
     3-separating 6-set P is, or None."""
-    return next((kind for kind, detect, dual in SPECIAL_SEPARATORS
-                 if detect(m.dual() if dual else m, p) is not None), None)
+    return next((kind for kind, detect in SPECIAL_SEPARATORS
+                 if detect(m, p) is not None), None)

@@ -102,7 +102,7 @@ def test_criterion_3_twisted_cube_replay():
 
 def test_criterion_4_spiked_fano_replay():
     t0 = time.perf_counter()
-    v = verify_construction_spike(4, include_free=True)
+    v = verify_construction_spike()
     assert v.outcome == "pass"
     assert frozen([v]) == golden("constructions.txt")[1:]
     _report(4, "spiked-Fano construction replay, both variants", t0, 600)

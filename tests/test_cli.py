@@ -1,15 +1,21 @@
 """File format round-trips and command behaviour, including the three
 documented examples pinned byte-for-byte."""
 
+import contextlib
+import functools
+import io
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidkit.cli import ParseError, main, parse, serialize
 from matroidkit.core import Matroid, is_isomorphic
 from matroidkit.builders import paving8, uniform
-from matroidkit.corpus import generate_corpus, random_sparse_paving
+from matroidkit.corpus import generate_corpus, prism, random_sparse_paving
 from test_cap import big_wheel
 
 WHIRL3_TEXT = """\
@@ -271,3 +277,137 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.startswith("kind=twisted-cube-like support=")
+
+
+PRISM_ANALYZE = """\
+name prism
+elements 9 rank 5 bases 75
+3-connected yes
+self-dual no
+triangles {a1,a2,a3} {b1,b2,b3}
+triads {a1,a2,v1} {a1,a3,v2} {a2,a3,v3} {b1,b2,v1} {b1,b3,v2} {b2,b3,v3} \
+{v1,v2,v3}
+fans (v1,a2,a1,a3,v2) (v1,a1,a2,a3,v3) (v2,a1,a3,a2,v3) (v1,b2,b1,b3,v2) \
+(v1,b1,b2,b3,v3) (v2,b1,b3,b2,v3) (v1,v2,v3)
+flans (a1,v1,a2,a3,v3,b2,b3,b1,v2)
+"""
+
+PRISM_ANALYZE_RECORDS = """\
+kind=summary name=prism n=9 rank=5 bases=75 three_connected=1 self_dual=0
+kind=triangle set={a1,a2,a3}
+kind=triangle set={b1,b2,b3}
+kind=triad set={a1,a2,v1}
+kind=triad set={a1,a3,v2}
+kind=triad set={a2,a3,v3}
+kind=triad set={b1,b2,v1}
+kind=triad set={b1,b3,v2}
+kind=triad set={b2,b3,v3}
+kind=triad set={v1,v2,v3}
+kind=fan order=(v1,a2,a1,a3,v2)
+kind=fan order=(v1,a1,a2,a3,v3)
+kind=fan order=(v2,a1,a3,a2,v3)
+kind=fan order=(v1,b2,b1,b3,v2)
+kind=fan order=(v1,b1,b2,b3,v3)
+kind=fan order=(v2,b1,b3,b2,v3)
+kind=fan order=(v1,v2,v3)
+kind=flan order=(a1,v1,a2,a3,v3,b2,b3,b1,v2)
+"""
+
+U36_ANALYZE = """\
+name u36
+elements 6 rank 3 bases 20
+3-connected yes
+self-dual yes
+triangles none
+triads none
+fans none
+flans none
+"""
+
+U36_ANALYZE_RECORDS = """\
+kind=summary name=u36 n=6 rank=3 bases=20 three_connected=1 self_dual=1
+"""
+
+
+@pytest.mark.parametrize("name, build, fmt, want", [
+    ("prism", prism, "text", PRISM_ANALYZE),
+    ("prism", prism, "records", PRISM_ANALYZE_RECORDS),
+    ("u36", lambda: uniform(3, 6), "text", U36_ANALYZE),
+    ("u36", lambda: uniform(3, 6), "records", U36_ANALYZE_RECORDS),
+])
+def test_analyze_bytes(name, build, fmt, want, tmp_path, capsys):
+    # every line of both formats: triangles, triads, fans and flans of the
+    # prism, and the four empty lists of U(3,6)
+    path = tmp_path / f"{name}.mtx"
+    path.write_text(serialize(build(), name))
+    assert main(["analyze", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == want
+
+
+# Files of at most nine elements as `construct` writes them, the inputs that
+# the mutations below start from.
+CONTRACT_RECIPES = ("fano", "nonfano", "paving8", "uniform 2 5",
+                    "uniform 3 6", "wheel 3", "whirl 4", "spike 3")
+
+
+@functools.cache
+def _constructed(recipe):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["construct", recipe]) == 0
+    return out.getvalue()
+
+
+@st.composite
+def mutated_files(draw):
+    """A `construct` output with one token dropped, duplicated or garbled,
+    a label renamed, a line cut, or its body kind swapped."""
+    lines = _constructed(draw(st.sampled_from(CONTRACT_RECIPES))).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    j = draw(st.integers(0, len(tokens) - 1))
+    how = draw(st.sampled_from(("drop", "duplicate", "garble", "rename",
+                                "cut", "swap")))
+    if how == "drop":
+        del tokens[j]
+    elif how == "duplicate":
+        tokens.insert(j, tokens[j])
+    elif how == "garble":
+        tokens[j] = draw(st.text("{},#ab19 -", max_size=6))
+    elif how == "rename":
+        old = draw(st.sampled_from(lines[1].split()[1:]))
+        new = draw(st.sampled_from(["a", "z", "q1", "", "{a}", "a,b"]))
+        tokens = lines[i].replace(old, new).split()
+    elif how == "cut":
+        tokens = lines[i][:draw(st.integers(0, len(lines[i])))].split()
+    else:
+        body = draw(st.sampled_from(("circuits", "nonspanning_circuits",
+                                     "rank 3\nnonspanning_circuits", "name")))
+        tokens = [body if t == "bases" else t for t in tokens]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated_files(), data=st.data())
+def test_cli_contract_on_mutated_files(text, data):
+    # every command either succeeds or exits 2 with one `error=` line
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.mtx"
+        path.write_text(text)
+        minor = Path(d) / "u24.mtx"
+        minor.write_text(_constructed("uniform 2 4"))
+        labels = data.draw(st.lists(st.sampled_from("abcdefgh"), max_size=4))
+        for argv in (["analyze", str(path)], ["separators", str(path)],
+                     ["detachable", str(path), "--minor", str(minor)],
+                     ["detachable", str(minor), "--minor", str(path)],
+                     ["construct", f"dual {path}"],
+                     ["construct", f"relax {path} {{{','.join(labels)}}}"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+            lines = err.getvalue().splitlines()
+            assert rc == 0 or (rc == 2 and len(lines) == 1
+                               and lines[0].startswith("error=")), (argv, rc)
+            assert "Traceback" not in err.getvalue()

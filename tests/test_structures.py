@@ -9,19 +9,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidkit.core import bit, elems, mask_of, popcount
+from matroidkit.core import Matroid, bit, elems, mask_of, popcount
 from matroidkit.cli import main, serialize
 from matroidkit.builders import (fano, spike, spiked_fano,
                                  twisted_cube_matroid, uniform, wheel, whirl)
 from matroidkit.connectivity import NotThreeConnected, lambda_
 from matroidkit.corpus import (elongated_quad_instance, generate_corpus,
                                prism, skew_whiff_instance)
-from matroidkit.structures import (BadSize, NotExactlyThreeSeparating,
+from matroidkit.harness import _in_cl, _in_cocl
+from matroidkit.structures import (SPECIAL_SEPARATORS, BadSize,
+                                   NotExactlyThreeSeparating,
                                    detect_elongated_quad, detect_skew_whiff,
                                    detect_spike_like,
                                    detect_twisted_cube_like, fans, flans,
                                    is_triad, is_triangle, quads, segments,
-                                   triads, triangles)
+                                   special_separator, triads, triangles)
 
 
 class TestSmallCircuits:
@@ -326,6 +328,84 @@ class TestDetectorsAgainstDefinitions:
             and read(lab2, circuits) == circ
             and read(lab2, cocircuits) == cocirc)
         assert lab == want
+
+
+def ref_definition(m, p, kind):
+    """The lex-least labelling of P that meets `DEFINITIONS[kind]`, with the
+    circuits inside P taken from M's circuit list and the cocircuits from
+    M*'s, or None."""
+    order, circuits, cocircuits, ascending = DEFINITIONS[kind]
+    circ, cocirc = ({c for c in mm.circuits() if c & p == c}
+                    for mm in (m, m.dual()))
+    if (len(circ), len(cocirc)) != (len(circuits), len(cocircuits)):
+        return None
+    return next((lab for lab in (dict(zip(order.split(), perm))
+                                 for perm in itertools.permutations(elems(p)))
+                 if all(lab[a] < lab[b] for a, b in map(str.split, ascending))
+                 and read(lab, circuits) == circ
+                 and read(lab, cocircuits) == cocirc), None)
+
+
+def _labelling(rep):
+    return None if rep is None else rep.witness["labelling"]
+
+
+class TestSpecialSeparatorsFromTable:
+    # each row of SPECIAL_SEPARATORS reads M*'s circuits from M's table;
+    # the references build M* (the dual row's reference is the twisted
+    # cube-like detector run on M*)
+    REFERENCES = {
+        "elongated-quad": lambda m, p: ref_definition(m, p, "elongated-quad"),
+        "skew-whiff": lambda m, p: ref_definition(m, p, "skew-whiff"),
+        "twisted-cube-like-dual":
+            lambda m, p: _labelling(detect_twisted_cube_like(m.dual(), p)),
+    }
+
+    def test_rows_agree_with_references(self):
+        assert [kind for kind, _ in SPECIAL_SEPARATORS] == list(
+            self.REFERENCES)
+        hits = dict.fromkeys(self.REFERENCES, 0)
+        for entry in generate_corpus(0, max_n=10):
+            for m in (entry.matroid, entry.matroid.dual()):
+                for combo in itertools.combinations(range(m.n), 6):
+                    p = mask_of(combo)
+                    if lambda_(m, p) != 2:
+                        continue
+                    for kind, detect in SPECIAL_SEPARATORS:
+                        got = _labelling(detect(m, p))
+                        assert got == self.REFERENCES[kind](m, p), (
+                            entry.name, m.fmt(p), kind)
+                        hits[kind] += got is not None
+        assert all(hits.values()), hits
+
+    def test_cocircuit_closure_matches_the_dual(self):
+        for entry in generate_corpus(0, max_n=7):
+            m = entry.matroid
+            md = m.dual()
+            for s in range(1 << m.n):
+                for e in range(m.n):
+                    assert _in_cocl(m, s, e) == _in_cl(md, s, e), (
+                        entry.name, s, e)
+
+    def test_dual_twisted_cube_found_without_a_dual(self, tmp_path, capsys,
+                                                    monkeypatch):
+        m = twisted_cube_matroid().dual()
+        p = m.set_of(["p1", "p2", "q1", "q2", "s1", "s2"])
+        path = tmp_path / "tcd.mtx"
+        path.write_text(serialize(m, "tcd"))
+
+        def no_dual(self):
+            raise AssertionError("a dual was built")
+
+        monkeypatch.setattr(Matroid, "dual", no_dual)
+        m = Matroid(m.n, m.bases, m.labels)
+        assert special_separator(m, p) == "twisted-cube-like-dual"
+        line = "{p1,p2,q1,q2,s1,s2} p1=p1 p2=p2 q1=q1 q2=q2 s1=s1 s2=s2\n"
+        assert main(["separators", str(path)]) == 0
+        assert capsys.readouterr().out == "twisted-cube-like-dual " + line
+        assert main(["separators", str(path), "--format", "records"]) == 0
+        assert capsys.readouterr().out == (
+            "kind=twisted-cube-like-dual support=" + line)
 
 
 GOLDEN = Path(__file__).parent / "golden"
