@@ -86,7 +86,7 @@ def parse(text: str) -> tuple[str, Matroid]:
             labels = rest
             bits = {lab: 1 << i for i, lab in enumerate(labels)}
         elif key == "rank":
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not rest[0].isdecimal():
                 raise ParseError(lineno, "rank takes one integer")
             rank = int(rest[0])
         elif key in ("bases", "circuits", "nonspanning_circuits"):

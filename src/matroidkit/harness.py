@@ -26,10 +26,10 @@ from .connectivity import (_k_separating, _lambda_sets, is_3_connected,
 from .structures import (_step, _subset_bits, detect_spike_like,
                          detect_twisted_cube_like, fans, flans, segments,
                          special_separator, triangles, triads)
-from .minors import (HypothesisUnmet, all_triples_grounded,
-                     detachable_after_exchange, detachable_pairs,
-                     grounded_triangles, has_minor, labellings,
-                     switch_labels)
+from .minors import (HypothesisUnmet, _has_minors, _may_hold, _minor_has,
+                     all_triples_grounded, detachable_after_exchange,
+                     detachable_pairs, grounded_triangles, has_minor,
+                     labellings, switch_labels)
 from .builders import fano, nonfano, spiked_fano, twisted_cube_matroid, wheel, whirl
 
 
@@ -453,7 +453,7 @@ MATROID_CHECKS = [
 def check_grounded_triangle_contraction(m, n_mat):
     for t in grounded_triangles(m, n_mat):
         for x in elems(t):
-            kept = has_minor(m.contract(bit(x)), n_mat) is not None
+            kept = _minor_has(m, bit(x), 0, n_mat) is not None
             yield (t, x) if kept else None
 
 
@@ -463,8 +463,9 @@ def check_two_separation_minor_side(m, n_mat):
         if got is None:
             return False
         for e in elems(u):
-            for mm in (op(bit(e)) for op in (m.contract, m.delete)):
-                if is_connected(mm) and has_minor(mm, n_mat) is None:
+            for c, d in ((bit(e), 0), (0, bit(e))):
+                if is_connected(m.minor(c, d)) and \
+                        _minor_has(m, c, d, n_mat) is None:
                     return False
         return True
 
@@ -488,10 +489,10 @@ def check_cyclic_separation_labels(m, n_mat):
             cocly = m.coclosure(y)
             xp = x & ~cocly
             yp = cocly & ~bz
-            undeletable = next((e for e in elems(xp) if has_minor(
-                m.delete(bit(e)), n_mat) is None), None)
+            undeletable = next((e for e in elems(xp) if _minor_has(
+                m, 0, bit(e), n_mat) is None), None)
             bad = [e for e in elems(m.coclosure(x) & ~bz)
-                   if has_minor(m.contract(bit(e)), n_mat) is None]
+                   if _minor_has(m, bit(e), 0, n_mat) is None]
             if undeletable is not None:
                 yield x, z, "deletable", undeletable
             elif len(bad) > 1:
@@ -768,7 +769,8 @@ def _qualifying_x(m: Matroid, n_mat: Matroid, bd: int, md: Matroid,
                     p = x | bit(c) | bd
                     if lambda_(m, p) == 2 and special_separator(m, p):
                         return "special-separator"
-            if all(is_3_connected(md.delete(be).cosimplify()[0])
+            if all(_may_hold(md, 0, be, n_mat) and _may_hold(md, be, 0, n_mat)
+                   and is_3_connected(md.delete(be).cosimplify()[0])
                    and is_3_connected(md.contract(be))
                    and has_minor(md.delete(be), n_mat) is not None
                    and has_minor(md.contract(be), n_mat) is not None
@@ -804,9 +806,9 @@ def _replay_twisted():
     _need(detect_twisted_cube_like(m, x) is not None,
           "X is a twisted cube-like 3-separator")
     for e in elems(m.full ^ x):
-        _need(has_minor(m.delete(bit(e)), nf) is None,
+        _need(_minor_has(m, 0, bit(e), nf) is None,
               f"M \\ {m.labels[e]} has no non-Fano minor")
-        _need(has_minor(m.contract(bit(e)), nf) is None,
+        _need(_minor_has(m, bit(e), 0, nf) is None,
               f"M / {m.labels[e]} has no non-Fano minor")
     pure = detachable_pairs(m, None, within=x)
     want = {(frozenset(m.label_list(mask_of(r.pair))), r.mode) for r in pure}
@@ -853,17 +855,16 @@ def _minor_pairs(corpus, max_m: int, gap: int, skip=None):
     """The corpus pairs (M entry, N entry), M-major in corpus order, with M
     3-connected of at most `max_m` elements, N 3-connected with at least
     four elements and at least `gap` fewer than M, and N a minor of M.
-    An M for which `skip` holds is passed over before any minor test."""
+    An M for which `skip` holds is passed over before any minor test; M
+    is asked about all its N's at once, one grid scan per shape of N."""
     for em in corpus:
         m = em.matroid
         if m.n > max_m or not is_3_connected(m) or (skip and skip(m)):
             continue
-        for en in corpus:
-            n_mat = en.matroid
-            if n_mat.n < 4 or m.n - n_mat.n < gap \
-                    or not is_3_connected(n_mat):
-                continue
-            if has_minor(m, n_mat) is not None:
+        ens = [en for en in corpus if en.matroid.n >= 4
+               and m.n - en.matroid.n >= gap and is_3_connected(en.matroid)]
+        for en, lab in zip(ens, _has_minors(m, [en.matroid for en in ens])):
+            if lab is not None:
                 yield em, en
 
 
@@ -933,7 +934,8 @@ def _splitter_holds(m: Matroid, n_mat: Matroid) -> bool:
     """Some single contraction or deletion of M is 3-connected and keeps
     an N-minor; contractions first, element by element."""
     for e in range(m.n):
-        for mm in (m.contract(bit(e)), m.delete(bit(e))):
-            if is_3_connected(mm) and has_minor(mm, n_mat) is not None:
+        for c, d in ((bit(e), 0), (0, bit(e))):
+            if _may_hold(m, c, d, n_mat) and is_3_connected(
+                    mm := m.minor(c, d)) and has_minor(mm, n_mat) is not None:
                 return True
     return False

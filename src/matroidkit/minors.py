@@ -12,14 +12,17 @@ table of M, at 2^|C| lookups per pair, so the cost of a count does not
 grow with |B(M)|.  Only the candidates whose basis count and
 basis-degree multiset match N's, modulo 2^16, reach the isomorphism
 test.  `_CELLS` bounds each block of pairs and each gather of their
-counts.  One scorer, `_Grid`, serves `labellings` and the detachable-pair
-search.
+counts.  One scorer, `_Grid`, serves `labellings`, `has_minor`,
+`_has_minors` (many N's at once, one scan per shape (|E(N)|, r(N))) and
+the detachable-pair search.  `_minor_has` answers for M/C\\D without
+building it when its size, rank or corank, read from M's ranks, is below
+N's (`_may_hold`).
 
 The detachable-pair search reads both of its questions about a pair
 minor M/{x,y} or M\\{x,y} from M's table: its 3-connectivity as its
 connectivity function in M's ranks, once per M, and whether it keeps an
-N-minor from one scan of M's own grid for N, bought by the ski-rental
-rule (`detachable_pairs`).
+N-minor from the shape guard first and then from one scan of M's own
+grid for N, bought by the ski-rental rule (`detachable_pairs`).
 """
 
 from __future__ import annotations
@@ -137,16 +140,18 @@ def _alternating(g: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """The candidate (C, D) pairs of `labellings`' search for N in M, as
-    `blocks` blocks of `rows` C sets by `cols` D sets, and the scorer
-    that filters them, block by block (`__iter__`)."""
+    """The candidate (C, D) pairs of the search in M for the N's `ns`, all
+    of one shape (|E(N)|, r(N)), which share the C and D sets and M's
+    counts, as `blocks` blocks of `rows` C sets by `cols` D sets, and their
+    scorer (`__iter__`) for the N's whose indices `open` holds."""
 
-    def __init__(self, m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
+    def __init__(self, m: Matroid, *ns: Matroid, survivor_cap: int = 0,
                  removed_cap: int = 0):
-        self.m, self.n_mat = m, n_mat
+        self.m, self.ns = m, ns
         self.survivor_cap, self.removed_cap = survivor_cap, removed_cap
-        self.kc = kc = m.rank - n_mat.rank
-        kd = m.n - n_mat.n - kc
+        self.open = set(range(len(ns)))
+        self.kc = kc = m.rank - ns[0].rank
+        kd = m.n - ns[0].n - kc
         self.blocks = 0
         if kc < 0 or kd < 0:
             return
@@ -169,20 +174,31 @@ class _Grid:
         self.blocks = -(-len(cs) // self.rows) * -(-len(ds) // self.cols)
 
     def __iter__(self):
-        """(C array, D array) of the pairs that survive the count and
-        degree filters, for each gather in which some do, in lex order of
-        C, then of D.  Counts each block scored in `_scored_blocks`."""
+        """(i, C array, D array) of the pairs that survive N_i's count and
+        degree filters, for each gather and each open N_i, in lex order of
+        C, then of D; the scan ends once no N is open.
+
+        C runs over the independent sets of its size and D over those whose
+        complement spans; the caps hold D to a slack of |C| on the survivor
+        side, and hold each disjoint pair exactly.  The bases of M/C\\D are
+        B - C for the bases B of M with C <= B <= E - D, so they number the
+        sum of (-1)^|T| h[(E - D) - T] over T <= C.  Each block's counts, and
+        the degree rows of its pairs whose count is some open |B(N)|, are
+        gathered once for all N's.  Counts each block in `_scored_blocks`."""
         global _scored_blocks
         if not self.blocks:
             return
-        m, n_mat, kc, survivor_cap, removed_cap = (
-            self.m, self.n_mat, self.kc, self.survivor_cap, self.removed_cap)
-        n, full, gap = m.n, m.full, m.n - n_mat.n
-        hn = n_mat.basis_counts()
-        nb_n = hn[-1]
-        # the gap elements of C and D lie in no basis of the minor
-        n_deg = np.sort(nb_n - hn[n_mat.full ^ _BITS[:n_mat.n]])
-        want_deg = np.concatenate([np.zeros(gap, dtype=np.uint16), n_deg])
+        m, kc, survivor_cap, removed_cap = (
+            self.m, self.kc, self.survivor_cap, self.removed_cap)
+        n, full, gap = m.n, m.full, m.n - self.ns[0].n
+        nbs, want_degs = [], []
+        for n_mat in self.ns:
+            hn = n_mat.basis_counts()
+            nbs.append(int(hn[-1]))
+            # the gap elements of C and D lie in no basis of the minor
+            deg = hn[-1] - hn[n_mat.full ^ _BITS[:n_mat.n]]
+            want_degs.append(np.sort(np.append(np.zeros(gap, np.uint16),
+                                               deg))[:, None])
         h = m.basis_counts()
         drop = ~_BITS[:n, None]
         step = max(1, _CELLS // (n << kc))
@@ -190,29 +206,53 @@ class _Grid:
             block = self.cs[c0:c0 + self.rows]
             sub = _submasks(block, kc)
             for d0 in range(0, len(self.ds), self.cols):
+                if not self.open:
+                    return
                 _scored_blocks += 1
                 dblock = self.ds[d0:d0 + self.cols]
                 keep = full ^ dblock
-                removed = block[:, None] | dblock
-                hit = np.bitwise_count(removed) == gap  # C and D are disjoint
+                # the masks (E - D) - T, T along the first axis
+                count = _alternating(h[sub[:, :, None] ^ keep])
+                ci, di = np.nonzero(np.logical_or.reduce(
+                    [count == nb for nb in {nbs[i] for i in self.open}]))
+                # of those, the pairs with C and D disjoint, within the caps
+                removed = block[ci] | dblock[di]
+                hit = np.bitwise_count(removed) == gap
                 if survivor_cap:
                     hit &= np.bitwise_count(survivor_cap & ~removed) <= _NEAR
                 if removed_cap:
                     hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
-                # the masks (E - D) - T, T along the first axis
-                hit &= _alternating(h[sub[:, :, None] ^ keep]) == nb_n
-                ci, di = np.nonzero(hit)
+                ci, di = ci[hit], di[hit]
                 for s in range(0, len(ci), step):
                     a, b = ci[s:s + step], di[s:s + step]
                     # the bases of M/C\D through e: the count for (C, D)
                     # less that for (C, D + e); 0 on D, and set to 0 on C
-                    ys = sub[:, a] ^ keep[b]
-                    deg = nb_n - _alternating(h[ys[:, None] & drop])
+                    got = count[a, b]
+                    # in C order, so that the sums run along contiguous rows
+                    ys = np.bitwise_xor(sub[:, a], keep[b], order="C")
+                    deg = got - _alternating(h[ys[:, None] & drop])
                     deg[(block[a] & _BITS[:n, None]) != 0] = 0
                     deg.sort(axis=0)
-                    j = np.flatnonzero((deg == want_deg[:, None]).all(0))
-                    if j.size:
-                        yield block[a[j]], dblock[b[j]]
+                    for i in sorted(self.open):
+                        j = np.flatnonzero((got == nbs[i])
+                                           & (deg == want_degs[i]).all(0))
+                        if j.size:
+                            yield i, block[a[j]], dblock[b[j]]
+
+    def found(self):
+        """(i, labelling) for each survivor (C, D) of N_i with M/C\\D
+        isomorphic to N_i, until `open` loses i; each verdict is memoised as
+        the `has_minor` answer for that equal-size pair."""
+        keys = [_TableKey(n_mat) for n_mat in self.ns]
+        for i, cs, ds in self:
+            for c, d in zip(cs.tolist(), ds.tolist()):
+                if i not in self.open:
+                    break
+                mn = self.m.minor(c, d)
+                if _memo((_TableKey(mn), keys[i]),
+                         lambda: None if is_isomorphic(mn, self.ns[i]) is None
+                         else NLabelling(0, 0)) is not None:
+                    yield i, NLabelling(c, d)
 
 
 def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
@@ -225,38 +265,11 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
     `survivor_cap` keeps only the labellings whose surviving copy of N
     nearly avoids that region, meeting it in at most `_NEAR` elements;
     `removed_cap` keeps those that remove at most `_NEAR` elements of
-    its region.
-
-    The search builds no `Matroid` per candidate.  C runs over the
-    independent sets of its size and D over those whose complement spans,
-    each in lex order; the caps hold D to a slack of |C| on the survivor
-    side, and hold each disjoint pair exactly.  The bases of M/C\\D are
-    B - C for the bases B of M with C <= B <= E - D.  By inclusion-exclusion
-    over C their number is the sum of (-1)^|T| h[(E - D) - T] over T <= C,
-    with h = `Matroid.basis_counts`, so a pair costs 2^|C| lookups,
-    whatever |B(M)|.  The table holds its counts modulo 2^16, so the
-    filters compare modulo 2^16: they are exact below 2^16 bases and
-    necessary conditions above.  A pair whose count is |B(N)| has its
-    degree row (how many bases of the minor hold each e: the count for
-    (C, D) less that for (C, D + e), 0 on C and D) compared sorted with
-    N's, and the survivors reach `is_isomorphic` on the minor gathered
-    from the table.  Each block of pairs, with the submasks of its C
-    sets, and each gather of their counts or degree rows, holds at most
-    `_CELLS` entries, or one pair's where that is more.  `_Grid` scores
-    the pairs; this generator runs the isomorphism step on its survivors.
-
-    The isomorphism verdict is memoised in `_minor_memo` on the table keys
-    of the minor and N, as the `has_minor` answer for that equal-size pair:
-    NLabelling(0, 0) or None.
+    its region.  This is the one-N case of `_Grid`, which builds no
+    `Matroid` per candidate, and of its memoised isomorphism step.
     """
-    n_key = _TableKey(n_mat)
-    for cs, ds in _Grid(m, n_mat, survivor_cap, removed_cap):
-        for c, d in zip(cs.tolist(), ds.tolist()):
-            mn = m.minor(c, d)
-            if _memo((_TableKey(mn), n_key),
-                     lambda: None if is_isomorphic(mn, n_mat) is None
-                     else NLabelling(0, 0)) is not None:
-                yield NLabelling(c, d)
+    grid = _Grid(m, n_mat, survivor_cap=survivor_cap, removed_cap=removed_cap)
+    yield from (lab for _, lab in grid.found())
 
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
@@ -266,10 +279,46 @@ def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
     A table fixes n and the basis family (the bases are the r-sets X with
     r(X) = r), so the key is as fine as the basis family, and a memo hit
     derives no bases.  The memo holds these answers and the isomorphism
-    verdicts of `labellings`, which are the answers for equal-size
+    verdicts of `_Grid.found`, which are the answers for equal-size
     pairs."""
     return _memo((_TableKey(m), _TableKey(n_mat)),
                  lambda: next(labellings(m, n_mat), None))
+
+
+def _has_minors(m: Matroid, ns) -> list:
+    """`has_minor(M, N)` for each N of `ns`: the memo's answers, and the
+    rest from one scan of M's grid per shape of N, in which each N closes
+    at its first labelling, so the answers and memo are a per-N loop's."""
+    m_key = _TableKey(m)
+    keys = [(m_key, _TableKey(n_mat)) for n_mat in ns]
+    shapes: dict = {}
+    for key, n_mat in zip(keys, ns):
+        if key not in _minor_memo:
+            shapes.setdefault((n_mat.n, n_mat.rank), {})[key] = n_mat
+    for group in shapes.values():
+        grid = _Grid(m, *group.values())
+        first = [None] * len(group)
+        for i, lab in grid.found():
+            first[i] = lab
+            grid.open.discard(i)
+        _minor_memo.update(zip(group, first))
+    return [_minor_memo[key] for key in keys]
+
+
+def _may_hold(m: Matroid, c: int, d: int, n_mat: Matroid) -> bool:
+    """Whether M/C\\D, by its size n - |C + D|, rank r(E - D) - r(C) and
+    corank, read from M's ranks, can hold N: none of the three grows
+    under further minors."""
+    t = m._ranks()
+    size, rank = m.n - popcount(c | d), t[m.full ^ d] - t[c]
+    return (size >= n_mat.n and rank >= n_mat.rank
+            and size - rank >= n_mat.n - n_mat.rank)
+
+
+def _minor_has(m: Matroid, c: int, d: int, n_mat: Matroid):
+    """`has_minor(M/C\\D, N)`; None, building nothing, if `_may_hold` fails."""
+    return has_minor(m.minor(c, d), n_mat) if _may_hold(m, c, d, n_mat) \
+        else None
 
 
 def verify_labelling(m: Matroid, n_mat: Matroid, lab: NLabelling) -> bool:
@@ -282,7 +331,7 @@ def _grounded(m: Matroid, n_mat: Matroid, triple: int) -> bool:
     for a, b in itertools.combinations(elems(triple), 2):
         ma, mb = bit(a), bit(b)
         for c, d in ((ma | mb, 0), (ma, mb), (mb, ma), (0, ma | mb)):
-            if has_minor(m.minor(c, d), n_mat) is not None:
+            if _minor_has(m, c, d, n_mat) is not None:
                 return False
     return True
 
@@ -309,7 +358,7 @@ def _covered(grid: _Grid) -> dict:
     n = grid.m.n
     cover = {mode: np.zeros((n, n), dtype=bool)
              for mode in ("contract", "delete")}
-    for cs, ds in grid:
+    for _, cs, ds in grid:
         for mode, sets in (("contract", cs), ("delete", ds)):
             b = ((sets[:, None] & _BITS[:n]) != 0).astype(np.float32)
             cover[mode] |= b.T @ b > 0
@@ -324,9 +373,11 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     pairs inside a mask; n_mat=None disables the minor requirement.
 
     Both questions are read from M's table, so no pair minor is built
-    unless it has to be searched.  Whether a pair minor is 3-connected
-    is `_pair_3_connected`, which depends only on M, so M keeps the answer
-    for each (x1, x2, mode) it has been asked about, as ints and bools.
+    unless it has to be searched.  A pair minor whose shape cannot hold N
+    (`_may_hold`) is passed over first, its 3-connectivity not asked.
+    Whether a pair minor is 3-connected is `_pair_3_connected`, which
+    depends only on M, so M keeps each answer it computes, per (x1, x2,
+    mode), as ints and bools.
 
     The N-minors follow the ski-rental rule (keep paying per use until the
     uses add up to the one-off price, then pay it).  Pair minors are
@@ -355,6 +406,9 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
         pair = bit(x1) | bit(x2)
         for mode in ("contract", "delete"):
             contract = mode == "contract"
+            c, d = (pair, 0) if contract else (0, pair)
+            if n_mat is not None and not _may_hold(m, c, d, n_mat):
+                continue
             key = x1, x2, mode
             if key not in connected:
                 connected[key] = _pair_3_connected(m, pair, contract)
@@ -372,8 +426,7 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                         else r[m.full ^ pair] == m.rank):
                     continue
                 before = _scored_blocks
-                lab = has_minor(m.minor(pair, 0) if contract
-                                else m.minor(0, pair), n_mat)
+                lab = has_minor(m.minor(c, d), n_mat)
                 if lab is None:
                     paid += _scored_blocks - before
                     continue

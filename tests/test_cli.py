@@ -133,6 +133,17 @@ class TestCommands:
         assert rc == 2
         assert "error=" in capsys.readouterr().err
 
+    def test_non_decimal_rank_is_a_parse_error(self, tmp_path, capsys):
+        # "³".isdigit() holds but int() rejects it
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("name x\nelements a b c\nrank \u00b3\n"
+                       "nonspanning_circuits {a,b}\n")
+        rc = main(["analyze", str(bad)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [
+            "error=ParseError detail=line 3: rank takes one integer"]
+
     def test_exchange_failure_is_one_error_line(self, tmp_path, capsys):
         # U(6,14) without its two last bases fails exchange only at the last
         # independent 5-set, behind 3,001 bases

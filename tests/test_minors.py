@@ -6,10 +6,11 @@ import tracemalloc
 
 import pytest
 
-from matroidkit import connectivity, minors
+from matroidkit import connectivity, harness, minors
 from matroidkit.core import Matroid, bit, is_isomorphic, mask_of, popcount
 from matroidkit.builders import (fano, nonfano, paving8, spike,
                                  twisted_cube_matroid, uniform, wheel, whirl)
+from matroidkit.corpus import generate_corpus
 from matroidkit.minors import (HypothesisUnmet, NLabelling,
                                detachable_after_exchange, detachable_pairs,
                                grounded_triads, grounded_triangles,
@@ -211,7 +212,8 @@ class TestDetachablePairs:
 
     def test_pair_minors_tested_once_per_matroid(self, monkeypatch):
         # whether a pair minor is 3-connected depends only on M, so a later
-        # call, with another N or none, tests no pair minor again
+        # call, with another N or none, tests no pair minor again; a pair
+        # minor whose shape cannot hold N is not tested at all
         tested, test = [], minors._pair_3_connected
 
         def counting(m, pair, contract):
@@ -221,10 +223,15 @@ class TestDetachablePairs:
         monkeypatch.setattr(minors, "_pair_3_connected", counting)
         m = uniform(3, 7)
         first = detachable_pairs(m, uniform(3, 5))
-        assert first and len(tested) == 2 * math.comb(m.n, 2)
-        assert detachable_pairs(m, None) and detachable_pairs(m, fano()) == []
+        # every M/{x,y} has rank 1 < r(U(3,5)): only the deletions are tested
+        pairs = math.comb(m.n, 2)
+        assert first and len(tested) == pairs
+        assert not any(contract for _, contract in tested)
+        assert detachable_pairs(m, None)
+        assert len(tested) == 2 * pairs
+        assert detachable_pairs(m, fano()) == []
         assert detachable_pairs(m, uniform(3, 5)) == first
-        assert len(tested) == 2 * math.comb(m.n, 2)
+        assert len(tested) == len(set(tested)) == 2 * pairs
         assert all(type(v) is bool for v in m._pairs.values())
 
     def test_pair_questions_read_from_the_table(self, monkeypatch):
@@ -255,6 +262,31 @@ class TestDetachablePairs:
         cons = {r.pair for r in detachable_pairs(m.dual(), n.dual())
                 if r.mode == "contract"}
         assert dels == cons
+
+
+class TestSweepWork:
+    def test_foundation_sweep_builds_few_minors(self, monkeypatch):
+        """The shape guard answers most pair-minor questions of the
+        foundation sweep from M's ranks: on seed 0, before it, the sweep
+        built 7,181 minors and tested 1,886 pair minors for
+        3-connectivity; with it, 1,997 and 572."""
+        corpus = generate_corpus(0, max_n=16)
+        built, tested = [], []
+        minor, pair_test = Matroid.minor, minors._pair_3_connected
+
+        def counting_minor(m, c, d):
+            built.append((c, d))
+            return minor(m, c, d)
+
+        def counting_pair_test(m, pair, contract):
+            tested.append((pair, contract))
+            return pair_test(m, pair, contract)
+
+        monkeypatch.setattr(Matroid, "minor", counting_minor)
+        monkeypatch.setattr(minors, "_pair_3_connected", counting_pair_test)
+        assert harness.sweep_foundation(corpus, max_m=12)
+        assert len(built) <= 2500 and len(tested) <= 700, \
+            (len(built), len(tested))
 
 
 class TestExchangeStage:

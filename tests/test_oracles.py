@@ -38,7 +38,7 @@ from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
 from matroidkit.minors import (NLabelling, all_triples_grounded,
                                detachable_pairs, grounded_triads,
                                grounded_triangles, has_minor, labellings)
-from matroidkit.harness import _u3k_planes
+from matroidkit.harness import _minor_pairs, _u3k_planes
 from matroidkit.structures import (StructureReport, _subset_bits,
                                    detect_spike_like, fans, flans, is_quad,
                                    is_triad, is_triangle, quads, triads,
@@ -1340,6 +1340,61 @@ class TestPairScanOracle:
                             (m, n_mat, x1, x2, contract)
                         ruled += 1
         assert ruled > 30000
+
+
+class TestShapeGuardOracle:
+    """`_may_hold` reads the size, rank and corank of M/C\\D from M's
+    ranks exactly, for every (C, D) with |C + D| <= 2 on every corpus pair
+    with n <= 10.  What it rules out has no N-minor, and elsewhere
+    `_minor_has` is `has_minor` on the built minor (checked for the
+    3-connected N of at least four elements that the sweeps ask about)."""
+
+    def test_corpus_pairs(self):
+        corpus = [e.matroid for e in generate_corpus(0, max_n=10)]
+        asked = {id(n) for n in corpus if n.n >= 4 and is_3_connected(n)}
+        ruled = searched = 0
+        for m in corpus:
+            splits = [(c, s ^ c) for k in range(3)
+                      for s in map(mask_of, itertools.combinations(
+                          range(m.n), k)) if s != m.full
+                      for c in submasks(s)]
+            for c, d in splits:
+                mm = m.minor(c, d)
+                for n_mat in corpus:
+                    fits = (mm.n >= n_mat.n and mm.rank >= n_mat.rank
+                            and mm.n - mm.rank >= n_mat.n - n_mat.rank)
+                    assert minors._may_hold(m, c, d, n_mat) == fits, \
+                        (m, c, d, n_mat)
+                    if not fits:
+                        assert minors._minor_has(m, c, d, n_mat) is None
+                        assert has_minor(mm, n_mat) is None, (m, c, d, n_mat)
+                        ruled += 1
+                    elif id(n_mat) in asked:
+                        got = minors._minor_has(m, c, d, n_mat)
+                        assert got == has_minor(mm, n_mat), (m, c, d, n_mat)
+                        searched += got is not None
+        assert ruled > 300000 and searched > 10000, (ruled, searched)
+
+
+class TestSharedScanOracle:
+    """`_minor_pairs` asks each M about its N's at once, one scan of M's
+    grid per shape of N; it yields the pairs, and leaves in the memo the
+    first labellings and verdicts, of a `has_minor` call per pair."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_against_per_n_search(self, seed):
+        corpus = generate_corpus(seed, max_n=16)
+        minors._minor_memo.clear()
+        got = [(em.name, en.name) for em, en in _minor_pairs(corpus, 12, 1)]
+        shared = dict(minors._minor_memo)
+        minors._minor_memo.clear()
+        want = [(em.name, en.name) for em in corpus for en in corpus
+                if em.matroid.n <= 12 and is_3_connected(em.matroid)
+                and en.matroid.n >= 4 and em.matroid.n > en.matroid.n
+                and is_3_connected(en.matroid)
+                and has_minor(em.matroid, en.matroid) is not None]
+        assert got == want and len(got) > 200
+        assert shared == minors._minor_memo
 
 
 def _outcome(build, *args):
