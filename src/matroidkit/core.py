@@ -405,7 +405,6 @@ class Matroid:
         self._tab = tab
         self._tab_view = None
         self._dual = None
-        self._circuits = None
         self._quads = None
         self._is3conn = None
         self._counts = None
@@ -624,12 +623,10 @@ class Matroid:
     # -- circuits ------------------------------------------------------------
 
     def circuits(self) -> tuple[int, ...]:
-        """Circuit masks, ascending, cached: the minimal X with r(X) < |X|."""
-        if self._circuits is None:
-            t = self.table()
-            self._circuits = _minimal_dependent(
-                self.n, lambda s, size: t[s:s + size.size] >= size)
-        return self._circuits
+        """Circuit masks, ascending: the minimal X with r(X) < |X|."""
+        t = self.table()
+        return _minimal_dependent(
+            self.n, lambda s, size: t[s:s + size.size] >= size)
 
     def cocircuits(self) -> tuple[int, ...]:
         """Cocircuit masks, ascending, from M's own table, so no dual is

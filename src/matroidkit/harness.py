@@ -737,15 +737,14 @@ def verify_foundation(m: Matroid, n_mat: Matroid, d: int, dp: int,
     if (y, bit(dp), z) not in trips or popcount(y) < 4:
         raise HypothesisUnmet("(Y, {d'}, Z) is not a cyclic 3-separation "
                               "of M \\ d with |Y| >= 4")
-    return _foundation_outcome(m, n_mat, d, dp, y)
+    return _foundation_outcome(m, n_mat, d, md, dp, y)
 
 
-def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, dp: int,
-                        y: int) -> Verdict:
+def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, md: Matroid,
+                        dp: int, y: int) -> Verdict:
     """`verify_foundation` once every hypothesis but the labelling one
-    holds: checks that one, then decides the outcome."""
+    holds, with M\\d as `md`: checks that one, then decides the outcome."""
     bd = bit(d)
-    md = m.delete(bd)
     mdd = m.delete(bd | bit(dp))
     region = m.compress(y, bd | bit(dp))
     if next(labellings(mdd, n_mat, survivor_cap=region), None) is None:
@@ -898,9 +897,9 @@ def sweep_foundation(corpus, max_m: int = 12) -> list[Verdict]:
             continue
         if split_m is not em:
             split_m = em
-            splits = [(d, cyclic_3_separations(md)) for d in range(m.n)
+            splits = [(d, md, cyclic_3_separations(md)) for d in range(m.n)
                       if is_3_connected(md := m.delete(bit(d)))]
-        for d, seps in splits:
+        for d, md, seps in splits:
             bd = bit(d)
             for xa, zz, ya in seps:
                 dp = m.expand(bit(zz), bd).bit_length() - 1
@@ -909,7 +908,7 @@ def sweep_foundation(corpus, max_m: int = 12) -> list[Verdict]:
                     if popcount(y) < 4:
                         continue
                     try:
-                        v = _foundation_outcome(m, n_mat, d, dp, y)
+                        v = _foundation_outcome(m, n_mat, d, md, dp, y)
                     except HypothesisUnmet:
                         continue
                     v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"

@@ -21,8 +21,8 @@ N's (`_may_hold`).
 The detachable-pair search reads both of its questions about a pair
 minor M/{x,y} or M\\{x,y} from M's table: its 3-connectivity as its
 connectivity function in M's ranks, once per M, and whether it keeps an
-N-minor from the shape guard first and then from one scan of M's own
-grid for N, bought by the ski-rental rule (`detachable_pairs`).
+N-minor from the shape guard first and then, once a search has found
+nothing, from one scan of M's own grid for N (`detachable_pairs`).
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ _NEAR = 1
 # 2^|C| lookups of a single pair can exceed it
 _CELLS = 1 << 16
 
-# blocks of (C, D) pairs that `_Grid` has scored in this process: the
-# price that `detachable_pairs` weighs its one scan of M against
-_scored_blocks = 0
-
-
 # one bit per element, as intp, so that masks built from them index tables
 # without a cast
 _BITS = 1 << np.arange(MAX_GROUND, dtype=np.intp)
@@ -142,8 +137,8 @@ def _alternating(g: np.ndarray) -> np.ndarray:
 class _Grid:
     """The candidate (C, D) pairs of the search in M for the N's `ns`, all
     of one shape (|E(N)|, r(N)), which share the C and D sets and M's
-    counts, as `blocks` blocks of `rows` C sets by `cols` D sets, and their
-    scorer (`__iter__`) for the N's whose indices `open` holds."""
+    counts, in blocks of `rows` C sets by `cols` D sets, and their scorer
+    (`__iter__`) for the N's whose indices `open` holds."""
 
     def __init__(self, m: Matroid, *ns: Matroid, survivor_cap: int = 0,
                  removed_cap: int = 0):
@@ -152,7 +147,7 @@ class _Grid:
         self.open = set(range(len(ns)))
         self.kc = kc = m.rank - ns[0].rank
         kd = m.n - ns[0].n - kc
-        self.blocks = 0
+        self.cs = self.ds = ()
         if kc < 0 or kd < 0:
             return
         t = m.table()
@@ -166,12 +161,9 @@ class _Grid:
         if removed_cap:
             cs = cs[np.bitwise_count(cs & removed_cap) <= _NEAR]
             ds = ds[np.bitwise_count(ds & removed_cap) <= _NEAR]
-        if not len(cs) or not len(ds):
-            return
         self.cs, self.ds = cs, ds
         self.cols = max(1, min(len(ds), _CELLS >> kc))
         self.rows = max(1, (_CELLS >> kc) // self.cols)
-        self.blocks = -(-len(cs) // self.rows) * -(-len(ds) // self.cols)
 
     def __iter__(self):
         """(i, C array, D array) of the pairs that survive N_i's count and
@@ -184,9 +176,8 @@ class _Grid:
         B - C for the bases B of M with C <= B <= E - D, so they number the
         sum of (-1)^|T| h[(E - D) - T] over T <= C.  Each block's counts, and
         the degree rows of its pairs whose count is some open |B(N)|, are
-        gathered once for all N's.  Counts each block in `_scored_blocks`."""
-        global _scored_blocks
-        if not self.blocks:
+        gathered once for all N's."""
+        if not len(self.cs) or not len(self.ds):
             return
         m, kc, survivor_cap, removed_cap = (
             self.m, self.kc, self.survivor_cap, self.removed_cap)
@@ -208,7 +199,6 @@ class _Grid:
             for d0 in range(0, len(self.ds), self.cols):
                 if not self.open:
                     return
-                _scored_blocks += 1
                 dblock = self.ds[d0:d0 + self.cols]
                 keep = full ^ dblock
                 # the masks (E - D) - T, T along the first axis
@@ -379,17 +369,13 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     depends only on M, so M keeps each answer it computes, per (x1, x2,
     mode), as ints and bools.
 
-    The N-minors follow the ski-rental rule (keep paying per use until the
-    uses add up to the one-off price, then pay it).  Pair minors are
-    searched with `has_minor`, and the blocks that each search finding
-    nothing scored are added up.  Once they reach the block count of M's
-    own grid for N, that grid is scored once.  If p is independent, an
-    N-minor of M/p is M/p/C'\\D' for a labelling (C', D') of M/p, and
-    (C' + p, D') is then a labelling of M, so a survivor of M's scorer
-    has C >= p; if p is coindependent, an N-minor of M\\p likewise gives
-    one with D >= p.  After the scan, such a pair that no survivor covers
-    has no N-minor and is not searched.  So the scan never costs more
-    blocks than the searches already paid for.
+    Pair minors are searched with `has_minor` until one search finds
+    nothing; M's own grid for N is then scored once.  If p is independent,
+    an N-minor of M/p is M/p/C'\\D' for a labelling (C', D') of M/p, and
+    (C' + p, D') is then a labelling of M, so a survivor of M's scorer has
+    C >= p; if p is coindependent, an N-minor of M\\p likewise gives one
+    with D >= p.  After the scan, such a pair that no survivor covers has
+    no N-minor and is not searched.
     """
     out = []
     if m.n < 3:
@@ -398,9 +384,9 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
         m._pairs = {}
     connected = m._pairs
     r = m._ranks()
-    # blocks paid by searches that found nothing, M's grid for N once one
-    # has, and what its survivors cover once they have paid for it
-    paid, grid, cover = 0, None, None
+    # whether a search has found nothing, and then what the survivors of
+    # M's grid for N cover
+    missed, cover = False, None
     ids = elems(within) if within is not None else range(m.n)
     for x1, x2 in itertools.combinations(ids, 2):
         pair = bit(x1) | bit(x2)
@@ -416,19 +402,15 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                 continue
             lab = None
             if n_mat is not None:
-                if cover is None and paid:
-                    if grid is None:
-                        grid = _Grid(m, n_mat)
-                    if paid >= grid.blocks:
-                        cover = _covered(grid)
+                if missed and cover is None:
+                    cover = _covered(_Grid(m, n_mat))
                 if cover is not None and not cover[mode][x1, x2] and (
                         r[pair] == 2 if contract
                         else r[m.full ^ pair] == m.rank):
                     continue
-                before = _scored_blocks
                 lab = has_minor(m.minor(c, d), n_mat)
                 if lab is None:
-                    paid += _scored_blocks - before
+                    missed = True
                     continue
             out.append(DetachableResult((x1, x2), mode, "direct", None, lab))
             if first_only:

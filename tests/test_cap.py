@@ -199,10 +199,10 @@ def test_minor_search_over_large_contraction_sets_within_bounds():
 
 def test_detachable_pairs_at_the_cap_within_bounds():
     # no pair minor of the rank-4 matroid keeps a Fano minor: M/p has rank
-    # 2, and the first searches of the M\p pay for one scan of M's own
-    # grid, whose survivors cover no pair.  Within M's subset-sum table
-    # (two tables' worth) plus the memo keys of those searches' pair
-    # minors, a quarter table each, and their temporaries
+    # 2, and the first search of an M\p, which finds nothing, brings on one
+    # scan of M's own grid, whose survivors cover no pair.  Within M's
+    # subset-sum table (two tables' worth) plus the memo keys of the
+    # searched pair minors, a quarter table each, and their temporaries
     m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
     m.table()
     t0 = time.perf_counter()
