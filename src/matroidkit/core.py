@@ -408,7 +408,7 @@ class Matroid:
         self._quads = None
         self._is3conn = None
         self._counts = None
-        self._pairs = None
+        self._pairs = {}
 
     @property
     def bases(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ run."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -737,15 +738,15 @@ def verify_foundation(m: Matroid, n_mat: Matroid, d: int, dp: int,
     if (y, bit(dp), z) not in trips or popcount(y) < 4:
         raise HypothesisUnmet("(Y, {d'}, Z) is not a cyclic 3-separation "
                               "of M \\ d with |Y| >= 4")
-    return _foundation_outcome(m, n_mat, d, md, dp, y)
+    return _foundation_outcome(m, n_mat, d, md, dp, m.delete(bd | bit(dp)), y)
 
 
 def _foundation_outcome(m: Matroid, n_mat: Matroid, d: int, md: Matroid,
-                        dp: int, y: int) -> Verdict:
+                        dp: int, mdd: Matroid, y: int) -> Verdict:
     """`verify_foundation` once every hypothesis but the labelling one
-    holds, with M\\d as `md`: checks that one, then decides the outcome."""
+    holds, with M\\d as `md` and M\\d\\d' as `mdd`: checks that one, then
+    decides the outcome."""
     bd = bit(d)
-    mdd = m.delete(bd | bit(dp))
     region = m.compress(y, bd | bit(dp))
     if next(labellings(mdd, n_mat, survivor_cap=region), None) is None:
         raise HypothesisUnmet("M\\d\\d' lacks an N-minor nearly avoiding Y")
@@ -899,6 +900,8 @@ def sweep_foundation(corpus, max_m: int = 12) -> list[Verdict]:
             split_m = em
             splits = [(d, md, cyclic_3_separations(md)) for d in range(m.n)
                       if is_3_connected(md := m.delete(bit(d)))]
+            # each M\d\d' once per M
+            delete = functools.cache(m.delete)
         for d, md, seps in splits:
             bd = bit(d)
             for xa, zz, ya in seps:
@@ -908,7 +911,8 @@ def sweep_foundation(corpus, max_m: int = 12) -> list[Verdict]:
                     if popcount(y) < 4:
                         continue
                     try:
-                        v = _foundation_outcome(m, n_mat, d, md, dp, y)
+                        v = _foundation_outcome(m, n_mat, d, md, dp,
+                                                delete(bd | bit(dp)), y)
                     except HypothesisUnmet:
                         continue
                     v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"

@@ -19,10 +19,11 @@ building it when its size, rank or corank, read from M's ranks, is below
 N's (`_may_hold`).
 
 The detachable-pair search reads both of its questions about a pair
-minor M/{x,y} or M\\{x,y} from M's table: its 3-connectivity as its
-connectivity function in M's ranks, once per M, and whether it keeps an
-N-minor from the shape guard first and then, once a search has found
-nothing, from one scan of M's own grid for N (`detachable_pairs`).
+minor M/{x,y} or M\\{x,y} from M's table, cheapest first: the shape
+guard; once a search has found nothing, one scan of M's own grid for N,
+whose survivors rule out the pairs they do not cover (if none survives,
+the search ends); its 3-connectivity, from M's ranks, once per M; and
+only then a search of the built minor (`detachable_pairs`).
 """
 
 from __future__ import annotations
@@ -344,14 +345,13 @@ def _covered(grid: _Grid) -> dict:
     """For each mode, the n x n bool matrix of the element pairs that some
     survivor of `grid`'s scorer holds in C ("contract") or in D
     ("delete"), from one product of each block's survivor bit matrix with
-    itself."""
+    itself; empty if the scorer has no survivor."""
     n = grid.m.n
-    cover = {mode: np.zeros((n, n), dtype=bool)
-             for mode in ("contract", "delete")}
+    cover = {}
     for _, cs, ds in grid:
         for mode, sets in (("contract", cs), ("delete", ds)):
             b = ((sets[:, None] & _BITS[:n]) != 0).astype(np.float32)
-            cover[mode] |= b.T @ b > 0
+            cover[mode] = cover.get(mode, False) | (b.T @ b > 0)
     return cover
 
 
@@ -363,11 +363,12 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     pairs inside a mask; n_mat=None disables the minor requirement.
 
     Both questions are read from M's table, so no pair minor is built
-    unless it has to be searched.  A pair minor whose shape cannot hold N
-    (`_may_hold`) is passed over first, its 3-connectivity not asked.
-    Whether a pair minor is 3-connected is `_pair_3_connected`, which
-    depends only on M, so M keeps each answer it computes, per (x1, x2,
-    mode), as ints and bools.
+    unless it has to be searched.  With N given, each pair minor is asked
+    in turn whether its shape can hold N (`_may_hold`), whether a survivor
+    of the scan below covers it (once the scan exists), whether it is
+    3-connected (`_pair_3_connected`, which depends only on M, so M keeps
+    each answer, per (x1, x2, mode), as ints and bools), and whether it
+    has an N-minor.
 
     Pair minors are searched with `has_minor` until one search finds
     nothing; M's own grid for N is then scored once.  If p is independent,
@@ -375,13 +376,13 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     (C' + p, D') is then a labelling of M, so a survivor of M's scorer has
     C >= p; if p is coindependent, an N-minor of M\\p likewise gives one
     with D >= p.  After the scan, such a pair that no survivor covers has
-    no N-minor and is not searched.
+    no N-minor and is passed over before its 3-connectivity test.  If the
+    scan has no survivor at all, M has no N-minor, nor has any pair
+    minor, and the search ends.
     """
     out = []
     if m.n < 3:
         return out
-    if m._pairs is None:
-        m._pairs = {}
     connected = m._pairs
     r = m._ranks()
     # whether a search has found nothing, and then what the survivors of
@@ -393,8 +394,17 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
         for mode in ("contract", "delete"):
             contract = mode == "contract"
             c, d = (pair, 0) if contract else (0, pair)
-            if n_mat is not None and not _may_hold(m, c, d, n_mat):
-                continue
+            if n_mat is not None:
+                if not _may_hold(m, c, d, n_mat):
+                    continue
+                if missed and cover is None:
+                    cover = _covered(_Grid(m, n_mat))
+                    if not cover:
+                        return out
+                if cover is not None and not cover[mode][x1, x2] and (
+                        r[pair] == 2 if contract
+                        else r[m.full ^ pair] == m.rank):
+                    continue
             key = x1, x2, mode
             if key not in connected:
                 connected[key] = _pair_3_connected(m, pair, contract)
@@ -402,12 +412,6 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                 continue
             lab = None
             if n_mat is not None:
-                if missed and cover is None:
-                    cover = _covered(_Grid(m, n_mat))
-                if cover is not None and not cover[mode][x1, x2] and (
-                        r[pair] == 2 if contract
-                        else r[m.full ^ pair] == m.rank):
-                    continue
                 lab = has_minor(m.minor(c, d), n_mat)
                 if lab is None:
                     missed = True

@@ -30,14 +30,14 @@ its memo key is a view of the table, not a copy.  The labelling search
 of U(12, 24) against U(4, 8), over 735,471 contraction sets of eight
 elements, stays within four tables: the subset-sum table, the 12-sets
 it is built from and the 8-sets.  `detachable_pairs` against the Fano
-plane, which no pair minor holds, stays within WALL_S and four tables,
-as one scan of M rules out the pairs its first searches did not reach;
-and without N it reads every pair's 3-connectivity from M's table, so
-it builds no minor at all.  Delta-Y and then Y-Delta on a triangle of the
-22- and 24-element wheels give the wheel back, and `validate` accepts the
-Delta-Y result; each exchange stays within WALL_S and two tables, as it
-reads its input's table and allocates only its output and one sum over an
-eighth of the table.
+plane, which M does not hold, stays within WALL_S and four tables, as the
+scan of M that its first failed search brings on has no survivor and
+ends the search; and without N it reads every pair's 3-connectivity from
+M's table, so it builds no minor at all.  Delta-Y and then Y-Delta on a
+triangle of the 22- and 24-element wheels give the wheel back, and
+`validate` accepts the Delta-Y result; each exchange stays within WALL_S
+and two tables, as it reads its input's table and allocates only its
+output and one sum over an eighth of the table.
 """
 
 import itertools
@@ -198,11 +198,13 @@ def test_minor_search_over_large_contraction_sets_within_bounds():
 
 
 def test_detachable_pairs_at_the_cap_within_bounds():
-    # no pair minor of the rank-4 matroid keeps a Fano minor: M/p has rank
-    # 2, and the first search of an M\p, which finds nothing, brings on one
-    # scan of M's own grid, whose survivors cover no pair.  Within M's
-    # subset-sum table (two tables' worth) plus the memo keys of the
-    # searched pair minors, a quarter table each, and their temporaries
+    # the rank-4 matroid has no Fano minor: M/p has rank 2, so the shape
+    # guard passes over it, and the first search of an M\p, which finds
+    # nothing, brings on one scan of M's own grid; the scan has no
+    # survivor, so no labelling of M and no pair minor has an N-minor, and
+    # the search ends there, after one 3-connectivity test.  Within M's
+    # subset-sum table (two tables' worth) plus the memo key of the
+    # searched pair minor, a quarter table, and their temporaries
     m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
     m.table()
     t0 = time.perf_counter()

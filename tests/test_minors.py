@@ -237,7 +237,11 @@ class TestDetachablePairs:
     def test_pair_questions_read_from_the_table(self, monkeypatch):
         # no pair minor is built to test its 3-connectivity, and after the
         # first search of each M that finds nothing, one scan of M rules
-        # out the remaining pairs without a search: 18 searches in all
+        # out the remaining pairs without a search: 18 searches in all.
+        # The scan also comes before the 3-connectivity test of each later
+        # pair, and on the 15 exchanged matroids, which have no N-minor, it
+        # has no survivor and ends the search: 205 pair tests in all, 2,568
+        # when every pair that passes the shape guard was tested
         calls = []
 
         def counting(fn):
@@ -249,12 +253,15 @@ class TestDetachablePairs:
         monkeypatch.setattr(minors, "has_minor", counting(has_minor))
         monkeypatch.setattr(connectivity, "_is_k_connected",
                             counting(connectivity._is_k_connected))
+        monkeypatch.setattr(minors, "_pair_3_connected",
+                            counting(minors._pair_3_connected))
         for m, n_mat in ((twisted_cube_matroid(), nonfano()),
                          (spiked_fano(4), fano()),
                          (spiked_fano(4, True), fano())):
             assert detachable_pairs(m, n_mat) == []
             assert detachable_after_exchange(m, n_mat) == []
         assert calls.count("has_minor") <= 20
+        assert calls.count("_pair_3_connected") <= 250
         assert "_is_k_connected" not in calls
 
     def test_duality(self):
@@ -269,11 +276,12 @@ class TestDetachablePairs:
 class TestSweepWork:
     def test_foundation_sweep_builds_few_minors(self, monkeypatch):
         """The shape guard answers most pair-minor questions of the
-        foundation sweep from M's ranks, and each M\\d is built once: on
-        seed 0, before the guard, the sweep built 7,181 minors and tested
-        1,886 pair minors for 3-connectivity; with it, 1,997 and 572; with
-        `_foundation_outcome` handed M\\d rather than rebuilding it, 1,666
-        and 572."""
+        foundation sweep from M's ranks, and each M\\d and M\\d\\d' is
+        built once per M: on seed 0, before the guard, the sweep built
+        7,181 minors and tested 1,886 pair minors for 3-connectivity; with
+        it, 1,997 and 572; with `_foundation_outcome` handed M\\d rather
+        than rebuilding it, 1,666 and 572; with M's cover asked before the
+        3-connectivity test and M\\d\\d' built once, 1,389 and 257."""
         corpus = generate_corpus(0, max_n=16)
         built, tested = [], []
         minor, pair_test = Matroid.minor, minors._pair_3_connected
@@ -289,7 +297,7 @@ class TestSweepWork:
         monkeypatch.setattr(Matroid, "minor", counting_minor)
         monkeypatch.setattr(minors, "_pair_3_connected", counting_pair_test)
         assert harness.sweep_foundation(corpus, max_m=12)
-        assert len(built) <= 1800 and len(tested) <= 700, \
+        assert len(built) <= 1500 and len(tested) <= 300, \
             (len(built), len(tested))
 
 

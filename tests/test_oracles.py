@@ -4,6 +4,7 @@ Each oracle here re-solves the same question by unpruned enumeration and
 must agree with the production path exactly.
 """
 
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -36,8 +37,9 @@ from matroidkit.corpus import (_nonsingular, _pivot_coordinates,
                                from_vectors, generate_corpus,
                                random_sparse_paving)
 from matroidkit.minors import (NLabelling, all_triples_grounded,
-                               detachable_pairs, grounded_triads,
-                               grounded_triangles, has_minor, labellings)
+                               detachable_after_exchange, detachable_pairs,
+                               grounded_triads, grounded_triangles,
+                               has_minor, labellings)
 from matroidkit.harness import _minor_pairs, _u3k_planes
 from matroidkit.structures import (StructureReport, _subset_bits,
                                    detect_spike_like, fans, flans, is_quad,
@@ -1237,7 +1239,9 @@ class TestDetachablePairsOracle:
 
     def test_after_the_first_search_that_finds_nothing(self, monkeypatch):
         # the one search against U(3, 5) that finds nothing brings on the
-        # scan of M, after which the covered pairs are still searched
+        # scan of M, after which the covered pairs are still searched, and
+        # the pairs that no survivor covers are skipped before their
+        # 3-connectivity test
         m = next(e.matroid for e in generate_corpus(0, max_n=9)
                  if e.name == "elongquad9")
         n_mat = uniform(3, 5)
@@ -1245,7 +1249,14 @@ class TestDetachablePairsOracle:
         searches = _count_calls(monkeypatch, minors, "has_minor")
         got = detachable_pairs(m, n_mat)
         assert len(scans) == 1 and len(got) == 18
-        assert len(searches) == 19 < sum(m._pairs.values())
+        assert len(searches) == 19
+        # fewer 3-connectivity answers than (pair, mode) keys that pass
+        # the shape guard
+        pairs = [bit(x1) | bit(x2)
+                 for x1, x2 in itertools.combinations(range(m.n), 2)]
+        shaped = sum(minors._may_hold(m, c, d, n_mat)
+                     for p in pairs for c, d in ((p, 0), (0, p)))
+        assert len(m._pairs) < shaped
         assert got == ref_detachable_pairs(m, n_mat)
 
     def test_reference_constructions(self):
@@ -1255,6 +1266,44 @@ class TestDetachablePairsOracle:
             minors._minor_memo.clear()
             assert detachable_pairs(m, n_mat) \
                 == ref_detachable_pairs(m, n_mat), (m, n_mat)
+
+
+class TestExchangeStageOracle:
+    """The pair search on every single delta-wye or wye-delta exchange M'
+    that `detachable_after_exchange` performs, against the per-pair loop.
+    Every search on whirl(4) against U(2, 4) and on wheel(5) against M(K4)
+    finds a minor, so no scan runs there; the twisted cube against M(K4)
+    and against U(3, 6) finds most of its answers after the scan of M'
+    that its first failed search brings on; and no M' of the reference
+    constructions has an N-minor, so each search there ends at a scan of
+    M' with no survivor."""
+
+    @pytest.mark.parametrize("build, size", [
+        (lambda: (whirl(4), uniform(2, 4)), 32),
+        (lambda: (wheel(5), wheel(3)), 40),
+        (lambda: (twisted_cube_matroid(), wheel(3)), 64),
+        (lambda: (twisted_cube_matroid(), uniform(3, 6)), 88),
+        (lambda: (twisted_cube_matroid(), nonfano()), 0),
+        (lambda: (spiked_fano(4), fano()), 0),
+        (lambda: (spiked_fano(4, True), fano()), 0)],
+        ids=["whirl4", "wheel5", "twistedcube-k4", "twistedcube-u36",
+             "twistedcube", "spikedfano", "spikedfano-free"])
+    def test_each_exchange(self, build, size):
+        m, n_mat = build()
+        want = []
+        for triples, exchange, stage in (
+                (triangles, delta_wye, "after-delta-wye"),
+                (triads, wye_delta, "after-wye-delta")):
+            for x in triples(m):
+                mx = exchange(m, x)
+                if not size:
+                    assert has_minor(mx, n_mat) is None, (stage, x)
+                got = detachable_pairs(mx, n_mat)
+                assert got == ref_detachable_pairs(mx, n_mat), (stage, x)
+                want += [dataclasses.replace(res, stage=stage, exchanged=x)
+                         for res in got]
+        assert len(want) == size
+        assert detachable_after_exchange(m, n_mat) == want
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -1322,7 +1371,8 @@ class TestPairKernelOracle:
 class TestPairScanOracle:
     """Every pair minor that one scan of M's own grid for N rules out has
     no N-minor: M/p for an independent p, and M\\p for a coindependent p,
-    that no survivor of the scan holds in C, or in D."""
+    that no survivor of the scan holds in C, or in D, and every pair minor
+    when the scan has no survivor at all."""
 
     def test_corpus_pairs(self):
         corpus = [e.matroid for e in generate_corpus(0, max_n=9)]
@@ -1338,11 +1388,12 @@ class TestPairScanOracle:
                 for x1, x2, pair, contract, minor in _pair_minors(m):
                     if contract:
                         free = t[pair] == 2
-                        held = cover["contract"][x1, x2]
+                        held = cover and cover["contract"][x1, x2]
                     else:
                         free = t[m.full ^ pair] == m.rank
-                        held = cover["delete"][x1, x2]
-                    if free and not held:
+                        held = cover and cover["delete"][x1, x2]
+                    # with no survivor, M and so each pair minor has none
+                    if not cover or free and not held:
                         assert has_minor(minor, n_mat) is None, \
                             (m, n_mat, x1, x2, contract)
                         ruled += 1
