@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .core import (MAX_GROUND, AxiomViolation, Matroid, MatroidError,
-                   _masks_of_size, bit, elems, mask_of, popcount,
+                   _masks_of_size, _pinned, bit, mask_of, popcount,
                    validate)
 from .structures import _is_circuit, is_triad, is_triangle
 
@@ -343,21 +343,16 @@ _WYE_DELTA = list(_terms(lambda x, y: _K4[x | 8 * y] - popcount(y) - (y > 0)))
 
 def _exchange(m: Matroid, tri: int, terms) -> Matroid:
     """r(X), the least r_M(X - T | y) + w over the terms (y, w) of X's part
-    in T = `tri`'s positions, on (2,)*n views with T's axes pinned (`...`
-    keeps 0-d views if T = E): only the output and one octant sum are new."""
-    n, ts = m.n, elems(tri)
-
-    def pin(v):
-        at = [slice(None)] * n
-        for p, e in enumerate(ts):
-            at[n - 1 - e] = v >> p & 1
-        return tuple(at) + (...,)
-
-    out = np.empty_like(m.table())
-    slices = [m.table().reshape((2,) * n)[pin(y)] for y in range(8)]
+    in T = `tri`'s positions, on `_pinned` views with T's elements set as
+    the bits of y (0-d views if T = E): only the output and one octant sum
+    are new."""
+    t, out = m.table(), np.empty_like(m.table())
+    # T's elements named by the bits of each y < 8
+    pins = [Matroid.expand(y, m.full ^ tri) for y in range(8)]
+    slices = [_pinned(t, p, tri ^ p) for p in pins]
     part = np.empty_like(slices[0])
     for x, ((y, w), *rest) in enumerate(terms):
-        octant = out.reshape((2,) * n)[pin(x)]
+        octant = _pinned(out, pins[x], tri ^ pins[x])
         np.add(slices[y], w, out=octant)
         for y, w in rest:
             np.minimum(octant, np.add(slices[y], w, out=part), out=octant)

@@ -62,6 +62,14 @@ def _parse_sets(tokens, bits, lineno):
     return out
 
 
+def _check_labels(labels, lineno):
+    """Reject a label that no file can hold: ',' splits a set literal and
+    '#' starts a comment."""
+    for lab in labels:
+        if "," in lab or "#" in lab:
+            raise ParseError(lineno, f"label {lab!r} holds ',' or '#'")
+
+
 def parse(text: str) -> tuple[str, Matroid]:
     name = None
     labels = None
@@ -83,6 +91,7 @@ def parse(text: str) -> tuple[str, Matroid]:
                 raise ParseError(lineno, "need between 1 and 24 labels")
             if len(set(rest)) != len(rest):
                 raise ParseError(lineno, "duplicate labels")
+            _check_labels(rest, lineno)
             labels = rest
             bits = {lab: 1 << i for i, lab in enumerate(labels)}
         elif key == "rank":
@@ -134,6 +143,7 @@ def _from_circuits(circuits, n, labels) -> Matroid:
 
 
 def serialize(m: Matroid, name: str) -> str:
+    _check_labels(m.labels, 2)  # the file's elements line
     lines = [f"name {name}", "elements " + " ".join(m.labels)]
     ordered = sorted(m.bases, key=lex_key)
     for i in range(0, len(ordered), 8):

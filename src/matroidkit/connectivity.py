@@ -1,5 +1,9 @@
 """Connectivity calculus: lambda, k-separations with their guts and
-coguts, vertical/cyclic splits, full closure and blocking."""
+coguts, vertical/cyclic splits, full closure and blocking.
+
+The separation scans walk M's table, and its reverse, in blocks.
+Whether a minor M/C\\D is 3-connected is read from M's table too, from
+two `_pinned` views (`_minor_3_connected`), so no minor is built for it."""
 
 from __future__ import annotations
 
@@ -8,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matroid, MatroidError, _blocks, elems, lex_key
+from .core import (Matroid, MatroidError, _blocks, _pinned, lex_key,
+                   popcount)
 
 
 class NotThreeConnected(MatroidError):
@@ -124,38 +129,21 @@ def _three_floor(n: int) -> np.ndarray:
     return row
 
 
-def _pair_3_connected(m: Matroid, pair: int, contract: bool) -> bool:
-    """Whether M/p (`contract`) or M\\p is 3-connected, for a 2-set p,
+def _minor_3_connected(m: Matroid, c: int, d: int) -> bool:
+    """Whether M/C\\D is 3-connected, for disjoint C and D with C + D != E,
     read from M's table: no minor is built.
 
-    In M's ranks the minor's lambda is r(X + p) + r(E - X) - r(M) - r(p)
-    for M/p and r(X) + r(E - p - X) - r(E - p) for M\\p.  X runs over
-    `_is_k_connected`'s half lattice, the subsets of E - p that avoid the
-    minor's top element.  With the table, and its reverse, viewed as the
-    runs of kept bits between the three pinned ones (p's and the top
-    element's), each term is a basic-index view: the pinned bits are 0,
-    or 1 for p's bits inside the set read.  The views hold the X in the
-    minor's mask order, as `_three_floor` does.
+    In M's ranks the minor's lambda is r(X + C) + r(E - D - X) - r(C) -
+    r(E - D), for X in `_is_k_connected`'s half lattice: the subsets of
+    E - C - D without the minor's top element.  The two terms are the
+    `_pinned` views of the table at X + C and of its reverse at X + D,
+    which list the X in the minor's mask order, as `_three_floor` does.
     """
-    n, r = m.n, m._ranks()
-    top = (m.full ^ pair).bit_length() - 1
-    k0, k1, k2 = elems(pair | 1 << top)
-    shape = (1 << n - 1 - k2, 2, 1 << k2 - k1 - 1, 2, 1 << k1 - k0 - 1, 2,
-             1 << k0)
-    every = slice(None)
-    out = (every, 0, every, 0, every, 0, every)
-    into = (every, int(k2 != top), every, int(k1 != top), every,
-            int(k0 != top), every)
-    t = m.table()
-    cube, rev = t.reshape(shape), t[::-1].reshape(shape)
-    if contract:
-        lam = cube[into] + rev[out]
-        least = m.rank + r[pair]
-    else:
-        lam = cube[out] + rev[into]
-        least = r[m.full ^ pair]
-    lam -= _three_floor(n - 2).reshape(lam.shape)
-    return bool(lam.min() >= least)
+    r, t = m._ranks(), m.table()
+    top = 1 << (m.full ^ c ^ d).bit_length() - 1
+    lam = _pinned(t, c, d | top) + _pinned(t[::-1], d, c | top)
+    lam -= _three_floor(m.n - popcount(c | d)).reshape(lam.shape)
+    return bool(lam.min() >= r[c] + r[m.full ^ d])
 
 
 def is_connected(m: Matroid) -> bool:

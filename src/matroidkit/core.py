@@ -3,10 +3,12 @@
 Ground sets are index ranges 0..n-1 with n <= 24; every subset is a Python
 int bitmask.  The representation is the full 2^n rank table, a read-only
 int8 numpy array indexed by subset mask.  A matroid given by a basis family
-builds its table lazily.  A minor's table is a basic-index slice of the
-parent's table viewed as shape (2,)*n (mask bit i on axis n-1-i), a dual's
-is |X| - r(M) plus the parent's table reversed; their basis families are
-derived from the table on first use.
+builds its table lazily.  `_pinned` is the one reader of the table's
+(2,)*n layout (mask bit i on axis n-1-i; `reorder` only permutes its
+axes): its view at the masks that hold some elements and miss others is a
+minor's table, a term of a delta-wye exchange, or a term of the lambda of
+M/C\\D.  A dual's table is |X| - r(M) plus the parent's table reversed;
+the basis families of both are derived from the table on first use.
 Every structural query is a rank lookup, so scans over all subsets stay
 cheap and exact.  Scalar lookups go through a zero-copy memoryview of the
 table (`Matroid._ranks`), and the subset-lattice kernels (`rank_table`,
@@ -198,6 +200,19 @@ def _halves(a: np.ndarray, i: int):
             yield v[:, b], v[:, s + b]
     else:
         yield v[:, :s], v[:, s:]
+
+
+def _pinned(t: np.ndarray, ones: int, zeros: int) -> np.ndarray:
+    """The view of the 2^n table `t` at the masks that hold every bit of
+    `ones` and no bit of `zeros`, one axis of length 2 per other element,
+    in mask order: a basic index of t as shape (2,)*n, mask bit i on axis
+    n-1-i, so nothing is copied; `...` keeps a fully pinned index a 0-d
+    view."""
+    n = t.size.bit_length() - 1
+    at = [slice(None)] * n
+    for i in elems(ones | zeros):
+        at[n - 1 - i] = ones >> i & 1
+    return t.reshape((2,) * n)[(*at, ...)]
 
 
 # _LOWER[i] keeps the bits of a 64-bit word at the positions p with bit i
@@ -557,30 +572,20 @@ class Matroid:
         return self.minor(c, 0)
 
     def minor(self, c: int, d: int) -> "Matroid":
-        """M/C\\D, sliced from this table: r(X) = r(X | C) - r(C).
-
-        The table is viewed as shape (2,)*n, mask bit i on axis n-1-i, and
-        indexed with 1 on contracted axes, 0 on deleted ones and a full
-        slice on kept ones; a basic index, so no index array is built.
-        """
+        """M/C\\D, sliced from this table: r(X) = r(X | C) - r(C), the
+        `_pinned` view with C's bits set and D's clear."""
         if c & d:
             raise ValueError("contract and delete sets overlap")
         if (c | d) == self.full:
             raise GroundSetExhausted("no elements left")
         if not c | d:
             return self
-        n = self.n
         t = self.table()
-        # the kept axes stay in order, so the slice is the table of the
-        # compressed masks; only the removed axes and labels are visited
-        at = [slice(None)] * n
-        labels = list(self.labels)
-        for i in reversed(elems(c | d)):
-            at[n - 1 - i] = c >> i & 1
-            del labels[i]
+        labels = [lab for i, lab in enumerate(self.labels)
+                  if not (c | d) >> i & 1]
         # flatten's copy owns its data, so the subtraction runs in place
         # and the minor costs one table-sized allocation
-        tab = t.reshape((2,) * n)[tuple(at)].flatten()
+        tab = _pinned(t, c, d).flatten()
         tab -= t[c]
         return Matroid._from_table(tab, labels)
 

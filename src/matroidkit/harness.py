@@ -21,9 +21,10 @@ import numpy as np
 
 from .core import (Matroid, MatroidError, _lex_masks, bit, elems,
                    is_isomorphic, mask_of, popcount, submasks)
-from .connectivity import (_k_separating, _lambda_sets, is_3_connected,
-                           is_connected, lambda_, lambda_minus, full_closure,
-                           vertical_3_separations, cyclic_3_separations)
+from .connectivity import (_k_separating, _lambda_sets, _minor_3_connected,
+                           is_3_connected, is_connected, lambda_, lambda_minus,
+                           full_closure, vertical_3_separations,
+                           cyclic_3_separations)
 from .structures import (_step, _subset_bits, detect_spike_like,
                          detect_twisted_cube_like, fans, flans, segments,
                          special_separator, triangles, triads)
@@ -771,7 +772,7 @@ def _qualifying_x(m: Matroid, n_mat: Matroid, bd: int, md: Matroid,
                         return "special-separator"
             if all(_may_hold(md, 0, be, n_mat) and _may_hold(md, be, 0, n_mat)
                    and is_3_connected(md.delete(be).cosimplify()[0])
-                   and is_3_connected(md.contract(be))
+                   and _minor_3_connected(md, be, 0)
                    and has_minor(md.delete(be), n_mat) is not None
                    and has_minor(md.contract(be), n_mat) is not None
                    for be in (m.compress(bit(e), bd) for e in elems(x))):
@@ -935,10 +936,11 @@ def splitter_check(corpus, max_m: int = 12) -> list[Verdict]:
 
 def _splitter_holds(m: Matroid, n_mat: Matroid) -> bool:
     """Some single contraction or deletion of M is 3-connected and keeps
-    an N-minor; contractions first, element by element."""
+    an N-minor; contractions first, element by element.  3-connectivity is
+    read from M's table, so a removal is built only to be searched."""
     for e in range(m.n):
         for c, d in ((bit(e), 0), (0, bit(e))):
-            if _may_hold(m, c, d, n_mat) and is_3_connected(
-                    mm := m.minor(c, d)) and has_minor(mm, n_mat) is not None:
+            if _may_hold(m, c, d, n_mat) and _minor_3_connected(m, c, d) \
+                    and has_minor(m.minor(c, d), n_mat) is not None:
                 return True
     return False

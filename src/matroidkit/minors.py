@@ -22,8 +22,9 @@ The detachable-pair search reads both of its questions about a pair
 minor M/{x,y} or M\\{x,y} from M's table, cheapest first: the shape
 guard; once a search has found nothing, one scan of M's own grid for N,
 whose survivors rule out the pairs they do not cover (if none survives,
-the search ends); its 3-connectivity, from M's ranks, once per M; and
-only then a search of the built minor (`detachable_pairs`).
+the search ends); its 3-connectivity, read from M's table as for any
+M/C\\D (`_minor_3_connected`), once per M; and only then a search of
+the built minor (`detachable_pairs`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .core import (_PC16, MAX_GROUND, Matroid, MatroidError, _lex_masks,
                    bit, elems, is_isomorphic, popcount)
-from .connectivity import _pair_3_connected
+from .connectivity import _minor_3_connected
 from .builders import delta_wye, wye_delta
 from .structures import triangles, triads
 
@@ -63,7 +64,6 @@ class DetachableResult:
 
 # (table key of M, table key of N) -> the first labelling, or None
 _minor_memo: dict = {}
-_MISS = object()
 
 
 class _TableKey:
@@ -83,14 +83,6 @@ class _TableKey:
 
     def __eq__(self, other):
         return self.crc == other.crc and self.view == other.view
-
-
-def _memo(key, search):
-    """The answer memoised under `key`, from `search()` on a miss."""
-    found = _minor_memo.get(key, _MISS)
-    if found is _MISS:
-        _minor_memo[key] = found = search()
-    return found
 
 
 # the paper's "nearly avoids": a capped region may meet the surviving copy
@@ -215,6 +207,8 @@ class _Grid:
                     hit &= np.bitwise_count(removed & removed_cap) <= _NEAR
                 ci, di = ci[hit], di[hit]
                 for s in range(0, len(ci), step):
+                    if not self.open:
+                        return
                     a, b = ci[s:s + step], di[s:s + step]
                     # the bases of M/C\D through e: the count for (C, D)
                     # less that for (C, D + e); 0 on D, and set to 0 on C
@@ -240,9 +234,11 @@ class _Grid:
                 if i not in self.open:
                     break
                 mn = self.m.minor(c, d)
-                if _memo((_TableKey(mn), keys[i]),
-                         lambda: None if is_isomorphic(mn, self.ns[i]) is None
-                         else NLabelling(0, 0)) is not None:
+                key = _TableKey(mn), keys[i]
+                if key not in _minor_memo:
+                    _minor_memo[key] = None if is_isomorphic(
+                        mn, self.ns[i]) is None else NLabelling(0, 0)
+                if _minor_memo[key] is not None:
                     yield i, NLabelling(c, d)
 
 
@@ -264,16 +260,11 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
 
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
-    """First labelling in canonical order, or None.  Memoised on the rank
-    tables of both matroids (`_TableKey`).
-
-    A table fixes n and the basis family (the bases are the r-sets X with
-    r(X) = r), so the key is as fine as the basis family, and a memo hit
-    derives no bases.  The memo holds these answers and the isomorphism
-    verdicts of `_Grid.found`, which are the answers for equal-size
-    pairs."""
-    return _memo((_TableKey(m), _TableKey(n_mat)),
-                 lambda: next(labellings(m, n_mat), None))
+    """First labelling in canonical order, or None: the one-N case of
+    `_has_minors`, memoised on the rank tables of both matroids
+    (`_TableKey`), which are as fine as the basis families, so a memo hit
+    derives no bases."""
+    return _has_minors(m, [n_mat])[0]
 
 
 def _has_minors(m: Matroid, ns) -> list:
@@ -366,9 +357,8 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     unless it has to be searched.  With N given, each pair minor is asked
     in turn whether its shape can hold N (`_may_hold`), whether a survivor
     of the scan below covers it (once the scan exists), whether it is
-    3-connected (`_pair_3_connected`, which depends only on M, so M keeps
-    each answer, per (x1, x2, mode), as ints and bools), and whether it
-    has an N-minor.
+    3-connected (`_minor_3_connected`, which depends only on M, so M keeps
+    each answer, per (C, D), as a bool), and whether it has an N-minor.
 
     Pair minors are searched with `has_minor` until one search finds
     nothing; M's own grid for N is then scored once.  If p is independent,
@@ -405,10 +395,9 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                         r[pair] == 2 if contract
                         else r[m.full ^ pair] == m.rank):
                     continue
-            key = x1, x2, mode
-            if key not in connected:
-                connected[key] = _pair_3_connected(m, pair, contract)
-            if not connected[key]:
+            if (c, d) not in connected:
+                connected[c, d] = _minor_3_connected(m, c, d)
+            if not connected[c, d]:
                 continue
             lab = None
             if n_mat is not None:

@@ -75,6 +75,10 @@ class TestParseSerialize:
         with pytest.raises(ParseError):
             parse("name x\nelements a b\nwibble {a}\n")
 
+    def test_label_with_a_comma_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 2: label 'a,b'"):
+            parse("name x\nelements a,b c\nbases {c}\n")
+
 
 @pytest.fixture()
 def construction_files(tmp_path, capsys):
@@ -281,6 +285,22 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("error=")
+
+    @pytest.mark.parametrize("label", ["x,y", "#z"])
+    @pytest.mark.parametrize("recipe", [
+        "paralleladd {f7} a {label}", "seriesadd {f7} a {label}",
+        "principalext {f7} {{a,b,c}} {label}",
+        "modularcutext {f7} {label} {{a,b,c}}"])
+    def test_label_no_file_can_hold(self, recipe, label, construction_files,
+                                    capsys):
+        # ',' would split a set literal and '#' start a comment, so the
+        # written file would not parse back
+        rc = main(["construct", recipe.format(
+            f7=construction_files["F7.mtx"], label=label)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error=")
+        assert label in err
 
     def test_records_format(self, construction_files, capsys):
         rc = main(["separators", str(construction_files["M4.mtx"]),

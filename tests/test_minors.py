@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -214,19 +215,19 @@ class TestDetachablePairs:
         # whether a pair minor is 3-connected depends only on M, so a later
         # call, with another N or none, tests no pair minor again; a pair
         # minor whose shape cannot hold N is not tested at all
-        tested, test = [], minors._pair_3_connected
+        tested, test = [], minors._minor_3_connected
 
-        def counting(m, pair, contract):
-            tested.append((pair, contract))
-            return test(m, pair, contract)
+        def counting(m, c, d):
+            tested.append((c, d))
+            return test(m, c, d)
 
-        monkeypatch.setattr(minors, "_pair_3_connected", counting)
+        monkeypatch.setattr(minors, "_minor_3_connected", counting)
         m = uniform(3, 7)
         first = detachable_pairs(m, uniform(3, 5))
         # every M/{x,y} has rank 1 < r(U(3,5)): only the deletions are tested
         pairs = math.comb(m.n, 2)
         assert first and len(tested) == pairs
-        assert not any(contract for _, contract in tested)
+        assert not any(c for c, _ in tested)
         assert detachable_pairs(m, None)
         assert len(tested) == 2 * pairs
         assert detachable_pairs(m, fano()) == []
@@ -253,15 +254,15 @@ class TestDetachablePairs:
         monkeypatch.setattr(minors, "has_minor", counting(has_minor))
         monkeypatch.setattr(connectivity, "_is_k_connected",
                             counting(connectivity._is_k_connected))
-        monkeypatch.setattr(minors, "_pair_3_connected",
-                            counting(minors._pair_3_connected))
+        monkeypatch.setattr(minors, "_minor_3_connected",
+                            counting(minors._minor_3_connected))
         for m, n_mat in ((twisted_cube_matroid(), nonfano()),
                          (spiked_fano(4), fano()),
                          (spiked_fano(4, True), fano())):
             assert detachable_pairs(m, n_mat) == []
             assert detachable_after_exchange(m, n_mat) == []
         assert calls.count("has_minor") <= 20
-        assert calls.count("_pair_3_connected") <= 250
+        assert calls.count("_minor_3_connected") <= 250
         assert "_is_k_connected" not in calls
 
     def test_duality(self):
@@ -284,21 +285,48 @@ class TestSweepWork:
         3-connectivity test and M\\d\\d' built once, 1,389 and 257."""
         corpus = generate_corpus(0, max_n=16)
         built, tested = [], []
-        minor, pair_test = Matroid.minor, minors._pair_3_connected
+        minor, pair_test = Matroid.minor, minors._minor_3_connected
 
         def counting_minor(m, c, d):
             built.append((c, d))
             return minor(m, c, d)
 
-        def counting_pair_test(m, pair, contract):
-            tested.append((pair, contract))
-            return pair_test(m, pair, contract)
+        def counting_pair_test(m, c, d):
+            tested.append((c, d))
+            return pair_test(m, c, d)
 
         monkeypatch.setattr(Matroid, "minor", counting_minor)
-        monkeypatch.setattr(minors, "_pair_3_connected", counting_pair_test)
+        monkeypatch.setattr(minors, "_minor_3_connected", counting_pair_test)
         assert harness.sweep_foundation(corpus, max_m=12)
         assert len(built) <= 1500 and len(tested) <= 300, \
             (len(built), len(tested))
+
+    def test_splitter_check_builds_only_the_minors_it_searches(
+            self, monkeypatch):
+        """`_splitter_holds` reads the 3-connectivity of each single
+        removal from M's table, so each removal it builds is one it then
+        searches for N; it used to build every removal that could hold N
+        and search only the 3-connected ones."""
+        built, searched = [], set()
+        minor, search = Matroid.minor, harness.has_minor
+        holds = harness._splitter_holds.__code__
+
+        def counting_minor(m, c, d):
+            mm = minor(m, c, d)
+            if sys._getframe(1).f_code is holds:
+                built.append(mm)
+            return mm
+
+        def counting_search(m, n_mat):
+            searched.add(id(m))
+            return search(m, n_mat)
+
+        monkeypatch.setattr(Matroid, "minor", counting_minor)
+        monkeypatch.setattr(harness, "has_minor", counting_search)
+        verdicts = harness.splitter_check(generate_corpus(0))
+        assert verdicts and all(v.outcome == "pass" for v in verdicts)
+        # `built` keeps each minor alive, so no two share an id
+        assert built and all(id(mm) in searched for mm in built)
 
 
 class TestExchangeStage:

@@ -20,16 +20,17 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import builders, cli, minors
 from matroidkit.core import (_NONE, AxiomViolation, Matroid, MatroidError,
-                             _blocks, _lex_masks, _low16, _masks_of_size, bit,
-                             elems, is_isomorphic, lex_key, mask_of,
-                             popcount, rank_table, submasks, validate)
+                             _blocks, _lex_masks, _low16, _masks_of_size,
+                             _pinned, bit, elems, is_isomorphic, lex_key,
+                             mask_of, popcount, rank_table, submasks,
+                             validate)
 from matroidkit.builders import (BadParams, NotModularFlat,
                                  RestrictionMismatch, delta_wye, fano,
                                  graphic, nonfano, parallel_add,
                                  parallel_connection, relax, series_add,
                                  spike, spiked_fano, twisted_cube_matroid,
                                  uniform, wheel, whirl, wye_delta)
-from matroidkit.connectivity import (_lambda_sets, _pair_3_connected,
+from matroidkit.connectivity import (_lambda_sets, _minor_3_connected,
                                      _vertical_triples, cyclic_3_separations,
                                      is_3_connected, is_connected, lambda_,
                                      separations, vertical_3_separations)
@@ -1326,26 +1327,61 @@ def _pair_minors(m):
         yield x1, x2, pair, False, m.delete(pair)
 
 
+class TestPinnedOracle:
+    """`_pinned(t, ones, zeros)` against the entries of t at the masks
+    that hold `ones` and miss `zeros`, listed by `Matroid.compress`."""
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_against_compress(self, data):
+        n = data.draw(st.integers(1, 10))
+        t = np.random.default_rng(data.draw(st.integers(0, 99))).integers(
+            0, 100, 1 << n).astype(np.int8)
+        pinned = data.draw(st.integers(0, (1 << n) - 1))
+        # the fully pinned case, a 0-d view, in about one draw of five
+        if data.draw(st.integers(0, 4)) == 0:
+            pinned = (1 << n) - 1
+        ones = data.draw(st.integers(0, pinned)) & pinned
+        for a in (t, t[::-1]):
+            want = np.empty(1 << n - popcount(pinned), dtype=np.int8)
+            for x in range(1 << n):
+                if x & pinned == ones:
+                    want[Matroid.compress(x, pinned)] = a[x]
+            got = _pinned(a, ones, pinned ^ ones)
+            assert got.ndim == n - popcount(pinned)
+            assert np.shares_memory(got, t)
+            assert np.array_equal(got.reshape(-1), want)
+
+
+def _removals(m, most):
+    """(C, D) for every removal of at most `most` elements of m that keeps
+    one, C and D disjoint."""
+    for k in range(min(most, m.n - 1) + 1):
+        for combo in itertools.combinations(range(m.n), k):
+            for signs in itertools.product((0, 1), repeat=k):
+                c = mask_of(e for e, s in zip(combo, signs) if s)
+                yield c, mask_of(combo) ^ c
+
+
 class TestPairKernelOracle:
-    """`_pair_3_connected`, read from M's table, against `is_3_connected`
-    of the built pair minor, for every pair in both modes."""
+    """`_minor_3_connected(m, c, d)`, read from M's table, against
+    `is_3_connected` of the built minor M/C\\D (of M itself when C and D
+    are empty)."""
 
     @staticmethod
-    def check(m):
+    def check(m, removals):
         verdicts = set()
-        for x1, x2, pair, contract, minor in _pair_minors(m):
-            want = is_3_connected(minor)
-            assert _pair_3_connected(m, pair, contract) == want, \
-                (m, x1, x2, contract)
+        for c, d in removals:
+            want = is_3_connected(m.minor(c, d))
+            assert _minor_3_connected(m, c, d) == want, (m, c, d)
             verdicts.add(want)
         return verdicts
 
     def test_corpus_and_duals(self):
         verdicts = set()
         for entry in generate_corpus(0, max_n=10):
-            if entry.matroid.n >= 3:
-                verdicts |= self.check(entry.matroid)
-                verdicts |= self.check(entry.matroid.dual())
+            for m in (entry.matroid, entry.matroid.dual()):
+                verdicts |= self.check(m, _removals(m, 2))
         assert verdicts == {False, True}
 
     @settings(max_examples=80)
@@ -1358,14 +1394,30 @@ class TestPairKernelOracle:
                                  n, r)
         c = data.draw(st.integers(0, m.full))
         d = data.draw(st.integers(0, m.full)) & ~c
-        self.check(m if n - popcount(c | d) < 3 else m.minor(c, d))
+        mm = m if n - popcount(c | d) < 3 else m.minor(c, d)
+        self.check(mm, _removals(mm, 2))
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_removals_of_sparse_paving(self, data):
+        n = data.draw(st.integers(3, 9))
+        r = data.draw(st.integers(1, n - 1))
+        m = random_sparse_paving(data.draw(st.randoms(use_true_random=False)),
+                                 n, r)
+        removals = data.draw(st.lists(st.tuples(
+            st.sets(st.integers(0, n - 1), max_size=min(3, n - 1)),
+            st.integers(0, m.full)), min_size=1, max_size=20))
+        # each drawn set is split into C, the bits the integer holds, and D
+        self.check(m, [(mask_of(x) & y, mask_of(x) & ~y) for x, y in removals])
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_past_one_block(self, n):
         # the minor's half lattice spans more than one 2^16 block of M's
         for seed in range(2):
-            assert self.check(random_sparse_paving(random.Random(seed), n, 4)) \
-                == {False, True}
+            m = random_sparse_paving(random.Random(seed), n, 4)
+            pairs = [(c, d) for c, d in _removals(m, 2)
+                     if popcount(c | d) == 2]
+            assert self.check(m, pairs) == {False, True}
 
 
 class TestPairScanOracle:
@@ -1596,6 +1648,18 @@ class TestParallelConnectionOracle:
         for glue in (parallel_connection, ref_parallel_connection):
             assert got == [_exchanges(m, glue) for m in ms], glue.__name__
         assert sum(map(len, got)) > 200
+
+    def test_whole_ground_set(self):
+        # T = E, so each term of the formula is a 0-d view: the triangle
+        # U(2,3) becomes the star of M(K4), U(3,3), and the triad U(1,3)
+        # becomes U(0,3)
+        for op, ref, m, want in (
+                (delta_wye, ref_delta_wye, uniform(2, 3), uniform(3, 3)),
+                (wye_delta, ref_wye_delta, uniform(1, 3), uniform(0, 3))):
+            assert op(m, m.full) == want
+            for glue in (parallel_connection, ref_parallel_connection):
+                assert _outcome(ref, m, m.full, glue) == \
+                    _outcome(op, m, m.full)
 
     @settings(max_examples=30)
     @given(st.data())
