@@ -76,12 +76,16 @@ def parse(text: str) -> tuple[str, Matroid]:
     rank = None
     body_kind = None
     sets: list[int] = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         key, rest = tokens[0], tokens[1:]
+        if key in seen and key in ("name", "elements", "rank"):
+            raise ParseError(lineno, f"repeated {key} directive")
+        seen.add(key)
         if key == "name":
             if len(rest) != 1:
                 raise ParseError(lineno, "name takes one token")

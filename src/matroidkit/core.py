@@ -33,11 +33,9 @@ and the word axes 0-3 of the OR pass below take.  The OR pass of
 `rank_table`, marking every subset of a member (`_packed_down_closed`),
 runs on the table packed 64 masks to a word: the six axes inside a word
 take one shift and mask each, and the others are passes over whole words.
-`rank_table` runs no max pass on the four lowest axes: each packed
-16-bit word of flags, the 16 masks that differ only there, indexes one row
-of the read-only 2^16-row table `_low16`, which holds the result of those
-four passes.  Its max passes on the axes 4 to 19 run one L2-sized block
-of 2^20 masks at a time.
+`rank_table` reads the max passes on the four lowest axes from `_low16`,
+one row per packed 16-bit word of flags, and runs the others one L2-sized
+block of 2^20 masks at a time, each gathered in transposed 256 KiB chunks.
 """
 
 from __future__ import annotations
@@ -202,6 +200,13 @@ def _halves(a: np.ndarray, i: int):
         yield v[:, :s], v[:, s:]
 
 
+def _up_passes(a: np.ndarray, axes, op=np.maximum) -> None:
+    """For each axis i of `axes`: op(X + i, X) into X + i in the table."""
+    for i in axes:
+        for lo, hi in _halves(a, i):
+            op(hi, lo, out=hi)
+
+
 def _pinned(t: np.ndarray, ones: int, zeros: int) -> np.ndarray:
     """The view of the 2^n table `t` at the masks that hold every bit of
     `ones` and no bit of `zeros`, one axis of length 2 per other element,
@@ -266,9 +271,7 @@ def _low16() -> np.ndarray:
     """
     v = np.arange(256)[:, None]
     q = np.where(v >> np.arange(8) & 1, _PC16[:8], np.int8(_NONE))
-    for i in range(3):
-        for lo, hi in _halves(q.reshape(-1), i):
-            np.maximum(hi, lo, out=hi)
+    _up_passes(q.reshape(-1), range(3))
     by_lo = np.concatenate([q, q], axis=1)
     by_hi = np.concatenate([np.full_like(q, _NONE),
                             np.where(q < 0, q, q + 1)], axis=1)
@@ -277,16 +280,21 @@ def _low16() -> np.ndarray:
     return low
 
 
-# rank_table gathers from _low16 this many rows of 16 masks at a time (64
-# KiB of table), and runs the max passes on the axes below _BLOCK_AXES one
-# block of 2^_BLOCK_AXES masks (1 MiB) at a time, so that each block stays
-# in the L2 cache while its passes run
-_GATHER_ROWS = 1 << 12
+# rank_table runs the max passes on the axes below _BLOCK_AXES one block of
+# 2^_BLOCK_AXES masks (1 MiB) at a time, so that each block stays in the L2
+# cache while its passes run, and gathers a block from _low16 in chunks of
+# this many rows of 16 masks (256 KiB), transposed so that the passes on the
+# axes of the rows' lowest bits pair runs of whole rows
+_GATHER_ROWS = 1 << 14
 _BLOCK_AXES = 20
 
-# |H| for the rows H < _GATHER_ROWS, once per mask 16 H + L of the row
-_ROW_SIZES = np.repeat(_PC16[:_GATHER_ROWS], 16)
-_ROW_SIZES.flags.writeable = False
+
+@functools.cache
+def _chunk_sizes(mid: int, high: int) -> np.ndarray:
+    """Read-only |l| + |h| at each entry (l, h, L) of a transposed chunk."""
+    sizes = (_PC16[:1 << mid, None, None] + _PC16[:high, None]).repeat(16, 2)
+    sizes.flags.writeable = False
+    return sizes
 
 
 def rank_table(n: int, bases) -> np.ndarray:
@@ -309,33 +317,33 @@ def rank_table(n: int, bases) -> np.ndarray:
     entry is |H| + `_low16()`[u[H], L]; if not, u[H] = 0, and the table
     takes |H| + _NONE < 0 there instead of 0.  The passes on the other axes
     lift each entry to the largest over its subsets, and the empty set is
-    independent, so that makes no difference.  The passes on axes 4 up to
-    19 run one 2^20-mask block at a time, right after its rows are
-    gathered; those on axes 20 and up run over the whole table.
+    independent, so that makes no difference.  The passes commute, so
+    each block of 2^k rows H = (h, l), l the mid = min(k // 2, 8) lowest
+    bits, first takes those on axes 4 to 3 + mid in chunks of
+    `_GATHER_ROWS` rows gathered with l outermost, then those on its other
+    axes; axes 20 and up run over the whole table.
     """
     u = _packed_down_closed(n, bases).view("<u2")
-    low16 = _low16()
-    g = np.empty((u.size, 16), dtype=np.int8)
+    g = np.empty(u.size * 16, dtype=np.int8)
     block = min(u.size, 1 << _BLOCK_AXES - 4)
-    rows = min(u.size, _GATHER_ROWS)
+    mid = min(block.bit_length() - 1 >> 1, 8)
+    high = min(block, _GATHER_ROWS) >> mid
+    chunk = np.empty((1 << mid, high, 16), dtype=np.int8)
+    across = range(chunk.size.bit_length() - 1)[-mid:]  # axes 4 to 3 + mid
+    rows = g.view("V16").reshape(-1, 1 << mid)  # g's rows H as (h, l)
     for b in range(0, u.size, block):
-        for h in range(b, b + block, rows):
+        for h in range(b >> mid, b + block >> mid, high):
             # "clip" (the words are in range anyway), as the default mode
             # takes into a buffer and then copies it to `out`
-            np.take(low16, u[h:h + rows], axis=0, out=g[h:h + rows],
-                    mode="clip")
-            # |H| = |H - h| + |h| for the H from h on, as rows divides h
-            part = g[h:h + rows].reshape(-1)
-            part += _ROW_SIZES[:part.size]
-            part += h.bit_count()
-        flat = g[b:b + block].reshape(-1)
-        for i in range(4, min(n, _BLOCK_AXES)):
-            for lo, hi in _halves(flat, i):
-                np.maximum(hi, lo, out=hi)
-    g = g.reshape(-1)
-    for i in range(_BLOCK_AXES, n):
-        for lo, hi in _halves(g, i):
-            np.maximum(hi, lo, out=hi)
+            np.take(_low16(), u.reshape(-1, 1 << mid)[h:h + high].T, axis=0,
+                    out=chunk, mode="clip")
+            chunk += _chunk_sizes(mid, high)  # |H| = |l| + |h'| + |h|
+            chunk += h.bit_count()
+            _up_passes(chunk.reshape(-1), across)
+            rows[h:h + high] = chunk.view("V16")[..., 0].T
+        _up_passes(g[b << 4:b + block << 4],
+                   range(4 + mid, min(n, _BLOCK_AXES)))
+    _up_passes(g, range(_BLOCK_AXES, n))
     return g[:1 << n]
 
 
@@ -495,9 +503,7 @@ class Matroid:
             sets = _masks_of_size(self.n, self.rank)
             h = np.zeros(t.size, dtype=np.uint16)
             h[sets] = t[sets] == self.rank
-            for i in range(self.n):
-                for lo, hi in _halves(h, i):
-                    hi += lo
+            _up_passes(h, range(self.n), np.add)
             h.flags.writeable = False
             self._counts = h
         return self._counts
@@ -521,23 +527,19 @@ class Matroid:
 
     def closure(self, x: int) -> int:
         t = self._ranks()
-        rx = t[x]
         out = x
-        rest = self.full ^ x
-        for i in elems(rest):
-            if t[x | (1 << i)] == rx:
+        for i in elems(self.full ^ x):
+            if t[x | 1 << i] == t[x]:
                 out |= 1 << i
         return out
 
     def coclosure(self, x: int) -> int:
         t = self._ranks()
-        full = self.full
         out = x
-        for i in elems(full ^ x):
-            b = 1 << i
+        for i in elems(self.full ^ x):
             # e in cl*(X) iff r(E-X-e) < r(E-X), for e outside X
-            if t[full ^ x ^ b] < t[full ^ x]:
-                out |= b
+            if t[self.full ^ x ^ 1 << i] < t[self.full ^ x]:
+                out |= 1 << i
         return out
 
     def is_loop(self, e: int) -> bool:

@@ -64,25 +64,27 @@ class DetachableResult:
 
 # (table key of M, table key of N) -> the first labelling, or None
 _minor_memo: dict = {}
+_UNSEEN = object()  # `_minor_memo.get`'s default: the pair is not memoised
 
 
 class _TableKey:
     """M's rank table as a memo key, as fine as the basis family: it hashes
-    by a CRC of the table and compares the tables themselves, so it copies
-    nothing (the table at n = 24 is 16 MiB).  A key keeps its table
-    alive."""
+    by a CRC of the table and compares the tables, unless they are one
+    array (a key made again for the same M), with `np.array_equal`, so it
+    copies nothing (the table at n = 24 is 16 MiB).  It keeps M's table."""
 
-    __slots__ = ("view", "crc")
+    __slots__ = ("tab", "crc")
 
     def __init__(self, m: Matroid):
-        self.view = memoryview(m.table())
-        self.crc = zlib.crc32(self.view)
+        self.tab = m.table()
+        self.crc = zlib.crc32(self.tab)
 
     def __hash__(self):
         return self.crc
 
     def __eq__(self, other):
-        return self.crc == other.crc and self.view == other.view
+        return self.crc == other.crc and (self.tab is other.tab or
+                                          np.array_equal(self.tab, other.tab))
 
 
 # the paper's "nearly avoids": a capped region may meet the surviving copy
@@ -235,10 +237,11 @@ class _Grid:
                     break
                 mn = self.m.minor(c, d)
                 key = _TableKey(mn), keys[i]
-                if key not in _minor_memo:
-                    _minor_memo[key] = None if is_isomorphic(
+                hit = _minor_memo.get(key, _UNSEEN)
+                if hit is _UNSEEN:
+                    hit = _minor_memo[key] = None if is_isomorphic(
                         mn, self.ns[i]) is None else NLabelling(0, 0)
-                if _minor_memo[key] is not None:
+                if hit is not None:
                     yield i, NLabelling(c, d)
 
 
@@ -273,9 +276,10 @@ def _has_minors(m: Matroid, ns) -> list:
     at its first labelling, so the answers and memo are a per-N loop's."""
     m_key = _TableKey(m)
     keys = [(m_key, _TableKey(n_mat)) for n_mat in ns]
+    got = [_minor_memo.get(key, _UNSEEN) for key in keys]
     shapes: dict = {}
-    for key, n_mat in zip(keys, ns):
-        if key not in _minor_memo:
+    for key, n_mat, hit in zip(keys, ns, got):
+        if hit is _UNSEEN:
             shapes.setdefault((n_mat.n, n_mat.rank), {})[key] = n_mat
     for group in shapes.values():
         grid = _Grid(m, *group.values())
@@ -284,7 +288,7 @@ def _has_minors(m: Matroid, ns) -> list:
             first[i] = lab
             grid.open.discard(i)
         _minor_memo.update(zip(group, first))
-    return [_minor_memo[key] for key in keys]
+    return [_minor_memo[k] if h is _UNSEEN else h for k, h in zip(keys, got)]
 
 
 def _may_hold(m: Matroid, c: int, d: int, n_mat: Matroid) -> bool:

@@ -74,6 +74,15 @@ class TestParseSerialize:
             parse("name x\nelements a b\nnonspanning_circuits {a,b}\n")
         with pytest.raises(ParseError):
             parse("name x\nelements a b\nwibble {a}\n")
+        # a header directive may not repeat, even after the body
+        for text, lineno in (
+                ("name x\nelements a b\nbases {a} {b}\nelements c d\n", 4),
+                ("name x\nname y\nelements a b\nbases {a}\n", 2),
+                ("name x\nelements a b c\nrank 1\nrank 2\n"
+                 "nonspanning_circuits {a,b}\n", 4)):
+            with pytest.raises(ParseError, match="repeated") as err:
+                parse(text)
+            assert err.value.lineno == lineno
 
     def test_label_with_a_comma_is_a_parse_error(self):
         with pytest.raises(ParseError, match="line 2: label 'a,b'"):

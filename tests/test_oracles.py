@@ -785,7 +785,9 @@ class TestRankTableOracle:
         assert got.tobytes() == brute_rank_table(n, bases).tobytes()
         assert got.tobytes() == ref_rank_table(n, bases).tobytes()
 
-    @pytest.mark.parametrize("n", [20, 21, 24])
+    # one chunk per block (n < 19), two (19), four (n >= 20), odd and even
+    # numbers of row bits per block, and several blocks (n > 20)
+    @pytest.mark.parametrize("n", [15, 17, 19, 20, 21, 22, 23, 24])
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_large_tables_match_the_blocks_kernel(self, n, kind):
         bases = _random_family(random.Random(n), n, 4, kind)
