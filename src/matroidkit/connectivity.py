@@ -1,18 +1,21 @@
 """Connectivity calculus: lambda, k-separations with their guts and
 coguts, vertical/cyclic splits, full closure and blocking.
 
-The separation scans walk M's table, and its reverse, in blocks.
-Whether a minor M/C\\D is 3-connected is read from M's table too, from
-two `_pinned` views (`_minor_3_connected`), so no minor is built for it."""
+The separation scans walk M's table, and its reverse, in blocks.  One
+kernel, `_minor_connected`, decides whether M or any minor M/C\\D is
+connected or 3-connected: it reads the minor's lambda from two `_pinned`
+views of M's table, one block at a time with an early exit, so no minor
+is built for it; M keeps each 3-connectivity verdict per (C, D)."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, _blocks, _pinned, lex_key,
+from .core import (_PC16, Matroid, MatroidError, _blocks, _pinned, lex_key,
                    popcount)
 
 
@@ -49,22 +52,15 @@ def lambda_minus(m: Matroid, removed: int, x: int) -> int:
     return t[x] + t[ground ^ x] - t[ground]
 
 
-def _lambda_blocks(m: Matroid, half: bool = False):
-    """(X0, lambda(X), |X|) for each block of `_blocks` over the table or,
-    with `half`, over the X without element n - 1.  lambda is int8, as it
-    is at most 2 r(M) <= 48, so nothing table-sized is built."""
+def _lambda_sets(m: Matroid, keep) -> list[int]:
+    """The masks X, ascending, where keep(lambda block, |X| block) holds,
+    one int8 block of `_blocks` at a time, so nothing table-sized is built."""
     t = m.table()
     rev = t[::-1]
-    for s, size in _blocks(m.n - 1 if half else m.n):
+    out = []
+    for s, size in _blocks(m.n):
         lam = t[s:s + size.size] + rev[s:s + size.size]
         lam -= m.rank
-        yield s, lam, size
-
-
-def _lambda_sets(m: Matroid, keep) -> list[int]:
-    """The masks X, ascending, where keep(lambda block, |X| block) holds."""
-    out = []
-    for s, lam, size in _lambda_blocks(m):
         out += (np.flatnonzero(keep(lam, size)) + s).tolist()
     return out
 
@@ -104,59 +100,55 @@ def _report(m: Matroid, x: int, k: int, lam: int) -> SeparationReport:
     return SeparationReport(x, k, lam, exact, vertical, cyclic, guts, coguts)
 
 
-def _is_k_connected(m: Matroid, k: int) -> bool:
-    """Whether lambda(X) >= min(|X|, |E - X|, k - 1) for every X, that is,
-    M has no j-separation with j < k.
+@functools.cache
+def _floor(n: int, k: int, h: int) -> np.ndarray:
+    """Read-only int8 min(|X|, n - |X|, k - 1) over one block of up to
+    2^16 masks X < 2^(n-1) that hold h elements above the block."""
+    size = _PC16[:min(1 << n - 1, _PC16.size)] + h
+    floor = np.minimum(np.minimum(size, n - size), k - 1)
+    floor.flags.writeable = False
+    return floor
 
-    Both sides of the test are unchanged by X -> E - X, so only the half
-    table of `_lambda_blocks` is scanned, stopping at the first block
-    holding a violation.
-    """
-    for _, lam, size in _lambda_blocks(m, half=True):
-        if (lam < np.minimum(np.minimum(size, m.n - size), k - 1)).any():
+
+def _minor_connected(m: Matroid, c: int, d: int, k: int) -> bool:
+    """Whether M/C\\D has no j-separation with j < k, for disjoint C and D
+    with C + D != E, read from M's table: no minor is built.
+
+    Its lambda, r(X + C) + r(E - D - X) - r(C) - r(E - D), and the floor
+    min(|X|, n' - |X|, k - 1) are the same for X and E - C - D - X, so X
+    runs over the subsets of E - C - D without its top element: `_pinned`
+    views of the table at X + C and of its reverse at X + D, read one
+    block of 2^16 X at a time up to the first holding a separation."""
+    r, t = m._ranks(), m.table()
+    n = m.n - popcount(c | d)
+    top = 1 << (m.full ^ c ^ d).bit_length() - 1
+    a, b = _pinned(t, c, d | top), _pinned(t[::-1], d, c | top)
+    # a block is an index of the views' leading axes: with C + D != 0 the
+    # views are strided, and a flat slice of them would be a copy
+    for at in itertools.product((0, 1), repeat=max(n - 17, 0)):
+        lam = a[at] + b[at]
+        lam -= _floor(n, k, sum(at)).reshape(lam.shape)
+        if lam.min() < r[c] + r[m.full ^ d]:
             return False
     return True
 
 
-@functools.cache
-def _three_floor(n: int) -> np.ndarray:
-    """Read-only min(|X|, n - |X|, 2) for the X < 2^(n-1): the bound of
-    `_is_k_connected` for k = 3 on n elements, over its half lattice."""
-    row = np.empty(1 << n - 1, dtype=np.int8)
-    for s, size in _blocks(n - 1):
-        np.minimum(np.minimum(size, n - size), 2, out=row[s:s + size.size])
-    row.flags.writeable = False
-    return row
-
-
 def _minor_3_connected(m: Matroid, c: int, d: int) -> bool:
-    """Whether M/C\\D is 3-connected, for disjoint C and D with C + D != E,
-    read from M's table: no minor is built.
-
-    In M's ranks the minor's lambda is r(X + C) + r(E - D - X) - r(C) -
-    r(E - D), for X in `_is_k_connected`'s half lattice: the subsets of
-    E - C - D without the minor's top element.  The two terms are the
-    `_pinned` views of the table at X + C and of its reverse at X + D,
-    which list the X in the minor's mask order, as `_three_floor` does.
-    """
-    r, t = m._ranks(), m.table()
-    top = 1 << (m.full ^ c ^ d).bit_length() - 1
-    lam = _pinned(t, c, d | top) + _pinned(t[::-1], d, c | top)
-    lam -= _three_floor(m.n - popcount(c | d)).reshape(lam.shape)
-    return bool(lam.min() >= r[c] + r[m.full ^ d])
+    """`_minor_connected` for k = 3, kept on M per (C, D)."""
+    got = m._connected.get((c, d))
+    if got is None:
+        got = m._connected[c, d] = _minor_connected(m, c, d, 3)
+    return got
 
 
 def is_connected(m: Matroid) -> bool:
-    """No 1-separation, by the half-lattice scan of `_is_k_connected`."""
-    return _is_k_connected(m, 2)
+    """No 1-separation: `_minor_connected` with C = D = 0."""
+    return _minor_connected(m, 0, 0, 2)
 
 
 def is_3_connected(m: Matroid) -> bool:
-    """No 1- or 2-separation, by the half-lattice scan of
-    `_is_k_connected`; the verdict is cached on the matroid."""
-    if m._is3conn is None:
-        m._is3conn = _is_k_connected(m, 3)
-    return m._is3conn
+    """No 1- or 2-separation: `_minor_3_connected` with C = D = 0."""
+    return _minor_3_connected(m, 0, 0)
 
 
 def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:

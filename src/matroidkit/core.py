@@ -429,9 +429,8 @@ class Matroid:
         self._tab_view = None
         self._dual = None
         self._quads = None
-        self._is3conn = None
         self._counts = None
-        self._pairs = {}
+        self._connected = {}
 
     @property
     def bases(self) -> tuple[int, ...]:
@@ -576,6 +575,8 @@ class Matroid:
     def minor(self, c: int, d: int) -> "Matroid":
         """M/C\\D, sliced from this table: r(X) = r(X | C) - r(C), the
         `_pinned` view with C's bits set and D's clear."""
+        if (c | d) >> self.n:  # a negative mask shifts to -1
+            raise ValueError("contract or delete set outside the ground set")
         if c & d:
             raise ValueError("contract and delete sets overlap")
         if (c | d) == self.full:

@@ -23,7 +23,7 @@ minor M/{x,y} or M\\{x,y} from M's table, cheapest first: the shape
 guard; once a search has found nothing, one scan of M's own grid for N,
 whose survivors rule out the pairs they do not cover (if none survives,
 the search ends); its 3-connectivity, read from M's table as for any
-M/C\\D (`_minor_3_connected`), once per M; and only then a search of
+M/C\\D and kept on M (`_minor_3_connected`); and only then a search of
 the built minor (`detachable_pairs`).
 """
 
@@ -361,8 +361,8 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     unless it has to be searched.  With N given, each pair minor is asked
     in turn whether its shape can hold N (`_may_hold`), whether a survivor
     of the scan below covers it (once the scan exists), whether it is
-    3-connected (`_minor_3_connected`, which depends only on M, so M keeps
-    each answer, per (C, D), as a bool), and whether it has an N-minor.
+    3-connected (`_minor_3_connected`, which M answers once per (C, D)),
+    and whether it has an N-minor.
 
     Pair minors are searched with `has_minor` until one search finds
     nothing; M's own grid for N is then scored once.  If p is independent,
@@ -377,7 +377,6 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     out = []
     if m.n < 3:
         return out
-    connected = m._pairs
     r = m._ranks()
     # whether a search has found nothing, and then what the survivors of
     # M's grid for N cover
@@ -399,9 +398,7 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
                         r[pair] == 2 if contract
                         else r[m.full ^ pair] == m.rank):
                     continue
-            if (c, d) not in connected:
-                connected[c, d] = _minor_3_connected(m, c, d)
-            if not connected[c, d]:
+            if not _minor_3_connected(m, c, d):
                 continue
             lab = None
             if n_mat is not None:

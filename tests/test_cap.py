@@ -52,8 +52,8 @@ import pytest
 from matroidkit.builders import (delta_wye, fano, paving, uniform, wheel,
                                  wye_delta)
 from matroidkit.cli import main, parse, serialize
-from matroidkit.connectivity import (is_3_connected, separations,
-                                     vertical_3_separations)
+from matroidkit.connectivity import (_minor_3_connected, is_3_connected,
+                                     separations, vertical_3_separations)
 from matroidkit.core import (MAX_GROUND, AxiomViolation, Matroid,
                              _masks_of_size, is_isomorphic, popcount,
                              rank_table, validate)
@@ -113,11 +113,20 @@ def test_connectivity_scan_builds_no_table_sized_temporary():
         tracemalloc.reset_peak()
         conn = is_3_connected(m)
         scan_peak = (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+        # a removal test reads the same table through strided views
+        removal_peaks = []
+        for c, d in ((0b11, 0), (0, 1 << 3 | 1 << 17)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert _minor_3_connected(m, c, d)
+            removal_peaks.append(
+                (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20)
     finally:
         tracemalloc.stop()
     assert tab.tobytes() == src.table().tobytes()
     assert table_peak <= TABLE_MIB + 4, f"rank_table peak {table_peak:.1f} MiB"
     assert scan_peak <= 1, f"is_3_connected peak {scan_peak:.2f} MiB"
+    assert max(removal_peaks) <= 1, f"removal test peaks {removal_peaks} MiB"
     # every single-element minor of a rank-4 sparse paving matroid on 24
     # elements is 3-connected, so each scan runs over the whole half table
     t0 = time.perf_counter()

@@ -215,6 +215,17 @@ class TestMinors:
         with pytest.raises(GroundSetExhausted):
             m.minor(0b0011, 0b1100)
 
+    def test_masks_outside_the_ground_set(self):
+        # a bit at or above n names no element, nor does a negative mask,
+        # whose bits never run out
+        m = u24()
+        for c, d in ((1 << 4, 0), (0, 1 << 6), (-1, 0), (0, -4)):
+            with pytest.raises(ValueError):
+                m.minor(c, d)
+        for remove in (m.delete, m.contract, m.restrict):
+            with pytest.raises(ValueError):
+                remove(1 << 5 | 1)
+
     def test_labels_retained(self):
         m = u24().delete(bit(1))
         assert m.labels == ("a", "c", "d")

@@ -215,13 +215,13 @@ class TestDetachablePairs:
         # whether a pair minor is 3-connected depends only on M, so a later
         # call, with another N or none, tests no pair minor again; a pair
         # minor whose shape cannot hold N is not tested at all
-        tested, test = [], minors._minor_3_connected
+        tested, kernel = [], connectivity._minor_connected
 
-        def counting(m, c, d):
+        def counting(m, c, d, k):
             tested.append((c, d))
-            return test(m, c, d)
+            return kernel(m, c, d, k)
 
-        monkeypatch.setattr(minors, "_minor_3_connected", counting)
+        monkeypatch.setattr(connectivity, "_minor_connected", counting)
         m = uniform(3, 7)
         first = detachable_pairs(m, uniform(3, 5))
         # every M/{x,y} has rank 1 < r(U(3,5)): only the deletions are tested
@@ -233,7 +233,7 @@ class TestDetachablePairs:
         assert detachable_pairs(m, fano()) == []
         assert detachable_pairs(m, uniform(3, 5)) == first
         assert len(tested) == len(set(tested)) == 2 * pairs
-        assert all(type(v) is bool for v in m._pairs.values())
+        assert all(type(v) is bool for v in m._connected.values())
 
     def test_pair_questions_read_from_the_table(self, monkeypatch):
         # no pair minor is built to test its 3-connectivity, and after the
@@ -242,28 +242,29 @@ class TestDetachablePairs:
         # The scan also comes before the 3-connectivity test of each later
         # pair, and on the 15 exchanged matroids, which have no N-minor, it
         # has no survivor and ends the search: 205 pair tests in all, 2,568
-        # when every pair that passes the shape guard was tested
-        calls = []
+        # when every pair that passes the shape guard was tested; no
+        # matroid is tested whole (C = D = 0)
+        searches, tested = [], []
+        search, kernel = has_minor, connectivity._minor_connected
 
-        def counting(fn):
-            def wrapped(*args):
-                calls.append(fn.__name__)
-                return fn(*args)
-            return wrapped
+        def counting_search(m, n_mat):
+            searches.append(m)
+            return search(m, n_mat)
 
-        monkeypatch.setattr(minors, "has_minor", counting(has_minor))
-        monkeypatch.setattr(connectivity, "_is_k_connected",
-                            counting(connectivity._is_k_connected))
-        monkeypatch.setattr(minors, "_minor_3_connected",
-                            counting(minors._minor_3_connected))
+        def counting_kernel(m, c, d, k):
+            tested.append((c, d))
+            return kernel(m, c, d, k)
+
+        monkeypatch.setattr(minors, "has_minor", counting_search)
+        monkeypatch.setattr(connectivity, "_minor_connected", counting_kernel)
         for m, n_mat in ((twisted_cube_matroid(), nonfano()),
                          (spiked_fano(4), fano()),
                          (spiked_fano(4, True), fano())):
             assert detachable_pairs(m, n_mat) == []
             assert detachable_after_exchange(m, n_mat) == []
-        assert calls.count("has_minor") <= 20
-        assert calls.count("_minor_3_connected") <= 250
-        assert "_is_k_connected" not in calls
+        assert len(searches) <= 20
+        assert len(tested) <= 250
+        assert (0, 0) not in tested
 
     def test_duality(self):
         m = whirl(3)
@@ -282,21 +283,24 @@ class TestSweepWork:
         7,181 minors and tested 1,886 pair minors for 3-connectivity; with
         it, 1,997 and 572; with `_foundation_outcome` handed M\\d rather
         than rebuilding it, 1,666 and 572; with M's cover asked before the
-        3-connectivity test and M\\d\\d' built once, 1,389 and 257."""
+        3-connectivity test and M\\d\\d' built once, 1,389 and 257.  The
+        tests are counted as runs of the kernel with C + D != 0, so they
+        include `_qualifying_x`'s: 289, each (C, D) once per M."""
         corpus = generate_corpus(0, max_n=16)
         built, tested = [], []
-        minor, pair_test = Matroid.minor, minors._minor_3_connected
+        minor, kernel = Matroid.minor, connectivity._minor_connected
 
         def counting_minor(m, c, d):
             built.append((c, d))
             return minor(m, c, d)
 
-        def counting_pair_test(m, c, d):
-            tested.append((c, d))
-            return pair_test(m, c, d)
+        def counting_kernel(m, c, d, k):
+            if c | d:
+                tested.append((c, d))
+            return kernel(m, c, d, k)
 
         monkeypatch.setattr(Matroid, "minor", counting_minor)
-        monkeypatch.setattr(minors, "_minor_3_connected", counting_pair_test)
+        monkeypatch.setattr(connectivity, "_minor_connected", counting_kernel)
         assert harness.sweep_foundation(corpus, max_m=12)
         assert len(built) <= 1500 and len(tested) <= 300, \
             (len(built), len(tested))

@@ -30,7 +30,8 @@ from matroidkit.builders import (BadParams, NotModularFlat,
                                  parallel_connection, relax, series_add,
                                  spike, spiked_fano, twisted_cube_matroid,
                                  uniform, wheel, whirl, wye_delta)
-from matroidkit.connectivity import (_lambda_sets, _minor_3_connected,
+from matroidkit.connectivity import (_k_separating, _lambda_sets,
+                                     _minor_3_connected, _minor_connected,
                                      _vertical_triples, cyclic_3_separations,
                                      is_3_connected, is_connected, lambda_,
                                      separations, vertical_3_separations)
@@ -1259,7 +1260,7 @@ class TestDetachablePairsOracle:
                  for x1, x2 in itertools.combinations(range(m.n), 2)]
         shaped = sum(minors._may_hold(m, c, d, n_mat)
                      for p in pairs for c, d in ((p, 0), (0, p)))
-        assert len(m._pairs) < shaped
+        assert len(m._connected) < shaped
         assert got == ref_detachable_pairs(m, n_mat)
 
     def test_reference_constructions(self):
@@ -1366,17 +1367,31 @@ def _removals(m, most):
 
 
 class TestPairKernelOracle:
-    """`_minor_3_connected(m, c, d)`, read from M's table, against
-    `is_3_connected` of the built minor M/C\\D (of M itself when C and D
-    are empty)."""
+    """`_minor_connected(m, c, d, k)`, read from M's table, for k = 2 and 3,
+    and `is_connected` and `_minor_3_connected`, against the built minor
+    M/C\\D (M itself when C and D are empty) with no run of the kernel:
+    lambda over every subset by `lambda_` up to 10 elements, and beyond
+    that the k-separations of `_k_separating`, a scan of the full table."""
 
     @staticmethod
     def check(m, removals):
+        """The (k, verdict) pairs met."""
         verdicts = set()
         for c, d in removals:
-            want = is_3_connected(m.minor(c, d))
-            assert _minor_3_connected(m, c, d) == want, (m, c, d)
-            verdicts.add(want)
+            mm = m.minor(c, d)
+            if mm.n <= 10:
+                lam = [(lambda_(mm, x), min(popcount(x), mm.n - popcount(x)))
+                       for x in range(1 << mm.n)]
+                want = {k: all(v >= min(f, k - 1) for v, f in lam)
+                        for k in (2, 3)}
+            else:
+                one = _k_separating(mm, 1)
+                want = {2: not one, 3: not (one or _k_separating(mm, 2))}
+            for k in (2, 3):
+                assert _minor_connected(m, c, d, k) == want[k], (m, c, d, k)
+                verdicts.add((k, want[k]))
+            assert _minor_3_connected(m, c, d) == want[3], (m, c, d)
+            assert is_connected(mm) == want[2], (m, c, d)
         return verdicts
 
     def test_corpus_and_duals(self):
@@ -1384,7 +1399,7 @@ class TestPairKernelOracle:
         for entry in generate_corpus(0, max_n=10):
             for m in (entry.matroid, entry.matroid.dual()):
                 verdicts |= self.check(m, _removals(m, 2))
-        assert verdicts == {False, True}
+        assert verdicts == {(k, v) for k in (2, 3) for v in (False, True)}
 
     @settings(max_examples=80)
     @given(st.data())
@@ -1412,14 +1427,35 @@ class TestPairKernelOracle:
         # each drawn set is split into C, the bits the integer holds, and D
         self.check(m, [(mask_of(x) & y, mask_of(x) & ~y) for x, y in removals])
 
-    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("n", [17, 18, 20, 24])
     def test_past_one_block(self, n):
-        # the minor's half lattice spans more than one 2^16 block of M's
-        for seed in range(2):
-            m = random_sparse_paving(random.Random(seed), n, 4)
-            pairs = [(c, d) for c, d in _removals(m, 2)
-                     if popcount(c | d) == 2]
-            assert self.check(m, pairs) == {False, True}
+        # the minor's half lattice spans more than one 2^16 block of M's,
+        # and from 19 elements on, its blocks are indexed by two or more
+        # leading axes of the views
+        if n < 20:
+            for seed in range(2):
+                m = random_sparse_paving(random.Random(seed), n, 4)
+                pairs = [(c, d) for c, d in _removals(m, 2)
+                         if popcount(c | d) == 2]
+                assert {(3, False), (3, True)} <= self.check(m, pairs)
+            return
+        m = random_sparse_paving(random.Random(0), n, 4)
+        # x and y are parallel in M/{a, b} for a circuit-hyperplane
+        # {a, b, x, y}, a and b its two lowest elements
+        sets = _masks_of_size(n, 4)
+        h = int(sets[m.table()[sets] == 3][0])
+        ab = mask_of(elems(h)[:2])
+        verdicts = self.check(m, [(0, 0), (1, 0), (0, 1 << n - 1), (ab, 0)])
+        # U(2, 10) + U(2, n - 10), whose first summand lies on elements
+        # 0-7, 16 and 17: its one 1-separation sits on leading axes that
+        # read differently backwards
+        a = 0xff | 0b11 << 16
+        b = (1 << n) - 1 ^ a
+        pairs = [[mask_of(p) for p in itertools.combinations(elems(s), 2)]
+                 for s in (a, b)]
+        sums = Matroid(n, [p | q for p in pairs[0] for q in pairs[1]])
+        verdicts |= self.check(sums, [(0, 0), (0, 1 << 8), (1 << n - 1, 0)])
+        assert verdicts == {(k, v) for k in (2, 3) for v in (False, True)}
 
 
 class TestPairScanOracle:
