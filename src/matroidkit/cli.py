@@ -14,6 +14,7 @@ File grammar (one directive per line, '#' starts a comment):
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import (Matroid, MatroidError, _masks_of_size,
@@ -389,7 +390,8 @@ class _Parser(argparse.ArgumentParser):
         raise MatroidError(message)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
     ap = _Parser(
         prog="matroidkit",
         description="exact structure analysis for desk-scale matroids")
@@ -417,9 +419,12 @@ def main(argv=None) -> int:
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("text", "records"), default="text")
+    return ap
 
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         return {"analyze": cmd_analyze, "detachable": cmd_detachable,
                 "separators": cmd_separators, "verify": cmd_verify,
                 "construct": cmd_construct}[args.cmd](args)

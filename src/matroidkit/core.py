@@ -587,8 +587,11 @@ class Matroid:
         labels = [lab for i, lab in enumerate(self.labels)
                   if not (c | d) >> i & 1]
         # flatten's copy owns its data, so the subtraction runs in place
-        # and the minor costs one table-sized allocation
-        tab = _pinned(t, c, d).flatten()
+        # and the minor costs one table-sized allocation; it copies runs
+        # of 2^j entries, j the lowest removed element, as single items
+        j = ((c | d) & -(c | d)).bit_length() - 1
+        runs = t.view(f"V{1 << j}")
+        tab = _pinned(runs, c >> j, d >> j).flatten().view(t.dtype)
         tab -= t[c]
         return Matroid._from_table(tab, labels)
 

@@ -24,7 +24,9 @@ guard; once a search has found nothing, one scan of M's own grid for N,
 whose survivors rule out the pairs they do not cover (if none survives,
 the search ends); its 3-connectivity, read from M's table as for any
 M/C\\D and kept on M (`_minor_3_connected`); and only then a search of
-the built minor (`detachable_pairs`).
+the built minor (`detachable_pairs`).  The exchange stage searches each
+distinct exchanged matroid once, matched exactly on its table, and keeps
+only the results (`detachable_after_exchange`).
 """
 
 from __future__ import annotations
@@ -415,13 +417,23 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
 def detachable_after_exchange(m: Matroid, n_mat: Matroid | None,
                               first_only: bool = False) -> list[DetachableResult]:
     """Run the pair search on every single delta-wye or wye-delta exchange
-    of m, tagging results with the exchanged triple."""
-    out = []
+    of m, tagging results with the exchanged triple.  Each distinct M' is
+    searched once: a repeat, its table's CRC confirmed by `np.array_equal`
+    on the earlier exchange rebuilt, takes that search's results."""
+    out, searched = [], {}  # CRC of M' -> [(exchange, triple, results)]
     for triples, exchange, stage in ((triangles, delta_wye, "after-delta-wye"),
                                      (triads, wye_delta, "after-wye-delta")):
         for x in triples(m):
-            for res in detachable_pairs(exchange(m, x), n_mat,
-                                        first_only=first_only):
+            mx = exchange(m, x)
+            runs = searched.setdefault(zlib.crc32(mx.table()), [])
+            found = next((got for ex, y, got in runs
+                          if np.array_equal(ex(m, y).table(), mx.table())),
+                         None)
+            if found is None:
+                found = detachable_pairs(mx, n_mat, first_only=first_only)
+                runs.append((exchange, x, found))
+            del mx  # no exchanged table outlives its own search
+            for res in found:
                 out.append(DetachableResult(res.pair, res.mode, stage, x,
                                             res.labelling))
                 if first_only:

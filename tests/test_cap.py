@@ -15,7 +15,8 @@ the sets of one size, but not a table-sized int32 or int64 array or a
 Python-list copy of a table.  Tighter pins hold the n = 24 kernels to the
 table they return: `rank_table` stays within one table plus 4 MiB (the
 packed OR pass and its 1 MiB lookup table), a single-element minor within
-half a table plus 1 MiB, and `_masks_of_size(24, 3)`, `is_3_connected`
+half a table plus 1 MiB and, on element 1, 4x the time of one on element
+23, and `_masks_of_size(24, 3)`, `is_3_connected`
 and `separations` within 1 MiB each, as every popcount comes from one
 2^16 table and every lambda scan runs block by block; `separators` and
 `vertical_3_separations`, table build included, stay within one table
@@ -160,12 +161,24 @@ def test_masks_of_size_builds_nothing_table_sized():
 def test_single_element_minor_makes_one_half_table():
     m = random_sparse_paving(random.Random(24), MAX_GROUND, 4)
     m.table()
-    # e = 2 puts the slice on a strided axis, e = 23 on the leading one
-    for e in (2, MAX_GROUND - 1):
+    # e = 1 and 2 put the slice on a strided axis, e = 23 on the leading one
+    for e in (1, 2, MAX_GROUND - 1):
         for f in (m.delete, m.contract):
             minor, peak = traced_mib(lambda: f(1 << e))
             assert minor.table().nbytes == TABLE_MIB * 2 ** 19
             assert peak <= TABLE_MIB / 2 + 1, f"minor peak {peak:.1f} MiB"
+    # the gather copies runs of 2^e entries as single items, so a low e
+    # costs little more than the top one (28x when it copied 2-byte runs)
+    def best_s(e):
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            m.delete(1 << e)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    low, top = best_s(1), best_s(MAX_GROUND - 1)
+    assert low <= 4 * top, f"{low * 1e3:.1f} ms against {top * 1e3:.1f} ms"
 
 
 @pytest.mark.parametrize("name", ["U(2,4)", "M(K4)"])

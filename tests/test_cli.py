@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matroidkit import cli
 from matroidkit.cli import ParseError, main, parse, serialize
 from matroidkit.core import Matroid, is_isomorphic
 from matroidkit.builders import paving8, uniform
@@ -310,6 +311,37 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error=")
         assert label in err
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the parser is built once per process, so no option of one call
+        # may carry over into the next
+        paths = []
+        for recipe in ("whirl 4", "uniform 2 4"):
+            assert main(["construct", recipe]) == 0
+            paths.append(tmp_path / f"{len(paths)}.mtx")
+            paths[-1].write_text(capsys.readouterr().out)
+        w4, u24 = map(str, paths)
+        assert main(["analyze", w4, "--format", "records"]) == 0
+        assert capsys.readouterr().out.startswith("kind=summary name=whirl4 ")
+        assert main(["analyze", w4]) == 0
+        assert capsys.readouterr().out.startswith("name whirl4\n")
+        assert main(["analyze"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error=")
+        exchanged = []
+        search = cli.detachable_after_exchange
+        monkeypatch.setattr(cli, "detachable_after_exchange",
+                            lambda *args: exchanged.append(args) or
+                            search(*args))
+        # whirl(4) has 32 pairs against U(2, 4) after one exchange, and
+        # none directly
+        assert main(["detachable", w4, "--minor", u24, "--exchange"]) == 0
+        assert capsys.readouterr().out.count(" after ") == 32
+        assert main(["detachable", w4, "--minor", u24]) == 0
+        assert capsys.readouterr().out == "none\n"
+        assert len(exchanged) == 1
 
     def test_records_format(self, construction_files, capsys):
         rc = main(["separators", str(construction_files["M4.mtx"]),

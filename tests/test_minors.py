@@ -1,5 +1,6 @@
 """Minor search, labellings, grounded triples, detachable pairs."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -9,15 +10,16 @@ import pytest
 
 from matroidkit import connectivity, harness, minors
 from matroidkit.core import Matroid, bit, is_isomorphic, mask_of, popcount
-from matroidkit.builders import (fano, nonfano, paving8, spike, spiked_fano,
-                                 twisted_cube_matroid, uniform, wheel, whirl)
+from matroidkit.builders import (delta_wye, fano, nonfano, paving8, spike,
+                                 spiked_fano, twisted_cube_matroid, uniform,
+                                 wheel, whirl)
 from matroidkit.corpus import generate_corpus
 from matroidkit.minors import (HypothesisUnmet, NLabelling,
                                detachable_after_exchange, detachable_pairs,
                                grounded_triads, grounded_triangles,
                                has_minor, labellings, switch_labels,
                                verify_labelling)
-from matroidkit.structures import triangles
+from matroidkit.structures import triads, triangles
 
 
 class TestHasMinor:
@@ -238,12 +240,13 @@ class TestDetachablePairs:
     def test_pair_questions_read_from_the_table(self, monkeypatch):
         # no pair minor is built to test its 3-connectivity, and after the
         # first search of each M that finds nothing, one scan of M rules
-        # out the remaining pairs without a search: 18 searches in all.
-        # The scan also comes before the 3-connectivity test of each later
-        # pair, and on the 15 exchanged matroids, which have no N-minor, it
-        # has no survivor and ends the search: 205 pair tests in all, 2,568
-        # when every pair that passes the shape guard was tested; no
-        # matroid is tested whole (C = D = 0)
+        # out the remaining pairs without a search, and each of the 10
+        # distinct tables among the 15 exchanged matroids is searched once:
+        # 13 searches in all.  The scan also comes before the
+        # 3-connectivity test of each later pair, and on the exchanged
+        # matroids, which have no N-minor, it has no survivor and ends the
+        # search: 163 pair tests in all, 2,568 when every pair that passes
+        # the shape guard was tested; no matroid is tested whole (C = D = 0)
         searches, tested = [], []
         search, kernel = has_minor, connectivity._minor_connected
 
@@ -348,6 +351,41 @@ class TestExchangeStage:
     def test_twisted_cube_empty_after_exchange(self):
         m = twisted_cube_matroid()
         assert detachable_after_exchange(m, nonfano()) == []
+
+    def test_one_search_per_distinct_exchange(self, monkeypatch):
+        # Delta-Y on two triangles of a spike through its tip gives one
+        # matroid, so the 15 exchanges of the reference constructions make
+        # 10 distinct tables, the 4 of spiked_fano(4) make 2 and the 4 of
+        # spike(4) make 1; each distinct table is searched once
+        searched, search = [], minors.detachable_pairs
+
+        def counting(m, *args, **kwargs):
+            searched.append(m)
+            return search(m, *args, **kwargs)
+
+        monkeypatch.setattr(minors, "detachable_pairs", counting)
+        for cases, exchanges, searches in (
+                ([(twisted_cube_matroid(), nonfano()),
+                  (spiked_fano(4), fano()), (spiked_fano(4, True), fano())],
+                 15, 10),
+                ([(spiked_fano(4), uniform(2, 4))], 4, 2),
+                ([(spike(4), uniform(2, 4))], 4, 1)):
+            searched.clear()
+            for m, n_mat in cases:
+                detachable_after_exchange(m, n_mat)
+            assert sum(len(triangles(m)) + len(triads(m))
+                       for m, _ in cases) == exchanges
+            assert len(searched) == searches
+
+    def test_first_only_on_repeated_exchanges(self):
+        # the first exchange of spiked_fano(4) already has pairs
+        m, n_mat = spiked_fano(4), uniform(2, 4)
+        x = triangles(m)[0]
+        first = detachable_pairs(delta_wye(m, x), n_mat)[0]
+        got = detachable_after_exchange(m, n_mat, first_only=True)
+        assert got == [dataclasses.replace(first, stage="after-delta-wye",
+                                           exchanged=x)]
+        assert got == detachable_after_exchange(m, n_mat)[:1]
 
 
 class TestSwitchLabels:
