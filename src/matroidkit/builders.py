@@ -265,8 +265,7 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
             raise RestrictionMismatch(f"label {lab!r} missing from one side")
     t1, t2 = m1.set_of(t_labels), m2.set_of(t_labels)
     r1 = m1.restrict(t1)
-    if not np.array_equal(m2.restrict(t2).reorder(r1.labels).table(),
-                          r1.table()):
+    if m2.restrict(t2).reorder(r1.labels) != r1:
         raise RestrictionMismatch("the two restrictions to T differ")
 
     n1 = m1.n
@@ -306,8 +305,7 @@ def parallel_connection(m1: Matroid, m2: Matroid, t_labels) -> Matroid:
             f"gluing along {t_labels} does not define a matroid: {exc}") from exc
     if glued.restrict(mask_of(range(n1))) != m1:
         raise NotModularFlat("glued matroid does not restrict to the first side")
-    back = glued.restrict(glued.set_of(m2.labels)).reorder(m2.labels)
-    if not np.array_equal(back.table(), m2.table()):
+    if glued.restrict(glued.set_of(m2.labels)).reorder(m2.labels) != m2:
         raise NotModularFlat("glued matroid does not restrict to the second side")
     return glued
 

@@ -207,10 +207,8 @@ def _result_line(m: Matroid, res, rec: bool) -> str:
             line += f" exchanged={m.fmt(res.exchanged)}"
         return line
     line = f"{res.mode} {pair}"
-    if res.stage == "after-delta-wye":
-        line += f" after delta-wye {m.fmt(res.exchanged)}"
-    elif res.stage == "after-wye-delta":
-        line += f" after wye-delta {m.fmt(res.exchanged)}"
+    if res.exchanged is not None:  # "after-delta-wye" -> "after delta-wye"
+        line += f" {res.stage.replace('-', ' ', 1)} {m.fmt(res.exchanged)}"
     return line
 
 
@@ -320,14 +318,14 @@ def cmd_verify(args) -> int:
 
 
 _RECIPES = {
-    "fano": lambda a: ("fano", fano()),
-    "nonfano": lambda a: ("nonfano", nonfano()),
-    "paving8": lambda a: ("paving8", paving8()),
-    "paving8ext": lambda a: ("paving8ext", paving8_ext()),
-    "twistedcube": lambda a: ("twistedcube", twisted_cube_matroid()),
-    "spikedfano": lambda a: ("spikedfano", spiked_fano(4)),
-    "spikedfano-free": lambda a: ("spikedfano-free", spiked_fano(4, True)),
-    "elongquadglued": lambda a: ("elongquadglued", elongated_quad_glued()),
+    "fano": fano,
+    "nonfano": nonfano,
+    "paving8": paving8,
+    "paving8ext": paving8_ext,
+    "twistedcube": twisted_cube_matroid,
+    "spikedfano": lambda: spiked_fano(4),
+    "spikedfano-free": lambda: spiked_fano(4, True),
+    "elongquadglued": elongated_quad_glued,
 }
 
 
@@ -339,7 +337,7 @@ def _sets_of(m: Matroid, tokens) -> list[int]:
 def cmd_construct(args) -> int:
     head, *rest = args.recipe.split() or [""]
     if head in _RECIPES and not rest:
-        name, m = _RECIPES[head](None)
+        name, m = head, _RECIPES[head]()
     elif head == "uniform" and len(rest) == 2:
         r, n = int(rest[0]), int(rest[1])
         name, m = f"u{r}{n}", uniform(r, n)

@@ -45,6 +45,7 @@ import itertools
 import math
 import operator
 import weakref
+import zlib
 
 import numpy as np
 
@@ -92,6 +93,8 @@ def mask_of(ids) -> int:
 
 
 def elems(mask: int) -> list[int]:
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -352,9 +355,11 @@ def rank_table(n: int, bases) -> np.ndarray:
 
 def _check_family(n: int, bases) -> None:
     """Reject a sorted, non-empty family that has a member outside the
-    ground set 0..n-1 or members of different sizes."""
-    if bases[-1] >> n:
-        raise ValueError(f"basis {bases[-1]:#x} not inside the ground set")
+    ground set 0..n-1 (its first if negative, else its last) or members
+    of different sizes."""
+    for b in bases[0], bases[-1]:
+        if b >> n:  # a negative mask shifts to -1
+            raise ValueError(f"basis {b:#x} not inside the ground set")
     sizes = set(map(int.bit_count, bases))
     if len(sizes) > 1:
         raise CardinalityMismatch(
@@ -381,13 +386,37 @@ def _minimal_dependent(n: int, independent) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _TableKey:
+    """A rank table as a key, as fine as the basis family: it hashes by a
+    CRC of the table and compares two tables, unless they are one array,
+    as bytes, one 2^16-entry block at a time up to the first block that
+    differs, so it copies at most two blocks (the table at n = 24 is
+    16 MiB).  It keeps the table."""
+
+    __slots__ = ("tab", "crc")
+
+    def __init__(self, tab: np.ndarray):
+        self.tab = tab
+        self.crc = zlib.crc32(tab)
+
+    def __hash__(self):
+        return self.crc
+
+    def __eq__(self, other):
+        a, b = self.tab, other.tab
+        return self.crc == other.crc and (a is b or a.size == b.size and all(
+            a[s:s + _PC16.size].tobytes() == b[s:s + _PC16.size].tobytes()
+            for s in range(0, a.size, _PC16.size)))
+
+
 class Matroid:
     """Immutable matroid on n labelled elements, held as its rank table.
 
     The constructor takes a basis family and checks only that it is
     equicardinal and inside the ground set; use `validate` to check the
     basis axioms as well.  Minors and duals are built from the parent's
-    table.  Derived data (rank table, bases, dual, circuits, quads, basis
+    table.  Two matroids are equal when their labels and rank tables are
+    (`key`).  Derived data (rank table, key, bases, dual, quads, basis
     counts) is cached on first use; treat instances as read-only values.
     """
 
@@ -408,21 +437,21 @@ class Matroid:
             labels = tuple(labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be unique, one per element")
-        self._setup(n, popcount(bases[0]), labels, bases, None)
+        self._setup(n, popcount(bases[0]), labels, None)
+        self.bases = bases
 
     @classmethod
     def _from_table(cls, tab: np.ndarray, labels) -> "Matroid":
         """Matroid whose rank table is `tab`, taken on trust."""
         m = cls.__new__(cls)
-        m._setup(len(labels), int(tab[-1]), tuple(labels), None, tab)
+        m._setup(len(labels), int(tab[-1]), tuple(labels), tab)
         return m
 
-    def _setup(self, n, rank, labels, bases, tab):
+    def _setup(self, n, rank, labels, tab):
         self.n = n
         self.full = (1 << n) - 1
         self.rank = rank
         self.labels = labels
-        self._bases = bases
         if tab is not None:
             tab.flags.writeable = False
         self._tab = tab
@@ -432,26 +461,26 @@ class Matroid:
         self._counts = None
         self._connected = {}
 
-    @property
+    @functools.cached_property
     def bases(self) -> tuple[int, ...]:
         """Basis masks, ascending."""
-        if self._bases is None:
-            sets = _masks_of_size(self.n, self.rank)
-            self._bases = tuple(sets[self._tab[sets] == self.rank].tolist())
-        return self._bases
+        sets = _masks_of_size(self.n, self.rank)
+        return tuple(sets[self.table()[sets] == self.rank].tolist())
 
     # -- identity ----------------------------------------------------------
 
-    @property
-    def key(self):
-        return (self.n, self.bases)
+    @functools.cached_property
+    def key(self) -> _TableKey:
+        """The rank table as a key: the identity behind `==`, `hash`, the
+        minor memo and the exchange stage's repeat match."""
+        return _TableKey(self.table())
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)
-                and self.key == other.key and self.labels == other.labels)
+                and self.labels == other.labels and self.key == other.key)
 
     def __hash__(self):
-        return hash((self.key, self.labels))
+        return hash(self.key)
 
     def __repr__(self):
         return f"Matroid(n={self.n}, r={self.rank}, bases={len(self.bases)})"

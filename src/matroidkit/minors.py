@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,29 +63,9 @@ class DetachableResult:
     labelling: NLabelling | None
 
 
-# (table key of M, table key of N) -> the first labelling, or None
+# (M.key, N.key) -> the first labelling, or None
 _minor_memo: dict = {}
 _UNSEEN = object()  # `_minor_memo.get`'s default: the pair is not memoised
-
-
-class _TableKey:
-    """M's rank table as a memo key, as fine as the basis family: it hashes
-    by a CRC of the table and compares the tables, unless they are one
-    array (a key made again for the same M), with `np.array_equal`, so it
-    copies nothing (the table at n = 24 is 16 MiB).  It keeps M's table."""
-
-    __slots__ = ("tab", "crc")
-
-    def __init__(self, m: Matroid):
-        self.tab = m.table()
-        self.crc = zlib.crc32(self.tab)
-
-    def __hash__(self):
-        return self.crc
-
-    def __eq__(self, other):
-        return self.crc == other.crc and (self.tab is other.tab or
-                                          np.array_equal(self.tab, other.tab))
 
 
 # the paper's "nearly avoids": a capped region may meet the surviving copy
@@ -232,13 +211,12 @@ class _Grid:
         """(i, labelling) for each survivor (C, D) of N_i with M/C\\D
         isomorphic to N_i, until `open` loses i; each verdict is memoised as
         the `has_minor` answer for that equal-size pair."""
-        keys = [_TableKey(n_mat) for n_mat in self.ns]
         for i, cs, ds in self:
             for c, d in zip(cs.tolist(), ds.tolist()):
                 if i not in self.open:
                     break
                 mn = self.m.minor(c, d)
-                key = _TableKey(mn), keys[i]
+                key = mn.key, self.ns[i].key
                 hit = _minor_memo.get(key, _UNSEEN)
                 if hit is _UNSEEN:
                     hit = _minor_memo[key] = None if is_isomorphic(
@@ -266,9 +244,8 @@ def labellings(m: Matroid, n_mat: Matroid, survivor_cap: int = 0,
 
 def has_minor(m: Matroid, n_mat: Matroid) -> NLabelling | None:
     """First labelling in canonical order, or None: the one-N case of
-    `_has_minors`, memoised on the rank tables of both matroids
-    (`_TableKey`), which are as fine as the basis families, so a memo hit
-    derives no bases."""
+    `_has_minors`, memoised on the keys of both matroids (`Matroid.key`,
+    the rank table), so a memo hit derives no bases."""
     return _has_minors(m, [n_mat])[0]
 
 
@@ -276,8 +253,7 @@ def _has_minors(m: Matroid, ns) -> list:
     """`has_minor(M, N)` for each N of `ns`: the memo's answers, and the
     rest from one scan of M's grid per shape of N, in which each N closes
     at its first labelling, so the answers and memo are a per-N loop's."""
-    m_key = _TableKey(m)
-    keys = [(m_key, _TableKey(n_mat)) for n_mat in ns]
+    keys = [(m.key, n_mat.key) for n_mat in ns]
     got = [_minor_memo.get(key, _UNSEEN) for key in keys]
     shapes: dict = {}
     for key, n_mat, hit in zip(keys, ns, got):
@@ -353,11 +329,10 @@ def _covered(grid: _Grid) -> dict:
 
 
 def detachable_pairs(m: Matroid, n_mat: Matroid | None,
-                     within: int | None = None,
                      first_only: bool = False) -> list[DetachableResult]:
     """Pairs whose double contraction or double deletion is 3-connected and
-    (when n_mat is given) keeps an N-minor.  `within` restricts the scan to
-    pairs inside a mask; n_mat=None disables the minor requirement.
+    (when n_mat is given) keeps an N-minor; n_mat=None disables the minor
+    requirement.
 
     Both questions are read from M's table, so no pair minor is built
     unless it has to be searched.  With N given, each pair minor is asked
@@ -383,8 +358,7 @@ def detachable_pairs(m: Matroid, n_mat: Matroid | None,
     # whether a search has found nothing, and then what the survivors of
     # M's grid for N cover
     missed, cover = False, None
-    ids = elems(within) if within is not None else range(m.n)
-    for x1, x2 in itertools.combinations(ids, 2):
+    for x1, x2 in itertools.combinations(range(m.n), 2):
         pair = bit(x1) | bit(x2)
         for mode in ("contract", "delete"):
             contract = mode == "contract"
@@ -418,17 +392,16 @@ def detachable_after_exchange(m: Matroid, n_mat: Matroid | None,
                               first_only: bool = False) -> list[DetachableResult]:
     """Run the pair search on every single delta-wye or wye-delta exchange
     of m, tagging results with the exchanged triple.  Each distinct M' is
-    searched once: a repeat, its table's CRC confirmed by `np.array_equal`
-    on the earlier exchange rebuilt, takes that search's results."""
+    searched once: a repeat, filed under its key's CRC and confirmed by
+    the key of the earlier exchange rebuilt, takes that search's results."""
     out, searched = [], {}  # CRC of M' -> [(exchange, triple, results)]
     for triples, exchange, stage in ((triangles, delta_wye, "after-delta-wye"),
                                      (triads, wye_delta, "after-wye-delta")):
         for x in triples(m):
             mx = exchange(m, x)
-            runs = searched.setdefault(zlib.crc32(mx.table()), [])
+            runs = searched.setdefault(mx.key.crc, [])
             found = next((got for ex, y, got in runs
-                          if np.array_equal(ex(m, y).table(), mx.table())),
-                         None)
+                          if ex(m, y).key == mx.key), None)
             if found is None:
                 found = detachable_pairs(mx, n_mat, first_only=first_only)
                 runs.append((exchange, x, found))

@@ -18,7 +18,9 @@ from matroidkit.builders import (BadElement, BadParams, NotAFlat,
                                  spike, spiked_fano, twisted_cube_matroid,
                                  uniform, wheel, whirl, wye_delta, rim,
                                  modular_cut_extension)
-from matroidkit.connectivity import is_3_connected, lambda_
+from matroidkit.cli import ParseError, parse
+from matroidkit.connectivity import (BadInput, blocks, is_3_connected,
+                                     lambda_, separations)
 from matroidkit.structures import is_quad, triangles, triads
 
 
@@ -336,3 +338,58 @@ class TestConstructions:
     def test_spiked_fano_free_variant(self):
         m = spiked_fano(4, free_tip=True)
         assert m.n == 13 and is_3_connected(m)
+
+
+# one call per input-error branch, with the branch's own message
+INPUT_ERRORS = {
+    "relax-not-hyperplane": (lambda: relax(uniform(2, 4), 0b0111),
+                             NotCircuitHyperplane, "not a hyperplane"),
+    "cut-generator-not-closed": (
+        lambda: modular_cut_extension(fano(), [0b011], "z"),
+        NotAFlat, "not closed"),
+    "cut-no-generator": (lambda: modular_cut_extension(fano(), [], "z"),
+                         BadParams, "at least one generating flat"),
+    "connection-label-missing": (
+        lambda: parallel_connection(fano(), uniform(2, 4), ["a", "e"]),
+        RestrictionMismatch, "missing from one side"),
+    "connection-restrictions-differ": (
+        lambda: parallel_connection(fano(), uniform(3, 4), ["a", "b", "c"]),
+        RestrictionMismatch, "restrictions to T differ"),
+    "connection-past-cap": (
+        lambda: parallel_connection(uniform(2, 13), uniform(2, 13), ["a"]),
+        BadParams, "exceed 24"),
+    "paving-past-cap": (lambda: paving(2, 25, []), BadParams, "outside"),
+    "graphic-past-cap": (lambda: graphic(2, [(0, 1)] * 25), BadParams,
+                         "between 1 and 24 edges"),
+    "wheel-past-cap": (lambda: wheel(13), BadParams, "too large"),
+    "spike-past-cap": (lambda: spike(12), BadParams, "too large"),
+    "parallel-add-past-cap": (lambda: parallel_add(uniform(1, 24), 0, "y"),
+                              BadParams, "exceed 24"),
+    "principal-extension-past-cap": (
+        lambda: principal_extension(uniform(1, 24), (1 << 24) - 1, "y"),
+        BadParams, "exceed 24"),
+    "minor-overlap": (lambda: uniform(2, 4).minor(0b1, 0b1), ValueError,
+                      "overlap"),
+    "separations-k0": (lambda: separations(uniform(2, 4), 0), ValueError,
+                       "k must be positive"),
+    "blocks-not-3-separating": (lambda: blocks(uniform(3, 7), 0, 0b10),
+                                BadInput, "not exactly 3-separating"),
+    "relabel-repeated": (lambda: builders._relabel(uniform(2, 4), {"a": "b"}),
+                         ValueError, "unique"),
+    "parse-25-labels": (
+        lambda: parse("name x\nelements " + " ".join(
+            f"e{i}" for i in range(25)) + "\nbases {e0}\n"),
+        ParseError, "between 1 and 24 labels"),
+    "parse-body-first": (lambda: parse("name x\nbases {a}\nelements a\n"),
+                         ParseError, "elements must come before the body"),
+    "parse-mixed-bodies": (
+        lambda: parse("name x\nelements a b\nbases {a}\ncircuits {a,b}\n"),
+        ParseError, "mixed body kinds"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_paths(case):
+    call, error, message = INPUT_ERRORS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -7,14 +7,15 @@ bitmask machinery) and then frozen.
 
 import itertools
 import random
+import signal
 
 import pytest
 
 from matroidkit.core import (AxiomViolation, CardinalityMismatch, EmptyFamily,
                              GroundSetExhausted, Matroid, bit, elems,
                              is_isomorphic, mask_of, popcount, validate)
-from matroidkit.builders import (fano, graphic, nonfano, uniform, wheel,
-                                 whirl)
+from matroidkit.builders import (delta_wye, fano, graphic, nonfano, relax,
+                                 uniform, wheel, whirl)
 
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
               (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -89,12 +90,46 @@ class TestValidate:
         with pytest.raises(ValueError):
             Matroid(2, [1 << 5])
 
+    @pytest.mark.parametrize("call", [
+        lambda: Matroid(2, [-1, 1]),
+        lambda: validate([-1, 1], 2),
+        lambda: elems(-1),
+        lambda: relax(uniform(2, 4), -7),
+        lambda: delta_wye(uniform(2, 4), -7),
+    ], ids=["constructor", "validate", "elems", "relax", "delta_wye"])
+    def test_negative_mask_rejected(self, call):
+        # a negative mask has infinitely many bits set, so a loop over its
+        # bits never ends: the alarm fails such a call instead of hanging
+        def hang(*_):
+            raise AssertionError("no answer within 5 s")
+
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError):
+                call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
     def test_id_of_range_checked(self):
         m = u24()
         assert m.id_of(3) == 3 and m.id_of("c") == 2
         for bad in (4, -1, "z"):
             with pytest.raises(ValueError):
                 m.id_of(bad)
+
+
+class TestIdentity:
+    def test_labels_and_table_decide_equality(self):
+        # a basis-built and a table-built copy are one matroid; the same
+        # table under other labels, or another table, is not
+        m = fano()
+        copy = Matroid._from_table(m.table().copy(), m.labels)
+        again = Matroid(m.n, m.bases, m.labels)
+        assert m == copy == again and hash(m) == hash(copy) == hash(again)
+        assert m != fano(list("ABCDEFG")) and m != nonfano()
+        assert m != uniform(3, 7) and m != uniform(3, 8)
 
 
 class TestRankCalculus:

@@ -115,8 +115,8 @@ class TestMinorMemo:
                  (fano().delete(1), uniform(2, 4))]
         want = [has_minor(minor, n_mat) for minor, n_mat in cases]
         assert want[0] is not None and want[2] is None
-        assert all(memo[minors._TableKey(minor), minors._TableKey(n_mat)]
-                   == lab for (minor, n_mat), lab in zip(cases, want))
+        assert all(memo[minor.key, n_mat.key] == lab
+                   for (minor, n_mat), lab in zip(cases, want))
         size = len(memo)
         self._no_search(monkeypatch)
         for (minor, n_mat), lab in zip(cases, want):
@@ -132,7 +132,7 @@ class TestMinorMemo:
         self._no_search(monkeypatch)
         fresh = m.contract(p1)
         has_minor(fresh, nf)
-        assert fresh._bases is None
+        assert "bases" not in vars(fresh)
 
     def _survivors(self, monkeypatch):
         """The minors `labellings` hands to `is_isomorphic`, as called."""
@@ -165,7 +165,7 @@ class TestMinorMemo:
         seen = self._survivors(monkeypatch)
         assert list(labellings(m, n)) == []
         assert len(seen) == 1 and seen[0].n == n.n
-        assert memo[minors._TableKey(seen[0]), minors._TableKey(n)] is None
+        assert memo[seen[0].key, n.key] is None
         self._no_search(monkeypatch)
         assert has_minor(seen[0], n) is None
 
@@ -202,9 +202,9 @@ class TestDetachablePairs:
     def test_pure_pairs_within_separator(self):
         m = twisted_cube_matroid()
         x = m.set_of(["p1", "p2", "q1", "q2", "s1", "s2"])
-        got = detachable_pairs(m, None, within=x)
         frozen = {(frozenset(m.label_list(mask_of(r.pair))), r.mode)
-                  for r in got}
+                  for r in detachable_pairs(m, None)
+                  if not mask_of(r.pair) & ~x}
         assert frozen == {(frozenset(["p1", "q2"]), "delete"),
                           (frozenset(["p2", "q1"]), "delete")}
 

@@ -1186,13 +1186,12 @@ class TestBasisCountsOracle:
             NLabelling(0b1111111, 0b111111 << 7)
 
 
-def ref_detachable_pairs(m, n_mat, within=None, first_only=False):
+def ref_detachable_pairs(m, n_mat, first_only=False):
     # the per-pair loop: every call builds and tests every pair minor again
     out = []
     if m.n < 3:
         return out
-    ids = elems(within) if within is not None else range(m.n)
-    for x1, x2 in itertools.combinations(ids, 2):
+    for x1, x2 in itertools.combinations(range(m.n), 2):
         pair = bit(x1) | bit(x2)
         for mode in ("contract", "delete"):
             mm = m.contract(pair) if mode == "contract" else m.delete(pair)
@@ -1215,26 +1214,23 @@ class TestDetachablePairsOracle:
     3-connected, against the per-pair loop, call after call on one M."""
 
     def test_corpus_with_and_without_n(self, monkeypatch):
-        rng = random.Random(31)
         found = 0
         scans = _count_calls(monkeypatch, minors, "_covered")
         for entry in generate_corpus(0, max_n=9):
             m = entry.matroid
             for n_mat in (None, uniform(2, 4), uniform(3, 5), fano(),
                           nonfano(), wheel(3)):
-                # a copy with nothing kept yet; `within` is asked first
+                # a copy with nothing kept yet; the first call stops early,
+                # so the next one finds only some pairs kept
                 fresh = m.reorder(m.labels)
-                within = _random_mask(rng, m.n, 0.6)
-                for kw in ({"within": within},
-                           {"within": within, "first_only": True},
-                           {}, {"first_only": True}):
+                for kw in ({"first_only": True}, {}):
                     # a cold memo, so that each call searches afresh
                     minors._minor_memo.clear()
                     got = detachable_pairs(fresh, n_mat, **kw)
                     want = ref_detachable_pairs(m, n_mat, **kw)
                     assert got == want, (entry.name, n_mat, kw)
                     found += len(want)
-        assert found > 1500 and len(scans) > 30
+        assert found > 1200 and len(scans) > 15
 
     def test_parallel_and_series_pairs(self):
         # for a parallel pair p = {x, z}, M/p is M/x\z, and for a series

@@ -1,7 +1,8 @@
 """Static tidiness of the package, read from its source with `ast`: no
 module imports a name it never uses, no private module-level helper is
-left without a reference, and no public function or class is left
-without a reader in the package or a mention in the README."""
+left without a reference, no public function or class is left without a
+reader in the package or a mention in the README, and a rank table's
+identity is defined in `core` alone."""
 
 import ast
 import re
@@ -84,6 +85,16 @@ def test_every_public_definition_is_read_or_documented():
               and node.name not in referenced
               and not re.search(rf"\b{node.name}\b", readme)}
     assert unread == set(UNREAD_PUBLIC)
+
+
+def test_table_identity_lives_in_core():
+    # `Matroid.key` is the one table key: no other module hashes a table
+    # or defines a key class of its own
+    hashers = {module for module, tree in TREES.items()
+               if "zlib" in _imported(tree)}
+    keys = {module for module, tree in TREES.items()
+            if "_TableKey" in _private_definitions(tree)}
+    assert hashers == keys == {"core"}
 
 
 def test_checks_see_the_package():
