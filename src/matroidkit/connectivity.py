@@ -157,36 +157,34 @@ def _vertical_triples(m: Matroid) -> list[tuple[int, int, int]]:
 
     X runs over the table in the blocks of `_blocks`, and for each z that
     not every X of the block holds, over the X without z.  As
-    Y = E - z - X, the ranks r(X), r(X + z), r(Y + z) and r(Y) of a block
-    are slices of the table and of its reverse at X and X + z; lambda <= 2
-    picks the few candidates, and the other conditions are read at those
-    alone, so nothing table-sized is built.
+    Y = E - z - X, r(X) and r(Y) of a block are slices of the table and of
+    its reverse, at X and X + z; lambda <= 2 picks each z's few
+    candidates, and the other conditions are read once per block at all of
+    its candidates, by gathers, so nothing table-sized is built.
     """
     t = m.table()
     rev, n = t[::-1], m.n
-    found = [[] for _ in range(n)]
+    found = []
     for s, sizes in _blocks(n):
-        step = sizes.size
-        for z in range(n):
+        zs = [z for z in range(n) if not s >> z & 1]  # not every X holds z
+        hits = []
+        for z in zs:
             bz = 1 << z
-            if s & bz:
-                continue  # every X of the block holds z
             low = 2 if z == 0 else 1  # the lowest element other than z
-            # r(X + z) and r(Y), as far as the X + z stay inside the table
-            txz, ty = t[s + bz:s + bz + step], rev[s + bz:s + bz + step]
-            k = txz.size
-            tx, tyz = t[s:s + k], rev[s:s + k]
-            # z in cl(X) and cl(Y), so both flanking bipartitions have
-            # lambda = r(X) + r(Y) - r(M)
-            hit = np.flatnonzero(tx + ty <= m.rank + 2)
-            hit = hit[hit & (bz | low) == low]
-            size = sizes[hit]
-            ok = (size >= 3) & (size <= n - 4) & (tx[hit] >= 3) \
-                & (ty[hit] >= 3) & (txz[hit] == tx[hit]) \
-                & (tyz[hit] == ty[hit])
-            found[z] += (hit[ok] + s).tolist()
-    return [(x, z, m.full ^ 1 << z ^ x) for z in range(n)
-            for x in sorted(found[z], key=lex_key)]
+            # r(Y), as far as the X + z stay inside the table; with z in
+            # cl(X) and cl(Y), both flanking lambdas are r(X) + r(Y) - r(M)
+            ty = rev[s + bz:s + bz + sizes.size]
+            hit = np.flatnonzero(t[s:s + ty.size] + ty <= m.rank + 2)
+            hits.append(hit[hit & (bz | low) == low])
+        z = np.repeat(zs, [hit.size for hit in hits])
+        hit = np.concatenate(hits)
+        x, xz = hit + s, hit + s + (1 << z)
+        tx, ty, size = t[x], t[m.full ^ xz], sizes[hit]
+        ok = (size >= 3) & (size <= n - 4) & (tx >= 3) & (ty >= 3) \
+            & (t[xz] == tx) & (t[m.full ^ x] == ty)
+        found += zip(z[ok].tolist(), x[ok].tolist())
+    found.sort(key=lambda zx: (zx[0], lex_key(zx[1])))
+    return [(x, z, m.full ^ 1 << z ^ x) for z, x in found]
 
 
 def vertical_3_separations(m: Matroid) -> list[tuple[int, int, int]]:

@@ -113,6 +113,8 @@ def lex_key(mask: int) -> tuple[int, ...]:
 
 def submasks(mask: int):
     """Every submask of `mask`, including 0 and mask itself."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     sub = mask
     while True:
         yield sub
@@ -535,6 +537,13 @@ class Matroid:
             h.flags.writeable = False
             self._counts = h
         return self._counts
+
+    @functools.cached_property
+    def _score_row(self) -> tuple[int, np.ndarray]:
+        """|B(M)| and the column of sorted basis degrees, modulo 2^16."""
+        h = self.basis_counts()
+        deg = h[-1] - h[self.full ^ 1 << np.arange(self.n)]
+        return int(h[-1]), np.sort(deg)[:, None]
 
     def _ranks(self) -> memoryview:
         """Zero-copy view of the read-only rank table for scalar lookups.

@@ -28,10 +28,10 @@ from .connectivity import (_k_separating, _lambda_sets, _minor_3_connected,
 from .structures import (_step, _subset_bits, detect_spike_like,
                          detect_twisted_cube_like, fans, flans, segments,
                          special_separator, triangles, triads)
-from .minors import (HypothesisUnmet, _has_minors, _may_hold, _minor_has,
-                     all_triples_grounded, detachable_after_exchange,
-                     detachable_pairs, grounded_triangles, has_minor,
-                     labellings, switch_labels)
+from .minors import (HypothesisUnmet, _grounded, _has_minors, _may_hold,
+                     _minor_has, all_triples_grounded,
+                     detachable_after_exchange, detachable_pairs,
+                     grounded_triangles, has_minor, labellings, switch_labels)
 from .builders import fano, nonfano, spiked_fano, twisted_cube_matroid, wheel, whirl
 
 
@@ -887,38 +887,42 @@ def sweep_foundation(corpus, max_m: int = 12) -> list[Verdict]:
     |E(M)|, N a minor of M, every triangle and triad N-grounded, no
     N-detachable pair) are decided once per pair, and the cyclic
     3-separations of each 3-connected M\\d once per M, at the first N that
-    passes.  Each instance (d, d', Y) comes from that scan, so only its
-    labelling hypothesis is checked per instance."""
+    passes; M's triangles and triads are walked once for all its N's.
+    Each instance (d, d', Y) comes from that scan, so only its labelling
+    hypothesis is checked per instance."""
     out = []
-    split_m = None
-    for em, en in _minor_pairs(corpus, max_m, 1):
-        m, n_mat = em.matroid, en.matroid
-        if not all_triples_grounded(m, n_mat):
-            continue
-        if detachable_pairs(m, n_mat, first_only=True):
-            continue
-        if split_m is not em:
-            split_m = em
-            splits = [(d, md, cyclic_3_separations(md)) for d in range(m.n)
-                      if is_3_connected(md := m.delete(bit(d)))]
-            # each M\d\d' once per M
-            delete = functools.cache(m.delete)
-        for d, md, seps in splits:
-            bd = bit(d)
-            for xa, zz, ya in seps:
-                dp = m.expand(bit(zz), bd).bit_length() - 1
-                for ym in (xa, ya):
-                    y = m.expand(ym, bd)
-                    if popcount(y) < 4:
-                        continue
-                    try:
-                        v = _foundation_outcome(m, n_mat, d, md, dp,
-                                                delete(bd | bit(dp)), y)
-                    except HypothesisUnmet:
-                        continue
-                    v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"
-                                  f"|d'={m.labels[dp]}|Y={m.fmt(y)}")
-                    out.append(v)
+    for em, pairs in itertools.groupby(_minor_pairs(corpus, max_m, 1),
+                                       key=lambda pair: pair[0]):
+        m, ens = em.matroid, [en for _, en in pairs]
+        grounded = _grounded(m, [en.matroid for en in ens],
+                             triangles(m) + triads(m))
+        splits = None
+        for en, ok in zip(ens, grounded):
+            n_mat = en.matroid
+            if not ok or detachable_pairs(m, n_mat, first_only=True):
+                continue
+            if splits is None:
+                splits = [(d, md, cyclic_3_separations(md))
+                          for d in range(m.n)
+                          if is_3_connected(md := m.delete(bit(d)))]
+                # each M\d\d' once per M
+                delete = functools.cache(m.delete)
+            for d, md, seps in splits:
+                bd = bit(d)
+                for xa, zz, ya in seps:
+                    dp = m.expand(bit(zz), bd).bit_length() - 1
+                    for ym in (xa, ya):
+                        y = m.expand(ym, bd)
+                        if popcount(y) < 4:
+                            continue
+                        try:
+                            v = _foundation_outcome(m, n_mat, d, md, dp,
+                                                    delete(bd | bit(dp)), y)
+                        except HypothesisUnmet:
+                            continue
+                        v.instance = (f"{em.name}|{en.name}|d={m.labels[d]}"
+                                      f"|d'={m.labels[dp]}|Y={m.fmt(y)}")
+                        out.append(v)
     return out
 
 

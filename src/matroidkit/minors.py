@@ -158,14 +158,7 @@ class _Grid:
         m, kc, survivor_cap, removed_cap = (
             self.m, self.kc, self.survivor_cap, self.removed_cap)
         n, full, gap = m.n, m.full, m.n - self.ns[0].n
-        nbs, want_degs = [], []
-        for n_mat in self.ns:
-            hn = n_mat.basis_counts()
-            nbs.append(int(hn[-1]))
-            # the gap elements of C and D lie in no basis of the minor
-            deg = hn[-1] - hn[n_mat.full ^ _BITS[:n_mat.n]]
-            want_degs.append(np.sort(np.append(np.zeros(gap, np.uint16),
-                                               deg))[:, None])
+        nbs, want_degs = zip(*(n_mat._score_row for n_mat in self.ns))
         h = m.basis_counts()
         drop = ~_BITS[:n, None]
         step = max(1, _CELLS // (n << kc))
@@ -201,6 +194,9 @@ class _Grid:
                     deg = got - _alternating(h[ys[:, None] & drop])
                     deg[(block[a] & _BITS[:n, None]) != 0] = 0
                     deg.sort(axis=0)
+                    # the gap elements of C and D lie in no basis of the
+                    # minor, so the sorted rows open with `gap` zeros
+                    deg = deg[gap:]
                     for i in sorted(self.open):
                         j = np.flatnonzero((got == nbs[i])
                                            & (deg == want_degs[i]).all(0))
@@ -291,27 +287,40 @@ def verify_labelling(m: Matroid, n_mat: Matroid, lab: NLabelling) -> bool:
     return is_isomorphic(m.minor(lab.contract, lab.delete), n_mat) is not None
 
 
-def _grounded(m: Matroid, n_mat: Matroid, triple: int) -> bool:
-    for a, b in itertools.combinations(elems(triple), 2):
-        ma, mb = bit(a), bit(b)
-        for c, d in ((ma | mb, 0), (ma, mb), (mb, ma), (0, ma | mb)):
-            if _minor_has(m, c, d, n_mat) is not None:
-                return False
-    return True
+def _grounded(m: Matroid, ns, triples) -> list[bool]:
+    """For each N of `ns`, whether no pair {a, b} of a triple of `triples`
+    has an M/C\\D, C + D = {a, b}, with an N-minor: one walk, which asks
+    each pair minor about every open N that `_may_hold` admits in one
+    `_has_minors` call, and closes an N at its first yes."""
+    open_ = dict(enumerate(ns))
+    for triple in triples:
+        if not open_:
+            break
+        for a, b in itertools.combinations(elems(triple), 2):
+            ma, mb = bit(a), bit(b)
+            for c, d in ((ma | mb, 0), (ma, mb), (mb, ma), (0, ma | mb)):
+                ask = [i for i, n_mat in open_.items()
+                       if _may_hold(m, c, d, n_mat)]
+                if not ask:
+                    continue
+                got = _has_minors(m.minor(c, d), [ns[i] for i in ask])
+                for i in itertools.compress(ask, got):  # a labelling
+                    del open_[i]
+    return [i in open_ for i in range(len(ns))]
 
 
 def grounded_triangles(m: Matroid, n_mat: Matroid) -> list[int]:
-    return [t for t in triangles(m) if _grounded(m, n_mat, t)]
+    return [t for t in triangles(m) if _grounded(m, [n_mat], [t])[0]]
 
 
 def grounded_triads(m: Matroid, n_mat: Matroid) -> list[int]:
-    return [t for t in triads(m) if _grounded(m, n_mat, t)]
+    return [t for t in triads(m) if _grounded(m, [n_mat], [t])[0]]
 
 
 def all_triples_grounded(m: Matroid, n_mat: Matroid) -> bool:
     """Every triangle and triad is N-grounded; stops at the first that is
-    not."""
-    return all(_grounded(m, n_mat, t) for t in triangles(m) + triads(m))
+    not.  The one-N case of `_grounded`."""
+    return _grounded(m, [n_mat], triangles(m) + triads(m))[0]
 
 
 def _covered(grid: _Grid) -> dict:

@@ -13,7 +13,8 @@ import pytest
 
 from matroidkit.core import (AxiomViolation, CardinalityMismatch, EmptyFamily,
                              GroundSetExhausted, Matroid, bit, elems,
-                             is_isomorphic, mask_of, popcount, validate)
+                             is_isomorphic, mask_of, popcount, submasks,
+                             validate)
 from matroidkit.builders import (delta_wye, fano, graphic, nonfano, relax,
                                  uniform, wheel, whirl)
 
@@ -96,7 +97,10 @@ class TestValidate:
         lambda: elems(-1),
         lambda: relax(uniform(2, 4), -7),
         lambda: delta_wye(uniform(2, 4), -7),
-    ], ids=["constructor", "validate", "elems", "relax", "delta_wye"])
+        # `max` walks the generator in constant memory
+        lambda: max(submasks(-7)),
+    ], ids=["constructor", "validate", "elems", "relax", "delta_wye",
+            "submasks"])
     def test_negative_mask_rejected(self, call):
         # a negative mask has infinitely many bits set, so a loop over its
         # bits never ends: the alarm fails such a call instead of hanging

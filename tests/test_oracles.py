@@ -1134,6 +1134,31 @@ class TestBatchedLabellingsOracle:
         assert list(labellings(m, n_mat, **kw)) == \
             list(ref_labellings(m, n_mat, **kw)), (m, n_mat, kw)
 
+    def test_n_with_a_loop_and_a_coloop(self):
+        # N = U(1,2) + a loop + a coloop: its sorted degree row opens with
+        # the loop's 0 and ends with the coloop's |B(N)|, so a grid that
+        # drops the wrong zeros of a candidate's row, at gap 0 or past it,
+        # keeps or loses a labelling here
+        n_mat = Matroid(4, [0b1001, 0b1010])
+        assert n_mat._score_row[0] == 2
+        assert n_mat._score_row[1].ravel().tolist() == [0, 1, 1, 2]
+
+        def plus_loop_and_coloop(a):
+            return Matroid(a.n + 2, [b | 1 << a.n + 1 for b in a.bases])
+
+        ms = [n_mat, Matroid(4, [0b0110, 0b0011]), Matroid(4, [0b1100]),
+              uniform(2, 4), uniform(2, 6), wheel(3)]
+        ms += [plus_loop_and_coloop(uniform(r, k))
+               for r, k in ((1, 3), (2, 4), (3, 4))]
+        seen = set()
+        for m in ms:
+            want = brute_has_minor(m, n_mat)
+            got = list(labellings(m, n_mat))
+            assert got == list(ref_labellings(m, n_mat)), m
+            assert bool(got) == want == (has_minor(m, n_mat) is not None), m
+            seen.add((min(m.n - n_mat.n, 2), want))
+        assert seen >= {(0, True), (0, False), (2, True), (2, False)}
+
     @pytest.mark.parametrize("cells", [1, 97])
     def test_small_cell_bounds(self, cells, monkeypatch):
         # 1 makes every block of pairs a single pair and every gather of
@@ -1559,6 +1584,43 @@ class TestSharedScanOracle:
                 and has_minor(em.matroid, en.matroid) is not None]
         assert got == want and len(got) > 200
         assert shared == minors._minor_memo
+
+
+def ref_triples_grounded(m, n_mat):
+    # the per-N walk, stopping at the first pair minor with an N-minor
+    for t in triangles(m) + triads(m):
+        for a, b in itertools.combinations(elems(t), 2):
+            pair = bit(a) | bit(b)
+            for c in (pair, bit(a), bit(b), 0):
+                if minors._minor_has(m, c, pair ^ c, n_mat) is not None:
+                    return False
+    return True
+
+
+class TestGroundedWalkOracle:
+    """`minors._grounded`, which walks M's triangles and triads once for
+    all the N's that `_minor_pairs` yields with M, against a per-N walk:
+    the same answers, and the same memo, each from a cleared memo, so a
+    question skipped, or asked of an N that has closed, fails."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_against_per_n_walk(self, seed):
+        corpus = generate_corpus(seed, max_n=16)
+        closed = mixed = 0
+        for em, pairs in itertools.groupby(_minor_pairs(corpus, 12, 1),
+                                           key=lambda pair: pair[0]):
+            m, ns = em.matroid, [en.matroid for _, en in pairs]
+            minors._minor_memo.clear()
+            got = minors._grounded(m, ns, triangles(m) + triads(m))
+            batched = dict(minors._minor_memo)
+            minors._minor_memo.clear()
+            assert got == [ref_triples_grounded(m, n_mat) for n_mat in ns]
+            assert batched == minors._minor_memo, em.name
+            assert got == [ref_all_triples_grounded(m, n_mat)
+                           for n_mat in ns]
+            closed += got.count(False)
+            mixed += True in got and False in got
+        assert closed > 100 and mixed > 10, (closed, mixed)
 
 
 def _outcome(build, *args):
